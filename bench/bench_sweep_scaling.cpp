@@ -151,10 +151,15 @@ main(int argc, char** argv)
         skewedLadder(static_cast<int>(words), static_cast<int>(penalty),
                      static_cast<int>(tiny));
 
+    // The random policy reads its seed, so the R requests are R
+    // distinct cells per rung that ShapeSweep must each simulate (a
+    // seed-blind policy would collapse them into one run per rung).
+    // Each link carries one message, so the policy cannot change a
+    // run's length.
     std::vector<RunRequest> requests;
     for (long long r = 0; r < seeds; ++r) {
         RunRequest request;
-        request.policy = PolicyKind::kCompatible;
+        request.policy = PolicyKind::kRandom;
         request.seed = static_cast<std::uint64_t>(1 + r);
         requests.push_back(request);
     }
@@ -194,6 +199,13 @@ main(int argc, char** argv)
             result = std::move(r);
         }
 
+        if (result.rowsShared != 0) {
+            std::fprintf(stderr,
+                         "bench_sweep_scaling: %zu rows shared — the "
+                         "ladder must keep every cell distinct\n",
+                         result.rowsShared);
+            return 1;
+        }
         std::vector<std::uint64_t> digests;
         digests.reserve(result.rows.size());
         for (const ShapeSweepRow& row : result.rows)

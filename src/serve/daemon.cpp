@@ -845,6 +845,8 @@ SyscommDaemon::executeSweep(Sub* sub, const CachedProgram& entry)
     body.set("rows_from_journal",
              JsonValue::integer(static_cast<std::int64_t>(
                  result.rowsFromJournal)));
+    body.set("rows_shared", JsonValue::integer(static_cast<std::int64_t>(
+                                result.rowsShared)));
     body.set("sweep_workers",
              JsonValue::integer(result.workersUsed));
     body.set("cached_compile",

@@ -252,4 +252,28 @@ std::unique_ptr<AssignmentPolicy>
 makePolicy(PolicyKind kind, std::vector<std::int64_t> labels,
            std::uint64_t seed);
 
+/**
+ * Does a run under @p kind read RunRequest::seed? Only RandomPolicy's
+ * counted shuffle streams do; every other policy is a pure function
+ * of the link state, so two runs that differ only in seed are
+ * bit-identical and ShapeSweep simulates them once (runsEquivalent,
+ * sim/session.h). A new policy that consumes the seed must answer
+ * true here, or its rows would be shared across seeds —
+ * tests/test_assignment.cpp checks every kind against real runs.
+ */
+constexpr bool
+policyReadsSeed(PolicyKind kind)
+{
+    switch (kind) {
+      case PolicyKind::kRandom:
+        return true;
+      case PolicyKind::kCompatible:
+      case PolicyKind::kCompatibleEager:
+      case PolicyKind::kStatic:
+      case PolicyKind::kFcfs:
+        return false;
+    }
+    return true;
+}
+
 } // namespace syscomm::sim

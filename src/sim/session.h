@@ -408,6 +408,26 @@ runNeedsLabels(const RunRequest& request)
            collects(request.collect, Collect::kAudit);
 }
 
+/**
+ * May a run of @p a stand in for a run of @p b on the same machine?
+ * True when the two agree in every field except a seed their policy
+ * never reads (policyReadsSeed) and neither streams to an observer —
+ * an observer must see its own callbacks, so an observed run never
+ * stands in for another. ShapeSweep simulates one cell per class of
+ * such requests and copies its row into the rest; a field added to
+ * RunRequest must be compared here.
+ */
+inline bool
+runsEquivalent(const RunRequest& a, const RunRequest& b)
+{
+    return a.observer == nullptr && b.observer == nullptr &&
+           a.policy == b.policy &&
+           (a.seed == b.seed || !policyReadsSeed(a.policy)) &&
+           a.maxCycles == b.maxCycles && a.collect == b.collect &&
+           a.labels == b.labels && a.pauseAt == b.pauseAt &&
+           a.faults == b.faults;
+}
+
 /** Outcome of one run. */
 struct RunResult
 {

@@ -91,6 +91,56 @@ journalHeaderBytes(std::uint64_t cfg)
     return bytes;
 }
 
+/** Overwrite the little-endian u64 at @p at (the ByteWriter layout). */
+void
+patchU64(std::vector<std::uint8_t>& bytes, std::size_t at,
+         std::uint64_t value)
+{
+    for (std::size_t b = 0; b < sizeof value; ++b)
+        bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+}
+
+/** Payload of a kRecRowDone record. */
+std::vector<std::uint8_t>
+rowPayload(const ShapeSweepRow& row)
+{
+    std::vector<std::uint8_t> payload;
+    ByteWriter w(payload);
+    w.put(static_cast<std::uint64_t>(row.shape));
+    w.put(static_cast<std::uint64_t>(row.request));
+    w.put(row.machineDigest);
+    saveRunResult(w, row.result);
+    return payload;
+}
+
+/** Do two shapes build the same machine? The name is only a label. */
+bool
+sameMachine(const ShapeSpec& a, const ShapeSpec& b)
+{
+    return a.queuesPerLink == b.queuesPerLink &&
+           a.queueCapacity == b.queueCapacity &&
+           a.extensionCapacity == b.extensionCapacity &&
+           a.extensionPenalty == b.extensionPenalty;
+}
+
+/** For each item, the index of the first item equivalent to it. */
+template <typename T, typename Equivalent>
+std::vector<std::size_t>
+firstEquivalent(const std::vector<T>& items, Equivalent equivalent)
+{
+    std::vector<std::size_t> first(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        first[i] = i;
+        for (std::size_t j = 0; j < i; ++j) {
+            if (first[j] == j && equivalent(items[j], items[i])) {
+                first[i] = j;
+                break;
+            }
+        }
+    }
+    return first;
+}
+
 /** Payload of a kRecShardRange record. */
 std::vector<std::uint8_t>
 shardRangePayload(std::size_t num_shapes, std::size_t num_requests,
@@ -631,33 +681,51 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         }
     }
 
-    // Work items are (shape × request) grid cells — the finest unit
-    // that preserves per-run determinism — restricted to this
-    // shard's range; cells satisfied by the journal dispatch
-    // nothing. Cell granularity is what fixes the inverted scaling
-    // curve: under the old whole-shape dispatch a ladder with one
-    // giant rung parked every other worker behind the thread that
-    // claimed it.
-    std::vector<std::size_t> work;
+    // Work items are classes of equivalent cells (see the file
+    // comment) restricted to this shard's range: a class's worker
+    // simulates one member and copies its row into the others. A
+    // class is keyed by its canonical cell — first equivalent shape
+    // × first equivalent request — and lists its members in grid
+    // order. Distinct cells stay separate items, the finest unit that
+    // preserves per-run determinism, so a ladder with one giant rung
+    // never parks the other workers behind the thread running it.
+    // Classes the journal already finished dispatch nothing.
+    const std::size_t numRequests = requests.size();
+    const std::vector<std::size_t> shapeFirst =
+        firstEquivalent(shapes_, sameMachine);
+    const std::vector<std::size_t> requestFirst =
+        firstEquivalent(requests, runsEquivalent);
+    constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> classOf(totalCells, kNoClass);
+    std::vector<std::vector<std::size_t>> classes;
     for (std::size_t idx = shardBegin; idx < shardEnd; ++idx) {
-        if (!out.rows[idx].finished)
-            work.push_back(idx);
-    }
-    // The legacy scheduler claims whole shapes; kept only so the
-    // bit-identity suite can prove cell-granular == shape-granular.
-    std::vector<std::size_t> shapeWork;
-    if (options_.shapeGranularDispatch && !requests.empty()) {
-        for (std::size_t idx : work) {
-            const std::size_t s = idx / requests.size();
-            if (shapeWork.empty() || shapeWork.back() != s)
-                shapeWork.push_back(s);
+        const std::size_t s = idx / numRequests;
+        const std::size_t r = idx % numRequests;
+        // A request no run may stand in for (an observed one) is not
+        // even equivalent to itself: it keeps its cell on a repeated
+        // rung too.
+        const std::size_t shape =
+            runsEquivalent(requests[r], requests[r]) ? shapeFirst[s] : s;
+        const std::size_t canonical =
+            shape * numRequests + requestFirst[r];
+        if (classOf[canonical] == kNoClass) {
+            classOf[canonical] = classes.size();
+            classes.emplace_back();
         }
+        classes[classOf[canonical]].push_back(idx);
     }
-    const std::size_t numItems = options_.shapeGranularDispatch
-                                     ? shapeWork.size()
-                                     : work.size();
+    classes.erase(
+        std::remove_if(classes.begin(), classes.end(),
+                       [&](const std::vector<std::size_t>& members) {
+                           return std::all_of(
+                               members.begin(), members.end(),
+                               [&](std::size_t idx) {
+                                   return out.rows[idx].finished;
+                               });
+                       }),
+        classes.end());
 
-    const int workers = clampWorkers(options_.numWorkers, numItems);
+    const int workers = clampWorkers(options_.numWorkers, classes.size());
     // Sessions checked out per cell, at most this many live per
     // shape. More than one per worker can never run concurrently.
     int sessionBound = options_.maxSessionsPerShape > 0
@@ -668,6 +736,7 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         sessionBound = 1;
 
     std::atomic<std::size_t> restored{0};
+    std::atomic<std::size_t> shared{0};
     std::atomic<bool> stop{false};
     const std::atomic<bool>* externalStop = options_.stopFlag;
     auto stopRequested = [&] {
@@ -675,20 +744,28 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                (externalStop != nullptr &&
                 externalStop->load(std::memory_order_relaxed));
     };
+    // Only stats-only rows are journaled/checkpointed; rows
+    // materializing result vectors simply re-run on resume (equally
+    // bit-identical, just not incremental). An attached RunObserver
+    // disqualifies a row the same way: a journal-replayed row
+    // executes nothing, so its callbacks would silently never fire.
+    auto journaled = [&](const RunRequest& request) {
+        return journal != nullptr && request.collect == Collect::kNone &&
+               request.observer == nullptr && request.pauseAt == 0;
+    };
 
     // One grid cell, start to finish, on whatever worker stole it. A
     // session is checked out of the shape's pool for the duration
     // (RAII check-in, exception-safe); SimSession::run() resets all
     // machine state, so the cell's result is independent of which
-    // pooled instance it got.
+    // pooled instance it got. Returns whether the row finished (a
+    // stop leaves it unfinished).
     auto runCell = [&](std::size_t idx) {
         if (stopRequested())
-            return;
-        const std::size_t s = idx / requests.size();
-        const std::size_t r = idx % requests.size();
+            return false;
+        const std::size_t s = idx / numRequests;
+        const std::size_t r = idx % numRequests;
         ShapeSweepRow& row = out.rows[idx];
-        if (row.finished)
-            return;
         ShapePool& shapePool = *pools_[s];
         struct Lease
         {
@@ -706,16 +783,7 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                 })};
         SimSession& session = *lease.session;
         const RunRequest& request = requests[r];
-        // Only stats-only rows are journaled/checkpointed; rows
-        // materializing result vectors simply re-run on resume
-        // (equally bit-identical, just not incremental). An
-        // attached RunObserver disqualifies a row the same way:
-        // a journal-replayed row executes nothing, so its
-        // callbacks would silently never fire.
-        const bool journalRow = journal != nullptr &&
-                                request.collect == Collect::kNone &&
-                                request.observer == nullptr &&
-                                request.pauseAt == 0;
+        const bool journalRow = journaled(request);
         RunResult res;
         if (journalRow && options_.checkpointEvery > 0) {
             const Cycle every = options_.checkpointEvery;
@@ -744,24 +812,19 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                 const std::size_t lenAt = payload.size();
                 w.put(std::uint64_t{0});
                 if (session.saveCheckpoint(payload)) {
-                    const std::uint64_t stateLen =
-                        payload.size() - lenAt - sizeof stateLen;
-                    // Patch the length in little-endian to match
-                    // the getVector that reads it back.
-                    for (std::size_t b = 0; b < sizeof stateLen; ++b)
-                        payload[lenAt + b] =
-                            static_cast<std::uint8_t>(stateLen >>
-                                                      (8 * b));
+                    patchU64(payload, lenAt,
+                             payload.size() - lenAt -
+                                 sizeof(std::uint64_t));
                     if (!journal->append(kRecCheckpoint, payload)) {
                         // Budget exhausted mid-run: the row is
                         // checkpointed; the resume picks it up.
                         stop.store(true, std::memory_order_relaxed);
-                        return;
+                        return false;
                     }
                     // A drain parks here: the checkpoint just
                     // appended is the state the resume restores.
                     if (stopRequested())
-                        return;
+                        return false;
                 }
                 res = session.resume(res.cycles + every);
             }
@@ -771,45 +834,71 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         row.result = std::move(res);
         row.machineDigest = session.machineDigest();
         row.finished = true;
-        if (journalRow) {
-            std::vector<std::uint8_t> payload;
-            ByteWriter w(payload);
-            w.put(static_cast<std::uint64_t>(s));
-            w.put(static_cast<std::uint64_t>(r));
-            w.put(row.machineDigest);
-            saveRunResult(w, row.result);
-            if (!journal->append(kRecRowDone, payload)) {
-                stop.store(true, std::memory_order_relaxed);
+        if (journalRow && !journal->append(kRecRowDone, rowPayload(row)))
+            stop.store(true, std::memory_order_relaxed);
+        return true;
+    };
+
+    // One class: the row comes from a member the journal finished,
+    // else from simulating one member — the one whose checkpoint got
+    // furthest, or the first. Every other member gets a copy and its
+    // own ordinary row record, so a kill between the records resumes
+    // by copying again, never by simulating.
+    auto runClass = [&](const std::vector<std::size_t>& members) {
+        auto source = std::find_if(
+            members.begin(), members.end(),
+            [&](std::size_t idx) { return out.rows[idx].finished; });
+        if (source == members.end()) {
+            source = members.begin();
+            Cycle furthest = -1;
+            for (auto it = members.begin(); journal && it != members.end();
+                 ++it) {
+                auto ck = journal->checkpoints.find(*it);
+                if (ck != journal->checkpoints.end() &&
+                    ck->second.pauseCycle > furthest) {
+                    furthest = ck->second.pauseCycle;
+                    source = it;
+                }
+            }
+            if (!runCell(*source))
                 return;
+        }
+        const ShapeSweepRow& done = out.rows[*source];
+        const bool journalRows = journaled(requests[done.request]);
+        std::vector<std::uint8_t> payload;
+        if (journalRows)
+            payload = rowPayload(done);
+        for (std::size_t idx : members) {
+            ShapeSweepRow& row = out.rows[idx];
+            if (row.finished)
+                continue;
+            if (stopRequested())
+                return;
+            row.result = done.result;
+            row.machineDigest = done.machineDigest;
+            row.finished = true;
+            ++shared;
+            if (journalRows) {
+                // The copy's record differs only in its cell.
+                patchU64(payload, 0, row.shape);
+                patchU64(payload, 8, row.request);
+                if (!journal->append(kRecRowDone, payload)) {
+                    stop.store(true, std::memory_order_relaxed);
+                    return;
+                }
             }
         }
     };
 
-    if (options_.shapeGranularDispatch) {
-        auto job = [&](int, std::size_t workIdx) {
-            const std::size_t s = shapeWork[workIdx];
-            for (std::size_t r = 0; r < requests.size(); ++r) {
-                const std::size_t idx = s * requests.size() + r;
-                if (idx < shardBegin || idx >= shardEnd)
-                    continue;
-                if (stopRequested())
-                    return;
-                runCell(idx);
-            }
-        };
-        pool_.dispatch(workers, shapeWork.size(), job);
-    } else {
-        auto job = [&](int, std::size_t workIdx) {
-            runCell(work[workIdx]);
-        };
-        pool_.dispatch(workers, work.size(), job);
-    }
+    pool_.dispatch(workers, classes.size(),
+                   [&](int, std::size_t item) { runClass(classes[item]); });
 
     if (journal && journal->failed) {
         out.journalError = true;
         out.journalErrorText = journal->failure;
     }
     out.checkpointsRestored = restored.load();
+    out.rowsShared = shared.load();
     out.complete = true;
     for (std::size_t idx = shardBegin; idx < shardEnd; ++idx) {
         if (!out.rows[idx].finished) {
@@ -1070,6 +1159,8 @@ ShapeSweepResult::str(const std::vector<ShapeSpec>& shapes) const
         os << " (resumed: " << rowsFromJournal << " rows, "
            << checkpointsRestored << " checkpoints)";
     }
+    if (rowsShared > 0)
+        os << " (shared: " << rowsShared << " rows)";
     if (!complete)
         os << " [partial]";
     os << "\n";

@@ -23,10 +23,21 @@
  * bit-identical at any worker count, and the scheduler is TSan-clean
  * (tests/test_shape_sweep.cpp enforces all three).
  *
+ * Each distinct cell is simulated once. Two cells are equivalent when
+ * their shapes agree in every field the machine reads (the name is a
+ * label, not hardware) and their requests satisfy runsEquivalent: the
+ * same request up to a seed the policy never reads, no observer. A
+ * class of equivalent cells is one work item; its worker runs one
+ * member and copies the finished row into the others (counted in
+ * ShapeSweepResult::rowsShared). A seed axis under a seed-blind
+ * policy, or a repeated rung, therefore costs no simulation, and
+ * every copy still equals a direct SimSession::run of its own cell.
+ *
  * Multi-process scale: ShapeSweepOptions::shardBegin/shardEnd
  * restrict one process to a half-open cell range of the grid. A
  * sharded journal carries a kind-tagged shard-range record (CRC
- * framed, forward-skippable by old readers), and mergeSweepJournals /
+ * framed, forward-skippable by old readers); cells are only shared
+ * within a shard. mergeSweepJournals /
  * `syscomm-cli sweep-merge` fold N shard journals into one summary
  * with per-rung digest cross-checks — the journal is append-only,
  * digested and resume-safe, so a huge sweep becomes an embarrassingly
@@ -40,7 +51,9 @@
  * sweep rerun with the same program, shapes, requests and journal
  * path resumes instead of restarting: journaled rows are replayed
  * verbatim, checkpointed rows continue from their snapshot, missing
- * rows run from scratch — and because runs are deterministic and
+ * rows run from scratch or are copied from a journaled equivalent
+ * (every cell, copy or not, gets its own row record, so the journal
+ * format is unchanged) — and because runs are deterministic and
  * pause/resume is bit-exact, the resumed sweep's results are
  * bit-identical to an uninterrupted one (tests/test_shape_sweep.cpp
  * enforces this).
@@ -103,14 +116,6 @@ struct ShapeSweepOptions
      * blocks until a peer checks one back in.
      */
     int maxSessionsPerShape = 0;
-    /**
-     * Legacy scheduler: claim whole shapes instead of grid cells (one
-     * worker per shape, exactly the pre-cell-granular dispatch). Kept
-     * because the bit-identity suite proves cell-granular == serial
-     * == shape-granular; useless otherwise — a skewed ladder leaves
-     * workers idle behind its longest rung.
-     */
-    bool shapeGranularDispatch = false;
     /**
      * Multi-process sharding: when shardEnd > shardBegin, this run
      * only executes grid cells in [shardBegin, shardEnd) of the
@@ -201,7 +206,8 @@ struct ShapeSweepRow
     RunResult result;
     /** SimSession::machineDigest() at the run's terminal state. */
     std::uint64_t machineDigest = 0;
-    /** Replayed from the resume journal instead of executed. */
+    /** Replayed from the resume journal instead of executed. A row
+     *  copied from an equivalent cell is not (see rowsShared). */
     bool fromJournal = false;
     /** False only when a stopped/partial sweep never ran this row. */
     bool finished = false;
@@ -229,6 +235,9 @@ struct ShapeSweepResult
     double wallSeconds = 0.0;
     std::size_t rowsFromJournal = 0;
     std::size_t checkpointsRestored = 0;
+    /** Rows this run copied from an equivalent cell instead of
+     *  simulating them (see ShapeSweep). */
+    std::size_t rowsShared = 0;
     /**
      * True when the journal could not be opened or an append failed
      * (EIO, ENOSPC, torn write). The sweep's *results* are unaffected

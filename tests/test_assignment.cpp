@@ -1,12 +1,16 @@
 /**
  * @file
- * Queue-assignment policies (section 7) at the LinkState level.
+ * Queue-assignment policies (section 7) at the LinkState level, plus
+ * the seed-dependence property ShapeSweep's cell sharing rests on.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/program_gen.h"
 #include "sim/arena.h"
 #include "sim/assignment.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm::sim {
 namespace {
@@ -200,6 +204,59 @@ TEST(PolicyFactory, NamesAndKinds)
     EXPECT_EQ(p->name(), "compatible-eager");
     auto s = makePolicy(PolicyKind::kStatic, {}, 1);
     EXPECT_EQ(s->name(), "static");
+}
+
+TEST(PolicyReadsSeed, AgreesWithRunsThatDifferOnlyInSeed)
+{
+    // Contended links (12 messages over 5 links, 2-3 queues each) so
+    // a policy that reads the seed has shuffles to make; 12 queues
+    // let the static policy run too. For every kind, runs that differ
+    // only in seed must be identical exactly when policyReadsSeed
+    // says the kind is seed-blind — a new policy that consumes the
+    // seed without saying so fails here instead of having ShapeSweep
+    // share its rows across seeds.
+    Topology topo = Topology::linearArray(6);
+    GenOptions gen;
+    gen.numMessages = 12;
+    gen.maxWords = 4;
+    gen.seed = 7;
+    gen.interleave = 0.5;
+    const Program program = randomDeadlockFreeProgram(topo, gen);
+    for (int k = 0; k < kNumPolicyKinds; ++k) {
+        const auto kind = static_cast<PolicyKind>(k);
+        const std::string name = policyKindName(kind);
+        bool seedChangedARun = false;
+        for (int queues : {2, 3, 12}) {
+            MachineSpec spec;
+            spec.topo = topo;
+            spec.queuesPerLink = queues;
+            SimSession session(program, spec);
+            RunRequest base;
+            base.policy = kind;
+            base.collect = Collect::kAll;
+            const RunResult first = session.run(base);
+            const std::uint64_t firstDigest = session.machineDigest();
+            for (std::uint64_t seed = 2; seed <= 8; ++seed) {
+                RunRequest other = base;
+                other.seed = seed;
+                EXPECT_EQ(runsEquivalent(base, other), !policyReadsSeed(kind))
+                    << name;
+                const RunResult again = session.run(other);
+                const std::string ctx = name + " queues " +
+                                        std::to_string(queues) + " seed " +
+                                        std::to_string(seed);
+                if (!policyReadsSeed(kind)) {
+                    expectSameRunResult(again, first, ctx);
+                    EXPECT_EQ(session.machineDigest(), firstDigest) << ctx;
+                }
+                seedChangedARun |= again.status != first.status ||
+                                   again.cycles != first.cycles ||
+                                   again.events != first.events ||
+                                   session.machineDigest() != firstDigest;
+            }
+        }
+        EXPECT_EQ(seedChangedARun, policyReadsSeed(kind)) << name;
+    }
 }
 
 } // namespace

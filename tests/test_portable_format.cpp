@@ -167,6 +167,46 @@ TEST(PortableFormat, Crc32cMatchesKnownVectors)
     EXPECT_EQ(sim::crc32c(digits + 4, 5, head), 0xe3069283u);
 }
 
+/** Bit-at-a-time CRC32C: the definition slice-by-8 must reproduce. */
+std::uint32_t
+crc32cBitwise(const std::uint8_t* p, std::size_t len, std::uint32_t seed)
+{
+    std::uint32_t c = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+TEST(PortableFormat, Crc32cMatchesBitwiseReferenceAtAnyOffset)
+{
+    std::vector<std::uint8_t> buffer(4096 + 16);
+    for (std::size_t i = 0; i < buffer.size(); ++i)
+        buffer[i] = static_cast<std::uint8_t>(mix64(0xc3c + i));
+    // Every start alignment, lengths around the 8-byte step and up to
+    // a page, arbitrary chaining seeds, and a split at any point.
+    for (std::uint64_t trial = 0; trial < 2000; ++trial) {
+        const std::uint64_t h = mix64(0x511ce + trial);
+        const std::size_t offset = static_cast<std::size_t>(h % 16);
+        const std::size_t len =
+            static_cast<std::size_t>(mix64(h) % (trial % 2 ? 4097 : 40));
+        const auto seed = static_cast<std::uint32_t>(mix64(h ^ 0x5eed));
+        const std::uint8_t* p = buffer.data() + offset;
+        const std::uint32_t want = crc32cBitwise(p, len, seed);
+        const std::string ctx = "offset " + std::to_string(offset) +
+                                " len " + std::to_string(len);
+        EXPECT_EQ(sim::crc32c(p, len, seed), want) << ctx;
+        const std::size_t split =
+            static_cast<std::size_t>(mix64(h ^ 0x591e7) % (len + 1));
+        EXPECT_EQ(sim::crc32c(p + split, len - split,
+                              sim::crc32c(p, split, seed)),
+                  want)
+            << ctx << " split " << split;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Whole-artifact identity under the byte-swapped writer
 // ---------------------------------------------------------------------

@@ -122,10 +122,16 @@ runBody(const std::string& program, int cells)
     return body;
 }
 
-/** A sweep body: @p numShapes ladder x seeds 1..@p seeds. */
+/**
+ * A sweep body: @p numShapes ladder x seeds 1..@p seeds of @p policy.
+ * The default, random, reads its seed, so every cell is simulated and
+ * a long sweep really keeps a worker busy; under a seed-blind policy
+ * the daemon simulates each rung once and shares the other seeds' rows.
+ */
 JsonValue
 sweepBody(const std::string& program, int cells, int numShapes,
-          int seeds, Cycle checkpointEvery)
+          int seeds, Cycle checkpointEvery,
+          const std::string& policy = "random")
 {
     JsonValue body = JsonValue::object();
     body.set("kind", JsonValue::str("sweep"));
@@ -139,8 +145,7 @@ sweepBody(const std::string& program, int cells, int numShapes,
     JsonValue requests = JsonValue::array();
     for (int r = 0; r < seeds; ++r)
         requests.push(JsonValue::object()
-                          .set("policy",
-                               JsonValue::str("compatible"))
+                          .set("policy", JsonValue::str(policy))
                           .set("seed", JsonValue::integer(1 + r)));
     body.set("requests", std::move(requests));
     body.set("checkpoint_every",
@@ -341,7 +346,7 @@ TEST(ServeDaemon, SweepMatchesDirectShapeSweepBitExactly)
     handle.connect(client);
 
     const std::string program = ringText(4, 60);
-    const JsonValue body = sweepBody(program, 4, 6, 2, 500);
+    const JsonValue body = sweepBody(program, 4, 6, 2, 500, "compatible");
     JsonValue status;
     const std::string id = submitAndWait(client, body, status);
     ASSERT_FALSE(id.empty());
@@ -349,6 +354,9 @@ TEST(ServeDaemon, SweepMatchesDirectShapeSweepBitExactly)
     const JsonValue result = fetchResult(client, id);
     const std::vector<std::string> served = rowKeys(result);
     ASSERT_EQ(served.size(), 12u);
+    // Seed 2 of the seed-blind compatible policy copies seed 1 on
+    // each of the 6 rungs.
+    EXPECT_EQ(result.getInt("rows_shared", -1), 6);
 
     // The same grid run directly through ShapeSweep — through the
     // shared-compile ctor the daemon itself uses.
@@ -368,6 +376,7 @@ TEST(ServeDaemon, SweepMatchesDirectShapeSweepBitExactly)
     sim::ShapeSweep sweep(compiled, sub.shapes, sweepOptions);
     sim::ShapeSweepResult direct = sweep.run(sub.requests);
     ASSERT_TRUE(direct.complete);
+    EXPECT_EQ(direct.rowsShared, 6u);
     ASSERT_EQ(direct.rows.size(), served.size());
     for (std::size_t i = 0; i < direct.rows.size(); ++i) {
         const sim::ShapeSweepRow& row = direct.rows[i];

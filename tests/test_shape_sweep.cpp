@@ -7,6 +7,9 @@
  *    SimSession builds, across policies and seeds, while running the
  *    program-side analyses exactly once (asserted via
  *    CompiledProgram::buildCount);
+ *  - each class of equivalent cells is simulated once, and every
+ *    copied row still equals a direct run of its own cell — at any
+ *    worker count, across a resume, and within each shard;
  *  - a sweep killed mid-flight (journal record budget) and resumed
  *    from its journal reproduces the uninterrupted sweep's results
  *    bit-identically — finished rows replay, checkpointed rows
@@ -17,11 +20,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/program_gen.h"
+#include "sim/crc32c.h"
 #include "sim/fault.h"
 #include "sim/fnv.h"
 #include "sim/shape_sweep.h"
@@ -145,6 +152,9 @@ TEST(ShapeSweep, GoldenMatchesIndependentSessionsAndCompilesOnce)
     // >= 16 shapes, exactly one program-side analysis pass.
     EXPECT_EQ(CompiledProgram::buildCount() - before, 1);
     ASSERT_TRUE(result.complete);
+    // The second seed of compatible and of fcfs repeats the first on
+    // every rung: 16 x 2 rows are copies.
+    EXPECT_EQ(result.rowsShared, 32u);
     ASSERT_EQ(result.rows.size(), shapes.size() * requests.size());
 
     bool sawDeadlock = false;
@@ -762,6 +772,24 @@ expectSameRows(const ShapeSweepResult& got,
     }
 }
 
+/**
+ * @p n random-policy requests with distinct seeds: no two cells of a
+ * sweep over them are equivalent, so every cell is simulated and the
+ * scheduler really has @p n busy cells per rung. (On burstPairs each
+ * link carries one message, so the policy choice cannot change a
+ * run — only make it distinct.)
+ */
+std::vector<RunRequest>
+distinctRequests(std::size_t n)
+{
+    std::vector<RunRequest> requests(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        requests[r].policy = PolicyKind::kRandom;
+        requests[r].seed = 1 + r;
+    }
+    return requests;
+}
+
 TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
 {
     // One 2k-cycle rung + fifteen ~64-cycle rungs: the miniature of
@@ -770,9 +798,7 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     Topology topo = Topology::linearArray(4);
     std::vector<ShapeSpec> shapes = skewedLadder(32, 64, 15);
 
-    std::vector<RunRequest> requests(4);
-    for (std::size_t r = 0; r < requests.size(); ++r)
-        requests[r].seed = 1 + r;
+    std::vector<RunRequest> requests = distinctRequests(4);
     requests[3].policy = PolicyKind::kFcfs;
 
     ShapeSweepOptions serial;
@@ -780,6 +806,7 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     ShapeSweep serialSweep(p, topo, shapes, serial);
     ShapeSweepResult golden = serialSweep.run(requests);
     ASSERT_TRUE(golden.complete);
+    EXPECT_EQ(golden.rowsShared, 0u);
     // The skew is real: the giant rung runs ~words*penalty cycles.
     EXPECT_GT(golden.row(0, 0).result.cycles, 1000);
     EXPECT_LT(golden.row(1, 0).result.cycles, 200);
@@ -789,15 +816,8 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     ShapeSweep cellSweep(p, topo, shapes, cells);
     ShapeSweepResult cellResult = cellSweep.run(requests);
     ASSERT_TRUE(cellResult.complete);
+    EXPECT_EQ(cellResult.rowsShared, 0u);
     expectSameRows(cellResult, golden, "cell-granular");
-
-    ShapeSweepOptions legacy;
-    legacy.numWorkers = 4;
-    legacy.shapeGranularDispatch = true;
-    ShapeSweep legacySweep(p, topo, shapes, legacy);
-    ShapeSweepResult legacyResult = legacySweep.run(requests);
-    ASSERT_TRUE(legacyResult.complete);
-    expectSameRows(legacyResult, golden, "shape-granular");
 }
 
 TEST(ShapeSweep, BoundedSessionPoolBlocksAndStaysBitIdentical)
@@ -808,9 +828,7 @@ TEST(ShapeSweep, BoundedSessionPoolBlocksAndStaysBitIdentical)
     Program p = burstPairs(2, 16);
     Topology topo = Topology::linearArray(4);
     std::vector<ShapeSpec> shapes = skewedLadder(16, 16, 3);
-    std::vector<RunRequest> requests(6);
-    for (std::size_t r = 0; r < requests.size(); ++r)
-        requests[r].seed = 1 + r;
+    const std::vector<RunRequest> requests = distinctRequests(6);
 
     ShapeSweepOptions serial;
     serial.numWorkers = 1;
@@ -824,6 +842,7 @@ TEST(ShapeSweep, BoundedSessionPoolBlocksAndStaysBitIdentical)
     ShapeSweep boundedSweep(p, topo, shapes, bounded);
     ShapeSweepResult result = boundedSweep.run(requests);
     ASSERT_TRUE(result.complete);
+    EXPECT_EQ(result.rowsShared, 0u);
     expectSameRows(result, golden, "bounded-pool");
 }
 
@@ -836,9 +855,7 @@ TEST(ShapeSweep, CrashResumeMidStealReproducesMultiWorkerSweep)
     Program p = burstPairs(2, 24);
     Topology topo = Topology::linearArray(4);
     std::vector<ShapeSpec> shapes = skewedLadder(24, 32, 5);
-    std::vector<RunRequest> requests(4);
-    for (std::size_t r = 0; r < requests.size(); ++r)
-        requests[r].seed = 1 + r;
+    const std::vector<RunRequest> requests = distinctRequests(4);
 
     ShapeSweepOptions plain;
     plain.numWorkers = 1;
@@ -860,6 +877,7 @@ TEST(ShapeSweep, CrashResumeMidStealReproducesMultiWorkerSweep)
         p, topo, shapes, requests, crashy, 200, &replayed, &restored);
     EXPECT_GT(replayed, 0u);
     EXPECT_GT(restored, 0u);
+    EXPECT_EQ(resumed.rowsShared, 0u);
     expectSameRows(resumed, golden, "mid-steal resume");
     std::remove(journal.c_str());
 }
@@ -902,11 +920,16 @@ TEST(ShapeSweep, FourWayShardMergeMatchesUnshardedSweep)
 {
     Program p = perturbedProgram(2);
     Topology topo = Topology::linearArray(6);
+    // A repeated first rung and a second compatible seed make cells
+    // the sweep shares; 17 rungs put shard boundaries inside classes.
     std::vector<ShapeSpec> shapes = ladder16();
-    std::vector<RunRequest> requests(3);
+    shapes.push_back(shapes[0]);
+    shapes.back().name += " again";
+    std::vector<RunRequest> requests(4);
     requests[1].policy = PolicyKind::kFcfs;
     requests[2].policy = PolicyKind::kRandom;
     requests[2].seed = 9;
+    requests[3].seed = 2;
 
     ShapeSweepOptions plain;
     plain.numWorkers = 2;
@@ -914,9 +937,14 @@ TEST(ShapeSweep, FourWayShardMergeMatchesUnshardedSweep)
     ShapeSweepResult golden = goldenSweep.run(requests);
     ASSERT_TRUE(golden.complete);
     EXPECT_FALSE(golden.sharded);
+    // 17 rungs x the seed-2 copy, plus the repeated rung's other 3.
+    EXPECT_EQ(golden.rowsShared, 20u);
 
-    // Split the 48-cell grid across 4 "processes", one journal each.
+    // Split the 68-cell grid across 4 "processes", one journal each.
+    // Sharing never crosses a shard boundary: a shard shares only
+    // the classes wholly inside its 17 cells.
     const std::size_t cellsTotal = shapes.size() * requests.size();
+    const std::size_t sharedPerShard[4] = {4, 3, 3, 4};
     std::vector<std::string> journals;
     for (int shard = 0; shard < 4; ++shard) {
         const std::string path = tempPath(
@@ -933,6 +961,8 @@ TEST(ShapeSweep, FourWayShardMergeMatchesUnshardedSweep)
         ShapeSweep sweep(p, topo, shapes, options);
         ShapeSweepResult result = sweep.run(requests);
         ASSERT_TRUE(result.complete) << "shard " << shard;
+        EXPECT_EQ(result.rowsShared, sharedPerShard[shard])
+            << "shard " << shard;
         EXPECT_TRUE(result.sharded);
         EXPECT_EQ(result.shardBegin, options.shardBegin);
         EXPECT_EQ(result.shardEnd, options.shardEnd);
@@ -944,7 +974,7 @@ TEST(ShapeSweep, FourWayShardMergeMatchesUnshardedSweep)
                 << "shard " << shard << " cell " << idx;
         }
 
-        // The shard journal reports itself.
+        // The shard journal reports itself, a row record per cell.
         sim::SweepJournalInfo info;
         ASSERT_TRUE(sim::inspectSweepJournal(path, info));
         EXPECT_TRUE(info.sharded);
@@ -961,6 +991,7 @@ TEST(ShapeSweep, FourWayShardMergeMatchesUnshardedSweep)
         ASSERT_TRUE(resumed.complete);
         EXPECT_EQ(resumed.rowsFromJournal,
                   options.shardEnd - options.shardBegin);
+        EXPECT_EQ(resumed.rowsShared, 0u);
     }
 
     sim::SweepMergeResult merged;
@@ -1023,9 +1054,7 @@ TEST(ShapeSweep, ShardResumeGatingRejectsForeignShards)
     Program p = burstPairs(2, 12);
     Topology topo = Topology::linearArray(4);
     std::vector<ShapeSpec> shapes = skewedLadder(12, 8, 3);
-    std::vector<RunRequest> requests(4);
-    for (std::size_t r = 0; r < requests.size(); ++r)
-        requests[r].seed = 1 + r;
+    const std::vector<RunRequest> requests = distinctRequests(4);
     const std::size_t cellsTotal = shapes.size() * requests.size();
 
     const std::string path = tempPath("shape_sweep_gating.journal");
@@ -1116,6 +1145,255 @@ TEST(ShapeSweep, MergeRejectsMismatchedSweeps)
 
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+// ---------------------------------------------------------------------
+// (g) cell sharing: each distinct cell simulates once, every row exact
+// ---------------------------------------------------------------------
+
+/** Counts assignments; sweep workers may call it concurrently. */
+class CountingObserver : public sim::RunObserver
+{
+  public:
+    void onAssign(const sim::AssignmentEvent&) override { ++assigns; }
+    std::atomic<std::int64_t> assigns{0};
+};
+
+TEST(ShapeSweep, SharedRowsEqualDirectRunsOfTheirOwnCells)
+{
+    Program p = perturbedProgram(1);
+    Topology topo = Topology::linearArray(6);
+    // Four rungs, the third a renamed repeat of the first. Only the
+    // four-queue rungs let fcfs and random finish.
+    std::vector<ShapeSpec> shapes = {{"q4", 4, 1, 0, 4},
+                                     {"q2", 2, 2, 0, 4},
+                                     {"q4 again", 4, 1, 0, 4},
+                                     {"q4x", 4, 2, 2, 3}};
+
+    sim::FaultPlan stall;
+    {
+        sim::FaultEvent event;
+        event.cycle = 3;
+        event.kind = sim::FaultKind::kStallLink;
+        event.link = *topo.linkBetween(2, 3);
+        event.arg = 5;
+        stall.add(event);
+    }
+    std::vector<std::int64_t> labels(p.numMessages());
+    for (std::size_t m = 0; m < labels.size(); ++m)
+        labels[m] = static_cast<std::int64_t>(labels.size() - m);
+    CountingObserver observed[2];
+
+    std::vector<RunRequest> requests;
+    auto add = [&](PolicyKind policy, std::uint64_t seed) -> RunRequest& {
+        RunRequest request;
+        request.policy = policy;
+        request.seed = seed;
+        requests.push_back(request);
+        return requests.back();
+    };
+    for (PolicyKind policy :
+         {PolicyKind::kCompatible, PolicyKind::kCompatibleEager,
+          PolicyKind::kFcfs, PolicyKind::kRandom}) {
+        for (std::uint64_t seed : {1, 2, 3})
+            add(policy, seed);
+    }
+    for (std::uint64_t seed : {1, 2})
+        add(PolicyKind::kCompatible, seed).labels = labels;
+    for (std::uint64_t seed : {1, 2})
+        add(PolicyKind::kFcfs, seed).faults = &stall;
+    for (std::uint64_t seed : {1, 2})
+        add(PolicyKind::kFcfs, seed).maxCycles = 12;
+    const std::size_t firstObserved = requests.size();
+    for (CountingObserver& observer : observed)
+        add(PolicyKind::kCompatible, 1).observer = &observer;
+    // 18 unobserved requests in 9 classes (one per seed-blind
+    // policy, three random seeds, labels, fault plan, short budget)
+    // on 3 distinct machines, plus the 2 observed requests alone on
+    // each of the 4 rungs: 35 of the 80 cells run, 45 are copies.
+    const std::size_t wantShared = 80 - (9 * 3 + 2 * 4);
+
+    for (int workers : {1, 4}) {
+        const std::string what = std::to_string(workers) + " worker(s)";
+        for (CountingObserver& observer : observed)
+            observer.assigns = 0;
+        ShapeSweepOptions options;
+        options.numWorkers = workers;
+        ShapeSweep sweep(p, topo, shapes, options);
+        ShapeSweepResult result = sweep.run(requests);
+        ASSERT_TRUE(result.complete) << what;
+        EXPECT_EQ(result.rowsShared, wantShared) << what;
+        EXPECT_NE(result.str(shapes).find("(shared: 45 rows)"),
+                  std::string::npos)
+            << result.str(shapes);
+
+        std::int64_t wantAssigns[2] = {0, 0};
+        bool seen[sim::kNumRunStatuses] = {};
+        for (std::size_t s = 0; s < shapes.size(); ++s) {
+            MachineSpec spec = specFor(topo, shapes[s]);
+            SimSession direct(p, spec);
+            for (std::size_t r = 0; r < requests.size(); ++r) {
+                RunRequest request = requests[r];
+                CountingObserver mirror;
+                if (request.observer != nullptr)
+                    request.observer = &mirror;
+                const RunResult want = direct.run(request);
+                const std::string ctx = what + " shape " + shapes[s].name +
+                                        " request " + std::to_string(r);
+                expectSameRunResult(result.row(s, r).result, want, ctx);
+                EXPECT_EQ(result.row(s, r).machineDigest,
+                          direct.machineDigest())
+                    << ctx;
+                EXPECT_FALSE(result.row(s, r).fromJournal) << ctx;
+                if (r >= firstObserved)
+                    wantAssigns[r - firstObserved] += mirror.assigns;
+                seen[static_cast<int>(want.status)] = true;
+            }
+        }
+        // An observed request never shares: its observer saw every
+        // callback of its own runs, on every rung.
+        EXPECT_GT(wantAssigns[0], 0);
+        for (int k = 0; k < 2; ++k)
+            EXPECT_EQ(observed[k].assigns.load(), wantAssigns[k]) << what;
+        // The grid must reach these outcomes or it proves less than
+        // it claims.
+        EXPECT_TRUE(seen[static_cast<int>(RunStatus::kCompleted)]);
+        EXPECT_TRUE(seen[static_cast<int>(RunStatus::kDeadlocked)]);
+        EXPECT_TRUE(seen[static_cast<int>(RunStatus::kMaxCycles)]);
+    }
+}
+
+TEST(ShapeSweep, KillBetweenSharedRowRecordsResumesWithoutSimulating)
+{
+    Program p = longRunProgram();
+    Topology topo = Topology::linearArray(4);
+    std::vector<ShapeSpec> shapes(1);
+    shapes[0].name = "q=2";
+    // One class: the compatible policy never reads the seed.
+    std::vector<RunRequest> requests(4);
+    for (std::size_t r = 0; r < requests.size(); ++r)
+        requests[r].seed = 1 + r;
+
+    ShapeSweepOptions plain;
+    plain.numWorkers = 1;
+    ShapeSweep goldenSweep(p, topo, shapes, plain);
+    ShapeSweepResult golden = goldenSweep.run(requests);
+    ASSERT_TRUE(golden.complete);
+    EXPECT_EQ(golden.rowsShared, 3u);
+
+    const std::string journal = tempPath("shape_sweep_shared_kill.journal");
+    std::remove(journal.c_str());
+    ShapeSweepOptions journaled = plain;
+    journaled.journalPath = journal;
+    {
+        // The simulated row's record exhausts the budget: the "kill"
+        // lands before any copy is journaled.
+        ShapeSweepOptions crashy = journaled;
+        crashy.stopAfterJournalRecords = 1;
+        ShapeSweep sweep(p, topo, shapes, crashy);
+        ShapeSweepResult partial = sweep.run(requests);
+        EXPECT_FALSE(partial.complete);
+        EXPECT_TRUE(partial.row(0, 0).finished);
+        EXPECT_EQ(partial.rowsShared, 0u);
+        sim::SweepJournalInfo info;
+        ASSERT_TRUE(sim::inspectSweepJournal(journal, info));
+        EXPECT_EQ(info.rowsDone, 1u);
+    }
+
+    // The resume replays one row and copies it into the other three:
+    // nothing is simulated.
+    ShapeSweep sweep(p, topo, shapes, journaled);
+    ShapeSweepResult resumed = sweep.run(requests);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.rowsFromJournal, 1u);
+    EXPECT_EQ(resumed.rowsShared, 3u);
+    EXPECT_EQ(resumed.checkpointsRestored, 0u);
+    for (std::size_t r = 0; r < requests.size(); ++r)
+        EXPECT_EQ(resumed.row(0, r).fromJournal, r == 0) << r;
+    expectSameRows(resumed, golden, "copied on resume");
+
+    // Each copy was journaled as its own cell's row.
+    sim::SweepJournalInfo info;
+    ASSERT_TRUE(sim::inspectSweepJournal(journal, info));
+    EXPECT_EQ(info.rowsDone, requests.size());
+    ShapeSweep replay(p, topo, shapes, journaled);
+    ShapeSweepResult replayed = replay.run(requests);
+    EXPECT_EQ(replayed.rowsFromJournal, requests.size());
+    EXPECT_EQ(replayed.rowsShared, 0u);
+    expectSameRows(replayed, golden, "replayed");
+    std::remove(journal.c_str());
+}
+
+TEST(ShapeSweep, ResumeContinuesTheCheckpointedMemberOfAClass)
+{
+    // A journal written by a scheduler that simulated every cell can
+    // hold a checkpoint for any member of a class. The resume must
+    // continue that member from its checkpoint and copy it, rather
+    // than restart the class from its first member.
+    Program p = longRunProgram();
+    Topology topo = Topology::linearArray(4);
+    std::vector<ShapeSpec> shapes(1);
+    shapes[0].name = "q=2";
+    std::vector<RunRequest> requests(2);
+    requests[1].seed = 2;
+
+    ShapeSweepOptions plain;
+    plain.numWorkers = 1;
+    ShapeSweep goldenSweep(p, topo, shapes, plain);
+    ShapeSweepResult golden = goldenSweep.run(requests);
+    ASSERT_TRUE(golden.complete);
+
+    const std::string journal = tempPath("shape_sweep_member_ckpt.journal");
+    std::remove(journal.c_str());
+    ShapeSweepOptions journaled = plain;
+    journaled.journalPath = journal;
+    journaled.checkpointEvery = 20;
+    {
+        ShapeSweepOptions crashy = journaled;
+        crashy.stopAfterJournalRecords = 1;
+        ShapeSweep sweep(p, topo, shapes, crashy);
+        ASSERT_FALSE(sweep.run(requests).complete);
+    }
+
+    // The one record is cell (0, 0)'s checkpoint; re-address it to
+    // cell (0, 1). Layout: 16-byte header, then kind, record version,
+    // u64 payload length, payload (u64 shape, u64 request, ...), and
+    // a CRC32C over kind..payload.
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream in(journal, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::size_t at = 16;
+    ASSERT_GT(bytes.size(), at + 42);
+    ASSERT_EQ(bytes[at], 2); // checkpoint record
+    std::size_t len = 0;
+    for (int b = 7; b >= 0; --b)
+        len = len << 8 | bytes[at + 2 + b];
+    ASSERT_EQ(bytes.size(), at + 14 + len);
+    ASSERT_EQ(bytes[at + 18], 0);
+    bytes[at + 18] = 1;
+    const std::uint32_t crc = sim::crc32c(bytes.data() + at, 10 + len);
+    for (int b = 0; b < 4; ++b)
+        bytes[at + 10 + len + b] = static_cast<std::uint8_t>(crc >> (8 * b));
+    {
+        std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    sim::SweepJournalInfo info;
+    ASSERT_TRUE(sim::inspectSweepJournal(journal, info));
+    ASSERT_EQ(info.inflight.size(), 1u);
+    EXPECT_EQ(info.inflight[0].request, 1u);
+
+    ShapeSweep sweep(p, topo, shapes, journaled);
+    ShapeSweepResult resumed = sweep.run(requests);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.checkpointsRestored, 1u);
+    EXPECT_EQ(resumed.rowsShared, 1u);
+    EXPECT_EQ(resumed.rowsFromJournal, 0u);
+    expectSameRows(resumed, golden, "continued member");
+    std::remove(journal.c_str());
 }
 
 } // namespace

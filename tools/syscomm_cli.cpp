@@ -67,7 +67,10 @@ usage()
         "                 [--shapes K] [--seeds R] [--checkpoint-every C]\n"
         "                 [--budget B] [--kernel event|reference]\n"
         "                 [--sweep-workers N]\n"
-        "                 print a sweep submit body (no daemon needed)\n"
+        "                 print a sweep submit body (no daemon needed);\n"
+        "                 its requests use the compatible policy, which\n"
+        "                 ignores the seed, so every seed after the\n"
+        "                 first yields a shared row, not another run\n"
         "  sweep-merge [--require-complete] FILE...\n"
         "                 merge shard sweep journals into one summary\n"
         "                 with per-rung digest cross-checks (no daemon\n"

@@ -19,7 +19,6 @@
 #include "algos/sort.h"
 #include "bench_util.h"
 #include "core/compile.h"
-#include "sim/machine.h"
 #include "sim/trace.h"
 
 using namespace syscomm;
@@ -39,9 +38,9 @@ measure(const std::string& name, const Program& p, const Topology& topo,
         row({name, "compile-fail", plan.dynamicFeasibility.reason});
         return;
     }
-    sim::SimOptions options;
-    options.labels = plan.normalizedLabels;
-    sim::RunResult r = sim::simulateProgram(p, spec, options);
+    sim::RunRequest request;
+    request.labels = plan.normalizedLabels;
+    sim::RunResult r = sim::SimSession(p, spec).run(request);
     Cycle ideal = sim::idealCycles(p, topo);
     double efficiency =
         r.cycles > 0 ? static_cast<double>(ideal) /
@@ -108,7 +107,10 @@ main()
         MachineSpec spec;
         spec.topo = algos::firTopology(4);
         spec.queuesPerLink = 2;
-        sim::RunResult r = sim::simulateProgram(p, spec);
+        sim::RunRequest request;
+        request.collect = sim::Collect::kEvents | sim::Collect::kReleases |
+                          sim::Collect::kMsgTiming | sim::Collect::kReceived;
+        sim::RunResult r = sim::SimSession(p, spec).run(request);
         std::printf("%s\n", sim::renderMessageLatencies(r, p).c_str());
         std::printf("%s\n",
                     sim::renderQueueTimeline(r, p, spec, 60).c_str());

@@ -12,7 +12,7 @@
 #include "bench_util.h"
 #include "core/crossoff.h"
 #include "core/labeling.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -55,7 +55,7 @@ main()
         spec.topo = algos::fig5Topology();
         spec.queuesPerLink = 2;
         spec.queueCapacity = bound;
-        sim::RunResult r = sim::simulateProgram(p, spec);
+        sim::RunResult r = sim::SimSession(p, spec).run();
         row({std::to_string(bound), free ? "free" : "deadlocked",
              r.statusStr()});
     }

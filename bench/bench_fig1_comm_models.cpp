@@ -52,7 +52,7 @@ main()
     spec.topo = Topology::linearArray(5);
     spec.queuesPerLink = 2;
     for (int cost : {0, 1, 2, 4, 8}) {
-        sim::SimOptions options;
+        sim::SessionOptions options;
         options.memAccessCost = cost;
         sim::ModelComparison cmp = sim::compareModels(p, spec, options);
         row({std::to_string(cost), std::to_string(cmp.systolic.cycles),

@@ -11,7 +11,7 @@
 #include "algos/paper_figures.h"
 #include "bench_util.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -31,9 +31,12 @@ main()
     CompilePlan plan = compileProgram(p, spec);
     std::printf("%s\n", plan.report(p).c_str());
 
-    sim::SimOptions options;
-    options.labels = plan.normalizedLabels;
-    sim::RunResult r = sim::simulateProgram(p, spec, options);
+    sim::RunRequest full;
+    full.collect = sim::Collect::kEvents | sim::Collect::kReleases |
+                   sim::Collect::kMsgTiming | sim::Collect::kReceived;
+    sim::RunRequest labeled = full;
+    labeled.labels = plan.normalizedLabels;
+    sim::RunResult r = sim::SimSession(p, spec).run(labeled);
     auto ya = *p.messageByName("YA");
     std::printf("status: %s after %lld cycles\n", r.statusStr(),
                 static_cast<long long>(r.cycles));
@@ -52,7 +55,7 @@ main()
             MachineSpec fspec;
             fspec.topo = algos::firTopology(taps);
             fspec.queuesPerLink = 2;
-            sim::RunResult fr = sim::simulateProgram(fp, fspec);
+            sim::RunResult fr = sim::SimSession(fp, fspec).run(full);
             auto y = *fp.messageByName("Y1");
             std::vector<double> expected = algos::firReference(fir);
             double err = 0;

@@ -11,7 +11,7 @@
 #include "algos/paper_figures.h"
 #include "bench_util.h"
 #include "core/crossoff.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -63,7 +63,7 @@ main()
             spec.topo = algos::fig5Topology();
             spec.queuesPerLink = 2;
             spec.queueCapacity = capacity;
-            sim::RunResult r = sim::simulateProgram(c.program, spec);
+            sim::RunResult r = sim::SimSession(c.program, spec).run();
             cells.push_back(r.statusStr());
         }
         row(cells);

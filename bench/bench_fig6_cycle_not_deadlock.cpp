@@ -11,7 +11,7 @@
 #include "algos/paper_figures.h"
 #include "bench_util.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -38,9 +38,9 @@ main()
     for (sim::PolicyKind kind :
          {sim::PolicyKind::kCompatible, sim::PolicyKind::kStatic,
           sim::PolicyKind::kFcfs}) {
-        sim::SimOptions options;
-        options.policy = kind;
-        sim::RunResult r = sim::simulateProgram(p, spec, options);
+        sim::RunRequest request;
+        request.policy = kind;
+        sim::RunResult r = sim::SimSession(p, spec).run(request);
         row({sim::policyKindName(kind), r.statusStr(),
              std::to_string(r.cycles)});
     }

@@ -11,7 +11,7 @@
 #include "algos/paper_figures.h"
 #include "bench_util.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -41,10 +41,10 @@ main()
               sim::PolicyKind::kCompatibleEager}) {
             MachineSpec s = spec;
             s.queuesPerLink = queues;
-            sim::SimOptions options;
-            options.policy = kind;
-            options.audit = true;
-            sim::RunResult r = sim::simulateProgram(p, s, options);
+            sim::RunRequest request;
+            request.policy = kind;
+            request.collect = sim::Collect::kAll;
+            sim::RunResult r = sim::SimSession(p, s).run(request);
             row({sim::policyKindName(kind), std::to_string(queues),
                  r.statusStr(), std::to_string(r.cycles),
                  r.audit.compatible ? "clean" : "violations"});
@@ -52,9 +52,9 @@ main()
     }
 
     {
-        sim::SimOptions options;
-        options.policy = sim::PolicyKind::kFcfs;
-        sim::RunResult r = sim::simulateProgram(p, spec, options);
+        sim::RunRequest request;
+        request.policy = sim::PolicyKind::kFcfs;
+        sim::RunResult r = sim::SimSession(p, spec).run(request);
         if (r.status == sim::RunStatus::kDeadlocked) {
             std::printf("\nFCFS deadlock snapshot (the paper's lower-half "
                         "diagram):\n%s",
@@ -67,13 +67,11 @@ main()
     rule(3);
     for (int len : {1, 2, 4, 8, 16}) {
         Program pl = algos::fig7Program(len);
-        sim::SimOptions fcfs;
+        sim::RunRequest fcfs;
         fcfs.policy = sim::PolicyKind::kFcfs;
-        sim::SimOptions compat;
-        compat.policy = sim::PolicyKind::kCompatible;
         row({std::to_string(len),
-             sim::simulateProgram(pl, spec, fcfs).statusStr(),
-             sim::simulateProgram(pl, spec, compat).statusStr()});
+             sim::SimSession(pl, spec).run(fcfs).statusStr(),
+             sim::SimSession(pl, spec).run().statusStr()});
     }
     return 0;
 }

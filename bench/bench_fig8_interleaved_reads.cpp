@@ -12,7 +12,7 @@
 #include "bench_util.h"
 #include "core/compile.h"
 #include "core/related.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -46,9 +46,9 @@ main()
              {sim::PolicyKind::kFcfs, sim::PolicyKind::kCompatible}) {
             MachineSpec s = two;
             s.queuesPerLink = queues;
-            sim::SimOptions options;
-            options.policy = kind;
-            sim::RunResult r = sim::simulateProgram(p, s, options);
+            sim::RunRequest request;
+            request.policy = kind;
+            sim::RunResult r = sim::SimSession(p, s).run(request);
             row({sim::policyKindName(kind), std::to_string(queues),
                  r.statusStr(), std::to_string(r.cycles)});
         }
@@ -59,7 +59,7 @@ main()
     rule(3);
     for (int words : {2, 4, 8, 32}) {
         Program pw = algos::fig8Program(words);
-        sim::RunResult r = sim::simulateProgram(pw, two);
+        sim::RunResult r = sim::SimSession(pw, two).run();
         row({std::to_string(words), r.statusStr(),
              std::to_string(r.cycles)});
     }

@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "core/compile.h"
 #include "core/related.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -38,9 +38,9 @@ main()
             MachineSpec s;
             s.topo = algos::fig9Topology();
             s.queuesPerLink = queues;
-            sim::SimOptions options;
-            options.policy = kind;
-            sim::RunResult r = sim::simulateProgram(p, s, options);
+            sim::RunRequest request;
+            request.policy = kind;
+            sim::RunResult r = sim::SimSession(p, s).run(request);
             row({sim::policyKindName(kind), std::to_string(queues),
                  r.statusStr(), std::to_string(r.cycles)});
         }

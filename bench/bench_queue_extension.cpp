@@ -11,7 +11,7 @@
 
 #include "algos/streams.h"
 #include "bench_util.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 using namespace syscomm;
 using namespace syscomm::bench;
@@ -55,7 +55,7 @@ main()
             spec.queueCapacity = 1;
             spec.extensionCapacity = ext;
             spec.extensionPenalty = pen;
-            sim::RunResult r = sim::simulateProgram(p, spec);
+            sim::RunResult r = sim::SimSession(p, spec).run();
             cells.push_back(r.status == sim::RunStatus::kCompleted
                                 ? std::to_string(r.cycles)
                                 : r.statusStr());
@@ -76,7 +76,7 @@ main()
             spec.queueCapacity = hw;
             spec.extensionCapacity = ext;
             spec.extensionPenalty = pen;
-            sim::RunResult r = sim::simulateProgram(p, spec);
+            sim::RunResult r = sim::SimSession(p, spec).run();
             row({std::to_string(hw), std::to_string(ext),
                  std::to_string(pen), r.statusStr(),
                  std::to_string(r.cycles),

@@ -12,7 +12,7 @@
 #include "core/crossoff.h"
 #include "core/program_gen.h"
 #include "core/repair.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 using namespace syscomm;
 using namespace syscomm::bench;
@@ -61,7 +61,7 @@ main()
             MachineSpec spec;
             spec.topo = topo;
             spec.queuesPerLink = 3;
-            sim::RunResult run = sim::simulateProgram(r.program, spec);
+            sim::RunResult run = sim::SimSession(r.program, spec).run();
             if (run.status == sim::RunStatus::kCompleted) {
                 cycles += run.cycles;
                 ++completed_runs;

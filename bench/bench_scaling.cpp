@@ -23,8 +23,8 @@
 #include "core/labeling.h"
 #include "core/program_gen.h"
 #include "core/related.h"
-#include "sim/batch.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 
 namespace {
 
@@ -146,31 +146,37 @@ BM_SimulateEventDriven(benchmark::State& state)
 BENCHMARK(BM_SimulateEventDriven)->Arg(64)->Arg(256)->Arg(512);
 
 /**
- * P3: SweepRunner throughput — a 32-run seed sweep of the 256-cell
- * streaming workload per iteration, across worker counts. On a
- * multi-core host the runs/sec column should scale with Arg until
- * memory bandwidth interferes.
+ * P3: one-shape ShapeSweep throughput — a 32-run seed sweep of the
+ * 256-cell streaming workload per iteration, across worker counts. On
+ * a multi-core host the runs/sec column should scale with Arg until
+ * memory bandwidth interferes. The random policy reads its seed, so
+ * the 32 requests are 32 distinct cells (a seed-blind policy would be
+ * simulated once and copied); each link carries one message, so the
+ * policy cannot change a run.
  */
 void
-BM_SweepRunner(benchmark::State& state)
+BM_OneShapeSweep(benchmark::State& state)
 {
     int workers = static_cast<int>(state.range(0));
     Program p = bench::streamingProgram(256, 4, 16, 16);
-    MachineSpec spec;
-    spec.topo = Topology::linearArray(256);
-    spec.queuesPerLink = 2;
-    spec.queueCapacity = 4;
     std::vector<sim::RunRequest> requests;
     for (int i = 0; i < 32; ++i) {
         sim::RunRequest request;
+        request.policy = sim::PolicyKind::kRandom;
         request.seed = static_cast<std::uint64_t>(i + 1);
         requests.push_back(request);
     }
-    sim::SweepOptions sweepOptions;
+    sim::ShapeSweepOptions sweepOptions;
     sweepOptions.numWorkers = workers;
-    sim::SweepRunner runner(p, spec, {}, sweepOptions);
+    sim::ShapeSweep sweep(p, Topology::linearArray(256), {{"", 2, 4}},
+                          sweepOptions);
     for (auto _ : state) {
-        sim::SweepSummary summary = runner.run(requests);
+        sim::ShapeSweepResult result = sweep.run(requests);
+        if (result.rowsShared != 0) {
+            state.SkipWithError("rows shared: cells not distinct");
+            break;
+        }
+        sim::SweepSummary summary = result.shapeSummary(0);
         if (summary.completed() !=
             static_cast<std::int64_t>(requests.size())) {
             state.SkipWithError("sweep incomplete");
@@ -181,7 +187,7 @@ BM_SweepRunner(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(requests.size()));
 }
-BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_OneShapeSweep)->Arg(1)->Arg(2)->Arg(4);
 
 } // namespace
 

@@ -3,8 +3,8 @@
  * Experiment S1: what compile-once/run-many buys. 64 seed-varied runs
  * of the 256-cell sparse/streaming workload through one SimSession
  * (state reset in place, stats-only collection) vs 64 fresh
- * simulateProgram() calls (revalidate, relabel, reallocate and
- * materialize every result vector per run), plus SweepRunner
+ * one-shot SimSessions (revalidate, relabel, reallocate and
+ * materialize every result vector per run), plus one-shape ShapeSweep
  * thread-scaling over 1/2/4/8 workers. Appends machine-readable
  * lines to BENCH_session.json.
  *
@@ -21,9 +21,8 @@
 #include "bench_util.h"
 #include "core/program.h"
 #include "core/topology.h"
-#include "sim/batch.h"
-#include "sim/machine.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 
 namespace {
 
@@ -60,7 +59,7 @@ main(int argc, char** argv)
     const int kRuns = quick ? 16 : 64;
     const int kReps = quick ? 1 : 3; // repeat and keep the best
 
-    bench::banner("S1", "SimSession reuse vs one-shot simulateProgram, "
+    bench::banner("S1", "SimSession reuse vs one-shot sessions, "
                         "256-cell sparse streaming workload");
     bench::JsonWriter json("session_reuse", "BENCH_session.json");
 
@@ -73,11 +72,17 @@ main(int argc, char** argv)
     Program program = bench::streamingProgram(kCells, 4, 4, 16);
     MachineSpec spec = makeSpec(kCells);
 
+    // The one-shot baseline: a fresh session per run that materializes
+    // every result vector.
+    sim::RunRequest full;
+    full.collect = sim::Collect::kEvents | sim::Collect::kReleases |
+                   sim::Collect::kMsgTiming | sim::Collect::kReceived;
+
     // Correctness guard: both paths agree on the outcome.
     {
         sim::SimSession session(program, spec);
         sim::RunResult reused = session.run({});
-        sim::RunResult oneshot = sim::simulateProgram(program, spec);
+        sim::RunResult oneshot = sim::SimSession(program, spec).run(full);
         if (!reused.completed() || !oneshot.completed() ||
             reused.cycles != oneshot.cycles) {
             std::fprintf(stderr, "workload mismatch: reused=%s/%lld "
@@ -108,16 +113,16 @@ main(int argc, char** argv)
     }
 
     // ------------------------------------------------------------------
-    // B: kRuns fresh simulateProgram() calls (the legacy path:
-    // revalidates, relabels, reallocates, collects everything).
+    // B: kRuns fresh one-shot sessions (revalidates, relabels,
+    // reallocates, collects everything).
     // ------------------------------------------------------------------
     double best_oneshot = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
         auto start = Clock::now();
         for (int i = 0; i < kRuns; ++i) {
-            sim::SimOptions options;
-            options.seed = static_cast<std::uint64_t>(i + 1);
-            sim::RunResult r = sim::simulateProgram(program, spec, options);
+            sim::RunRequest request = full;
+            request.seed = static_cast<std::uint64_t>(i + 1);
+            sim::RunResult r = sim::SimSession(program, spec).run(request);
             if (!r.completed())
                 return 1;
         }
@@ -171,9 +176,9 @@ main(int argc, char** argv)
         {
             auto start = Clock::now();
             for (int i = 0; i < kRuns; ++i) {
-                sim::SimOptions options;
-                options.seed = static_cast<std::uint64_t>(i + 1);
-                if (!sim::simulateProgram(longProgram, spec, options)
+                sim::RunRequest request = full;
+                request.seed = static_cast<std::uint64_t>(i + 1);
+                if (!sim::SimSession(longProgram, spec).run(request)
                          .completed())
                     return 1;
             }
@@ -186,16 +191,32 @@ main(int argc, char** argv)
     }
 
     // ------------------------------------------------------------------
-    // SweepRunner thread scaling: the same request batch across
-    // 1/2/4/8 workers.
+    // One-shape ShapeSweep thread scaling: the same request batch
+    // across 1/2/4/8 workers. The random policy reads its seed, so
+    // every request is a distinct cell the sweep must simulate (a
+    // seed-blind policy would collapse the batch into one run). Each
+    // link carries one message, so the policy cannot change a run.
     // ------------------------------------------------------------------
-    bench::banner("S2", "SweepRunner thread scaling");
+    bench::banner("S2", "one-shape ShapeSweep thread scaling");
+    const std::vector<sim::ShapeSpec> shape{
+        {"", spec.queuesPerLink, spec.queueCapacity}};
     std::vector<sim::RunRequest> requests;
     for (int i = 0; i < kRuns; ++i) {
         sim::RunRequest request;
+        request.policy = sim::PolicyKind::kRandom;
         request.seed = static_cast<std::uint64_t>(i + 1);
         requests.push_back(request);
     }
+    auto allDistinctAndCompleted = [](const sim::ShapeSweepResult& r) {
+        if (r.rowsShared == 0 &&
+            r.shapeSummary(0).completed() ==
+                static_cast<std::int64_t>(r.numRequests))
+            return true;
+        std::fprintf(stderr, "sweep: %lld/%zu completed, %zu rows shared\n",
+                     static_cast<long long>(r.shapeSummary(0).completed()),
+                     r.numRequests, r.rowsShared);
+        return false;
+    };
 
     bench::row({"workers", "seconds", "runs/sec", "speedup"});
     bench::rule(4);
@@ -203,21 +224,15 @@ main(int argc, char** argv)
     std::vector<int> ladder = quick ? std::vector<int>{1, 4}
                                     : std::vector<int>{1, 2, 4, 8};
     for (int workers : ladder) {
-        sim::SweepOptions sweepOptions;
+        sim::ShapeSweepOptions sweepOptions;
         sweepOptions.numWorkers = workers;
-        sim::SweepRunner runner(program, spec, {}, sweepOptions);
+        sim::ShapeSweep sweep(program, spec.topo, shape, sweepOptions);
         double best = 1e300;
-        std::int64_t completed = 0;
         for (int rep = 0; rep < kReps; ++rep) {
-            sim::SweepSummary summary = runner.run(requests);
-            completed = summary.completed();
-            best = std::min(best, summary.wallSeconds);
-        }
-        if (completed != static_cast<std::int64_t>(requests.size())) {
-            std::fprintf(stderr, "sweep incomplete: %lld/%zu\n",
-                         static_cast<long long>(completed),
-                         requests.size());
-            return 1;
+            sim::ShapeSweepResult result = sweep.run(requests);
+            if (!allDistinctAndCompleted(result))
+                return 1;
+            best = std::min(best, result.wallSeconds);
         }
         if (workers == ladder.front())
             base = best;
@@ -235,36 +250,33 @@ main(int argc, char** argv)
 
     // ------------------------------------------------------------------
     // S3: the persistent worker pool. Many *small* batches through one
-    // runner — the regime where the old design paid a full thread
-    // spawn + join per run() call. The pool is warmed by the first
-    // batch; every later batch is a condition-variable hand-off.
+    // sweep — the regime where spawning threads per run() call would
+    // dominate. The pool is warmed by the first batch; every later
+    // batch is a condition-variable hand-off.
     // ------------------------------------------------------------------
-    bench::banner("S3", "persistent pool: many small batches per runner");
+    bench::banner("S3", "persistent pool: many small batches per sweep");
     const int kBatches = quick ? 16 : 128;
     const int kBatchSize = 8;
-    std::vector<sim::RunRequest> smallBatch;
-    for (int i = 0; i < kBatchSize; ++i) {
-        sim::RunRequest request;
-        request.seed = static_cast<std::uint64_t>(i + 1);
-        smallBatch.push_back(request);
-    }
+    const std::vector<sim::RunRequest> smallBatch(
+        requests.begin(), requests.begin() + kBatchSize);
 
     bench::row({"workers", "batches", "seconds", "batches/sec"});
     bench::rule(4);
     for (int workers : ladder) {
-        sim::SweepOptions sweepOptions;
+        sim::ShapeSweepOptions sweepOptions;
         sweepOptions.numWorkers = workers;
-        sim::SweepRunner runner(program, spec, {}, sweepOptions);
-        // Warm-up batch: spawns the pool threads and compiles the
-        // per-worker sessions; the timed loop then measures steady
-        // state, which is what a sweep service would see.
-        if (runner.run(smallBatch).completed() != kBatchSize)
+        sim::ShapeSweep sweep(program, spec.topo, shape, sweepOptions);
+        // Warm-up batch: compiles the program, spawns the pool threads
+        // and builds the sweep's sessions; the timed loop then
+        // measures steady state, which is what a sweep service would
+        // see.
+        if (!allDistinctAndCompleted(sweep.run(smallBatch)))
             return 1;
         double best = 1e300;
         for (int rep = 0; rep < kReps; ++rep) {
             auto start = Clock::now();
             for (int b = 0; b < kBatches; ++b) {
-                if (runner.run(smallBatch).completed() != kBatchSize)
+                if (!allDistinctAndCompleted(sweep.run(smallBatch)))
                     return 1;
             }
             best = std::min(best, seconds(start));

@@ -13,7 +13,7 @@
 #include "bench_util.h"
 #include "core/compile.h"
 #include "core/program_gen.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 using namespace syscomm;
 using namespace syscomm::bench;
@@ -76,13 +76,12 @@ main()
                         continue;
                     }
 
-                    sim::SimOptions options;
-                    options.policy = kind;
-                    options.labels = plan.normalizedLabels;
-                    options.audit = true;
-                    options.seed = trial;
-                    sim::RunResult r =
-                        sim::simulateProgram(p, spec, options);
+                    sim::RunRequest request;
+                    request.policy = kind;
+                    request.labels = plan.normalizedLabels;
+                    request.collect = sim::Collect::kAll;
+                    request.seed = trial;
+                    sim::RunResult r = sim::SimSession(p, spec).run(request);
                     if (r.status == sim::RunStatus::kCompleted)
                         ++tally.completed;
                     else

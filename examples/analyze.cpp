@@ -17,7 +17,7 @@
 #include <sstream>
 
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/parser.h"
 #include "text/printer.h"
 

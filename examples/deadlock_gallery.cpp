@@ -9,7 +9,7 @@
 
 #include "algos/paper_figures.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;

@@ -12,7 +12,7 @@
 
 #include "algos/fir.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;

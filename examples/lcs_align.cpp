@@ -13,7 +13,7 @@
 
 #include "algos/align.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "sim/trace.h"
 
 using namespace syscomm;

@@ -13,7 +13,7 @@
 
 #include "algos/mesh_matmul.h"
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 using namespace syscomm;
 

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/compile.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -71,9 +71,7 @@ main()
     }
 
     // 4. Build a simulation session: validation, labeling and all
-    //    machine-state allocation happen once, here. (For a single
-    //    throwaway run, sim::simulateProgram(program, machine) still
-    //    works and wraps exactly this.)
+    //    machine-state allocation happen once, here.
     sim::SessionOptions sessionOptions;
     sessionOptions.labels = plan.normalizedLabels;
     sim::SimSession session(program, machine, sessionOptions);

@@ -2,21 +2,16 @@
 
 /**
  * @file
- * Ordered index sets for the event-driven kernel's active-set
+ * The ordered index set behind the event-driven kernel's active-set
  * bookkeeping: contiguous storage, no per-node allocation on the hot
  * word-transition path.
  *
- * Two implementations share one contract:
- *
- *  - BitIndexSet — a hierarchical bitmap (one leaf bit per index plus
- *    64-way summary levels). insert/erase are O(levels) ≈ O(1) and the
- *    cursor queries are O(levels), independent of how many elements
- *    are present, so a dense-active phase on a 100k-cell array costs
- *    the same per mutation as a sparse one. This is what the kernel
- *    uses.
- *  - SortedIndexSet — the original sorted vector. Mutations are
- *    O(size); kept as the simple reference the randomized stress test
- *    (tests/test_active_set.cpp) checks both structures against.
+ * BitIndexSet is a hierarchical bitmap (one leaf bit per index plus
+ * 64-way summary levels). insert/erase are O(levels) ≈ O(1) and the
+ * cursor queries are O(levels), independent of how many elements are
+ * present, so a dense-active phase on a 100k-cell array costs the
+ * same per mutation as a sparse one. The randomized stress test
+ * (tests/test_active_set.cpp) checks it against a std::set oracle.
  *
  * The cursor accessors (largest/largestBelow, firstAtLeast) make
  * mutation during iteration well-defined: a scan re-seeks by value
@@ -25,7 +20,6 @@
  * semantics a std::set iterator gives, without the node allocations.
  */
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -37,8 +31,8 @@ namespace syscomm::sim {
  * bitmap. All mutations and cursor queries cost O(levels) where
  * levels = ceil(log64(universe)) — 3 for a 100k-cell array.
  *
- * Unlike SortedIndexSet, the universe must be declared up front via
- * resize(); SimSession sizes each set once at construction.
+ * The universe must be declared up front via resize(); SimSession
+ * sizes each set once at construction.
  */
 template <typename Index, Index kInvalid>
 class BitIndexSet
@@ -233,70 +227,6 @@ class BitIndexSet
     std::vector<std::vector<std::uint64_t>> levels_;
     Index universe_ = 0;
     int size_ = 0;
-};
-
-/** Ordered set of small integer indices over a sorted vector. */
-template <typename Index, Index kInvalid>
-class SortedIndexSet
-{
-  public:
-    bool empty() const { return v_.empty(); }
-    int size() const { return static_cast<int>(v_.size()); }
-
-    void
-    insert(Index i)
-    {
-        auto it = std::lower_bound(v_.begin(), v_.end(), i);
-        if (it == v_.end() || *it != i)
-            v_.insert(it, i);
-    }
-
-    void
-    erase(Index i)
-    {
-        auto it = std::lower_bound(v_.begin(), v_.end(), i);
-        if (it != v_.end() && *it == i)
-            v_.erase(it);
-    }
-
-    bool
-    contains(Index i) const
-    {
-        auto it = std::lower_bound(v_.begin(), v_.end(), i);
-        return it != v_.end() && *it == i;
-    }
-
-    /** Drop every element, keeping the storage for reuse. */
-    void clear() { v_.clear(); }
-
-    Index
-    largest() const
-    {
-        return v_.empty() ? kInvalid : v_.back();
-    }
-
-    /** Largest element strictly below @p bound (kInvalid if none). */
-    Index
-    largestBelow(Index bound) const
-    {
-        auto it = std::lower_bound(v_.begin(), v_.end(), bound);
-        if (it == v_.begin())
-            return kInvalid;
-        return *std::prev(it);
-    }
-
-    /** Smallest element at or above @p bound (kInvalid if none). */
-    Index
-    firstAtLeast(Index bound) const
-    {
-        auto it = std::lower_bound(v_.begin(), v_.end(), bound);
-        return it == v_.end() ? kInvalid : *it;
-    }
-
-    const std::vector<Index>& items() const { return v_; }
-
-  private:
-    std::vector<Index> v_; ///< ascending, unique
 };
 
 } // namespace syscomm::sim

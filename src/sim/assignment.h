@@ -228,7 +228,7 @@ class RandomPolicy : public AssignmentPolicy
     std::vector<Crossing*> pending_;
 };
 
-/** Selector used by SimOptions and RunRequest. */
+/** Selector used by RunRequest. */
 enum class PolicyKind : std::uint8_t
 {
     kCompatible = 0,

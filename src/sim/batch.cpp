@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -128,8 +127,7 @@ SweepSummary::str() const
         os << runStatusName(static_cast<RunStatus>(s)) << " "
            << statusCounts[s];
     }
-    os << ") on " << workersUsed << " worker(s) in " << wallSeconds
-       << "s\n";
+    os << ")\n";
     os << "cycles: min " << minCycles << " p50 " << p50Cycles << " p90 "
        << p90Cycles << " p99 " << p99Cycles << " max " << maxCycles
        << " mean " << meanCycles << "\n";
@@ -309,22 +307,6 @@ WorkerPool::dispatch(int workers, std::size_t count,
     }
 }
 
-SweepRunner::SweepRunner(const Program& program, const MachineSpec& spec,
-                         SessionOptions session, SweepOptions options)
-    : program_(program),
-      spec_(spec),
-      session_(std::move(session)),
-      options_(options)
-{}
-
-SweepRunner::~SweepRunner() = default;
-
-int
-SweepRunner::pooledWorkers() const
-{
-    return pool_.pooledWorkers();
-}
-
 int
 clampWorkers(int requested, std::size_t work_items)
 {
@@ -337,54 +319,6 @@ clampWorkers(int requested, std::size_t work_items)
     if (work_items < static_cast<std::size_t>(workers))
         workers = static_cast<int>(work_items);
     return std::max(workers, 1);
-}
-
-int
-SweepRunner::workersFor(std::size_t num_requests) const
-{
-    return clampWorkers(options_.numWorkers, num_requests);
-}
-
-SweepSummary
-SweepRunner::run(const std::vector<RunRequest>& requests)
-{
-    using Clock = std::chrono::steady_clock;
-    auto t0 = Clock::now();
-
-    int workers = workersFor(requests.size());
-    std::vector<RunResult> results(requests.size());
-
-    // Compile once per runner; every slot's session shares the result.
-    // The lazy default labeling inside it is once-flag guarded, so the
-    // first request that needs labels resolves them exactly once no
-    // matter which worker it lands on — and every slot's
-    // RunResult::labelsUsed reads the same vector, so results cannot
-    // depend on which worker ran a request.
-    if (!compiled_)
-        compiled_ = CompiledProgram::compile(program_, spec_.topo,
-                                             session_.labels,
-                                             session_.precomputeLabels);
-    // Size the slot vector up front; each participating slot then
-    // only touches its own entry, constructing its session there on
-    // first use (in parallel, for pool slots) and reusing it on later
-    // batches.
-    if (static_cast<int>(sessions_.size()) < workers)
-        sessions_.resize(workers);
-
-    auto job = [&](int slot, std::size_t i) {
-        if (!sessions_[slot]) {
-            sessions_[slot] =
-                std::make_unique<SimSession>(compiled_, spec_, session_);
-        }
-        results[i] = sessions_[slot]->run(requests[i]);
-    };
-    pool_.dispatch(workers, requests.size(), job);
-
-    SweepSummary summary = summarizeSweep(std::move(results), requests);
-    summary.workersUsed = workers;
-    summary.wallSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    return summary;
 }
 
 } // namespace syscomm::sim

@@ -2,27 +2,16 @@
 
 /**
  * @file
- * SweepRunner: a threaded driver for simulation sweeps.
+ * Sweep plumbing behind ShapeSweep (sim/shape_sweep.h): a persistent
+ * work-stealing WorkerPool, the clampWorkers sizing policy, and
+ * SweepSummary — the aggregate view (status histogram, cycle
+ * percentiles, per-policy statistics) of a batch of results in
+ * request order.
  *
- * The paper's deadlock-avoidance results only show at scale — sweeps
- * over seeds, policies, queue counts and cycle budgets — and a sweep
- * is embarrassingly parallel: every RunRequest is independent. The
- * runner fans a request vector across worker threads, giving each
- * worker its own SimSession — and with it its own SimArena, so the
- * hot machine state of concurrent runs lives in disjoint per-worker
- * pools (compile once per worker, run many) — and
- * aggregates a SweepSummary: per-request results in request order, a
- * status histogram, cycle percentiles, and per-policy statistics.
- *
- * Determinism: results land in request order and every aggregate is
- * computed from that ordered vector after the workers join, so the
- * summary is identical to a serial loop over the same requests (and
- * tests/test_session.cpp asserts exactly that). The one shared input
- * is the Program/MachineSpec pair, which workers only read; compute
- * callbacks must not capture shared mutable state if the sweep is
- * threaded. A RunRequest::observer fires on whichever worker executes
- * that request — an observer shared across requests sees concurrent
- * calls and must be thread-safe.
+ * Determinism: summarizeSweep computes every aggregate from the
+ * ordered result vector, so a threaded sweep summarizes identically
+ * to a serial loop over the same requests (tests/test_session.cpp
+ * asserts exactly that).
  */
 
 #include <cstddef>
@@ -35,16 +24,13 @@
 namespace syscomm::sim {
 
 /**
- * A persistent pool of worker threads with work-stealing dispatch:
- * the thread-management half of SweepRunner, split out so drivers
- * whose work items are not "one request on my one machine" — above
- * all ShapeSweep, whose items are (shape × request) grid cells
- * served by per-shape session pools — can fan out over the same
- * machinery. Threads are spawned on demand by the
- * first dispatch that needs them and parked between batches; the
- * mutex hand-off orders everything the caller wrote before dispatch()
- * against the workers' reads, so callers may freely prepare per-slot
- * state (sessions, buffers) between batches.
+ * A persistent pool of worker threads with work-stealing dispatch
+ * (ShapeSweep's work items are classes of (shape × request) grid
+ * cells served by per-shape session pools). Threads are spawned on
+ * demand by the first dispatch that needs them and parked between
+ * batches; the mutex hand-off orders everything the caller wrote
+ * before dispatch() against the workers' reads, so callers may freely
+ * prepare per-slot state (sessions, buffers) between batches.
  */
 class WorkerPool
 {
@@ -77,7 +63,7 @@ class WorkerPool
 
 /**
  * Worker count a dispatch over @p work_items should use: the shared
- * sizing policy of every WorkerPool client (SweepRunner, ShapeSweep).
+ * sizing policy of every WorkerPool client (ShapeSweep).
  * @p requested <= 0 picks std::thread::hardware_concurrency() — and
  * because that call may legitimately return 0 ("not computable"),
  * the result is floored at 1 *after* the hardware lookup, so an
@@ -87,22 +73,11 @@ class WorkerPool
  * floor applies last: even work_items == 0 yields 1, and a
  * one-worker dispatch runs inline on the calling thread without
  * spawning anything (WorkerPool::dispatch's workers == 1 path) —
- * the "single-worker sweeps are really serial" promise SweepOptions
- * and ShapeSweepOptions make, which tests/test_shape_sweep.cpp pins
- * via pooledWorkers().
+ * the "single-worker sweeps are really serial" promise
+ * ShapeSweepOptions makes, which tests/test_shape_sweep.cpp pins via
+ * pooledWorkers().
  */
 int clampWorkers(int requested, std::size_t work_items);
-
-/** Sweep-wide knobs. */
-struct SweepOptions
-{
-    /**
-     * Worker threads. <= 0 picks std::thread::hardware_concurrency();
-     * the count is clamped to the number of requests, and a
-     * single-worker sweep runs inline without spawning threads.
-     */
-    int numWorkers = 0;
-};
 
 /** Aggregates over the runs that used one policy. */
 struct PolicySummary
@@ -150,9 +125,6 @@ struct SweepSummary
     /** Per-policy aggregates, ascending PolicyKind, used kinds only. */
     std::vector<PolicySummary> perPolicy;
 
-    int workersUsed = 1;
-    double wallSeconds = 0.0;
-
     std::int64_t completed() const
     {
         return statusCounts[static_cast<int>(RunStatus::kCompleted)];
@@ -167,61 +139,11 @@ struct SweepSummary
 };
 
 /**
- * Aggregate already-computed results (the serial path; also how the
- * threaded runner builds its summary after the workers join).
+ * Aggregate already-computed results (a serial loop's, or one shape's
+ * row of a ShapeSweep via ShapeSweepResult::shapeSummary).
  * @p results must be in request order and match @p requests in size.
  */
 SweepSummary summarizeSweep(std::vector<RunResult> results,
                             const std::vector<RunRequest>& requests);
-
-/**
- * Threaded sweep driver. Construct once per (program, machine,
- * session-config) triple, then run() any number of request batches —
- * the per-worker SimSessions are built on first use and cached across
- * batches, so repeated run() calls pay no recompilation, and the
- * worker threads themselves persist: the first threaded run() spawns
- * them, later batches are handed over a request queue, so sweeping
- * many small batches pays thread start-up once instead of per call.
- * The program and spec must outlive the runner. run() itself is not
- * reentrant (one sweep at a time per runner).
- */
-class SweepRunner
-{
-  public:
-    SweepRunner(const Program& program, const MachineSpec& spec,
-                SessionOptions session = {}, SweepOptions options = {});
-    ~SweepRunner();
-
-    SweepRunner(const SweepRunner&) = delete;
-    SweepRunner& operator=(const SweepRunner&) = delete;
-
-    /** Fan the requests across the workers and aggregate. */
-    SweepSummary run(const std::vector<RunRequest>& requests);
-
-    /** Worker count a run() with this many requests would use. */
-    int workersFor(std::size_t num_requests) const;
-
-    /** Persistent worker threads currently alive (0 before the first
-     *  threaded batch; they are spawned on demand and never shed). */
-    int pooledWorkers() const;
-
-  private:
-    const Program& program_;
-    const MachineSpec& spec_;
-    SessionOptions session_;
-    SweepOptions options_;
-    /**
-     * Program-side analyses shared by every worker session: built on
-     * the first run() and handed to each slot, so validation, the
-     * competing analysis and the labeler run once per runner — not
-     * once per worker (CompiledProgram's lazy labeling is once-flag
-     * guarded, so label-needing batches resolve labels exactly once
-     * even when the first resolver is a worker thread).
-     */
-    std::shared_ptr<const CompiledProgram> compiled_;
-    /** Cached per-slot sessions; slot 0 is the calling thread's. */
-    std::vector<std::unique_ptr<SimSession>> sessions_;
-    WorkerPool pool_;
-};
 
 } // namespace syscomm::sim

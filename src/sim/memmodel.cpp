@@ -19,20 +19,15 @@ ModelComparison::summary() const
 
 ModelComparison
 compareModels(const Program& program, const MachineSpec& spec,
-              SimOptions options)
+              SessionOptions session)
 {
     // The memory model is session-scoped: one compiled session per
-    // model, same per-run request for both.
+    // model.
     ModelComparison cmp;
-    RunRequest request = runRequestFrom(options);
-    options.memoryToMemory = false;
-    cmp.systolic =
-        SimSession(program, spec, sessionOptionsFrom(options))
-            .run(request);
-    options.memoryToMemory = true;
-    cmp.memToMem =
-        SimSession(program, spec, sessionOptionsFrom(options))
-            .run(request);
+    session.memoryToMemory = false;
+    cmp.systolic = SimSession(program, spec, session).run();
+    session.memoryToMemory = true;
+    cmp.memToMem = SimSession(program, spec, session).run();
     return cmp;
 }
 

@@ -16,7 +16,7 @@
 
 #include "core/machine_spec.h"
 #include "core/program.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 namespace syscomm::sim {
 
@@ -49,10 +49,11 @@ struct ModelComparison
 
 /**
  * Run @p program under both communication models with identical queue
- * resources and assignment policy.
+ * resources: one session per model, built from @p session with
+ * memoryToMemory overridden, each running a default request.
  */
 ModelComparison compareModels(const Program& program,
                               const MachineSpec& spec,
-                              SimOptions options = {});
+                              SessionOptions session = {});
 
 } // namespace syscomm::sim

@@ -747,7 +747,7 @@ struct SimSession::Impl
      * run actually needs labels (compatible policies or the audit).
      * A label-free run reports no labels — regardless of what earlier
      * runs resolved — so identical requests always produce identical
-     * results (and match the single-use simulator).
+     * results (and match a fresh session's).
      */
     const std::vector<std::int64_t>&
     resolveLabels(const RunRequest& request, bool needed)

@@ -23,8 +23,9 @@
  * can stream assignment/release/delivery events instead of
  * materializing them.
  *
- * The legacy single-use API (ArraySimulator, simulateProgram) in
- * sim/machine.h is a thin wrapper over this class.
+ * A one-off run is SimSession(program, spec, options).run(request);
+ * sweeps over requests and machine shapes go through ShapeSweep
+ * (sim/shape_sweep.h).
  */
 
 #include <cstdint>
@@ -62,7 +63,7 @@ namespace syscomm::sim {
  * Thread-safety: a CompiledProgram is immutable after construction
  * except for the lazily computed default labeling, which is guarded
  * by a once-flag — concurrent sessions on different threads may share
- * one instance freely (SweepRunner's workers do).
+ * one instance freely (ShapeSweep's workers do).
  *
  * The Program must outlive the CompiledProgram; the Topology travels
  * as a SharedTopology, so compiling against a MachineSpec's topo (or
@@ -305,7 +306,7 @@ collects(Collect set, Collect flag)
  * the Collect flags; the default implementations do nothing.
  *
  * The observer is invoked from whichever thread executes the run (a
- * SweepRunner worker, for sweeps), never concurrently for one run.
+ * ShapeSweep worker, for sweeps), never concurrently for one run.
  * One observer instance attached to several requests of a threaded
  * sweep IS called concurrently — from a different worker per request
  * — and must synchronize its own state.
@@ -396,9 +397,9 @@ struct RunRequest
 
 /**
  * Does this request need a labeling (compatible policies consume
- * labels; the audit checks against them)? Shared by SimSession's
- * label resolution and SweepRunner's decision to pre-resolve labels
- * for its workers — keep the two in lockstep.
+ * labels; the audit checks against them)? SimSession's label
+ * resolution consults it: a run that needs none and overrides none
+ * never invokes the labeler and reports empty RunResult::labelsUsed.
  */
 inline bool
 runNeedsLabels(const RunRequest& request)
@@ -509,7 +510,7 @@ bool peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
 /**
  * A compiled, reusable simulator instance. The program and spec must
  * outlive the session. Not thread-safe: one session serves one thread
- * (SweepRunner gives each worker its own).
+ * (ShapeSweep checks one out per in-flight cell).
  */
 class SimSession
 {

@@ -12,9 +12,9 @@
  * (validation, the competing-message analysis, labeling) for every
  * rung even though only the hardware differs. ShapeSweep compiles the
  * program exactly once into a shared CompiledProgram and fans the
- * (shape × request) grid across the WorkerPool machinery SweepRunner
- * uses at *cell* granularity: each grid cell is one work item, and a
- * small per-shape session pool (sessions lazily cloned from the
+ * (shape × request) grid across a WorkerPool (sim/batch.h) at *cell*
+ * granularity: each grid cell is one work item, and a small
+ * per-shape session pool (sessions lazily cloned from the
  * shared CompiledProgram, bounded by maxSessionsPerShape, checked out
  * per cell) lets several workers chew on one giant rung while the
  * tiny rungs drain. A skewed ladder — one 64k-cycle rung plus a pile
@@ -363,7 +363,9 @@ bool mergeSweepJournals(const std::vector<std::string>& paths,
  * and the per-shape sessions are built on first use and cached, and
  * the worker threads persist across batches. The program must
  * outlive the sweep; the topology is shared (every per-shape spec
- * aliases one graph). run() is not reentrant.
+ * aliases one graph). run() is not reentrant. Workers only read the
+ * shared Program, so its compute callbacks must not capture shared
+ * mutable state when the sweep is threaded.
  */
 class ShapeSweep
 {
@@ -378,8 +380,10 @@ class ShapeSweep
      * CompiledProgram to every submission of the same program, and
      * its sweeps must not recompile per submission. @p compiled must
      * be non-null; the Program it references must outlive the sweep.
-     * SessionOptions::labels / precomputeLabels in @p options are
-     * ignored (the shared object owns those choices).
+     * SessionOptions::precomputeLabels in @p options is ignored (the
+     * shared object owns that choice); SessionOptions::labels still
+     * overrides the compiled default labeling in every per-shape
+     * session.
      */
     ShapeSweep(std::shared_ptr<const CompiledProgram> compiled,
                std::vector<ShapeSpec> shapes,

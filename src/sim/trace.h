@@ -12,7 +12,7 @@
 
 #include "core/machine_spec.h"
 #include "core/program.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 namespace syscomm::sim {
 

@@ -1,15 +1,13 @@
 /**
  * @file
- * The kernel's active-set structures against a std::set oracle. The
- * event-driven kernel's correctness rests on these sets behaving
+ * The kernel's active-set structure against a std::set oracle. The
+ * event-driven kernel's correctness rests on BitIndexSet behaving
  * exactly like an ordered set under arbitrary insert/erase/cursor
  * interleavings — including mutation *during* a cursor scan, where
  * the by-value re-seek contract says elements inserted ahead of the
  * cursor are visited this pass and elements inserted behind it are
- * not. Both implementations (BitIndexSet, the hierarchical bitmap the
- * kernel uses; SortedIndexSet, the sorted-vector reference) are
- * driven through randomized scripts next to a std::set executing the
- * same script.
+ * not. The bitmap is driven through randomized scripts next to a
+ * std::set executing the same script.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +23,7 @@ namespace syscomm::sim {
 namespace {
 
 constexpr int kInvalid = -1;
+using Set = BitIndexSet<int, kInvalid>;
 
 /** std::set-backed oracle with the same cursor API. */
 class OracleSet
@@ -67,7 +66,6 @@ class OracleSet
  * Drive @p set and the oracle through the same randomized script of
  * mutations and cursor queries; every query must agree.
  */
-template <typename Set>
 void
 stressAgainstOracle(Set& set, int universe, std::uint64_t seed,
                     int steps)
@@ -123,10 +121,9 @@ stressAgainstOracle(Set& set, int universe, std::uint64_t seed,
 
 /**
  * Ascending scan with mutations mid-scan (the kernel's cellPhase
- * pattern): both structures must visit the identical sequence when
+ * pattern): set and oracle must visit the identical sequence when
  * the same mutations are applied at the same scan positions.
  */
-template <typename Set>
 void
 scanWithMutations(Set& set, int universe, std::uint64_t seed)
 {
@@ -198,7 +195,7 @@ TEST(BitIndexSet, RandomizedOpsMatchStdSet)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         for (int universe : {1, 7, 64, 65, 1000, 5000}) {
-            BitIndexSet<int, kInvalid> set;
+            Set set;
             set.resize(universe);
             stressAgainstOracle(set, universe, seed, 4000);
         }
@@ -208,7 +205,7 @@ TEST(BitIndexSet, RandomizedOpsMatchStdSet)
 TEST(BitIndexSet, ScanWithMutationInterleavings)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        BitIndexSet<int, kInvalid> set;
+        Set set;
         set.resize(700);
         scanWithMutations(set, 700, seed);
     }
@@ -218,7 +215,7 @@ TEST(BitIndexSet, LargeUniverseSparseAndDense)
 {
     // Three summary levels (above 64^2 leaf bits) at 100k: the size
     // the kernel actually runs.
-    BitIndexSet<int, kInvalid> set;
+    Set set;
     set.resize(100000);
     EXPECT_TRUE(set.empty());
     EXPECT_EQ(set.firstAtLeast(0), kInvalid);
@@ -256,22 +253,6 @@ TEST(BitIndexSet, LargeUniverseSparseAndDense)
     set.clear();
 
     stressAgainstOracle(set, 100000, 42, 20000);
-}
-
-TEST(SortedIndexSet, RandomizedOpsMatchStdSet)
-{
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        SortedIndexSet<int, kInvalid> set;
-        stressAgainstOracle(set, 1000, seed, 4000);
-    }
-}
-
-TEST(SortedIndexSet, ScanWithMutationInterleavings)
-{
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        SortedIndexSet<int, kInvalid> set;
-        scanWithMutations(set, 500, seed);
-    }
 }
 
 } // namespace

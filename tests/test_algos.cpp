@@ -14,7 +14,8 @@
 #include "algos/streams.h"
 #include "core/compile.h"
 #include "core/crossoff.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -50,7 +51,7 @@ TEST_P(ConvSweep, MatchesReference)
     CompilePlan plan = compileProgram(p, machine);
     ASSERT_TRUE(plan.ok) << plan.error;
 
-    sim::RunResult r = sim::simulateProgram(p, machine);
+    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     std::vector<double> expected = algos::convReference(spec);
     for (int i = 1; i <= outputs; ++i) {
@@ -86,7 +87,7 @@ TEST_P(MatVecSweep, MatchesReference)
     EXPECT_TRUE(isDeadlockFree(p));
 
     MachineSpec machine = machineFor(algos::matvecTopology(spec));
-    sim::RunResult r = sim::simulateProgram(p, machine);
+    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
     std::vector<double> expected = algos::matvecReference(spec);
@@ -121,7 +122,7 @@ TEST_P(SortSweep, SortsRandomInputs)
     EXPECT_TRUE(isDeadlockFree(p));
 
     MachineSpec machine = machineFor(algos::sortTopology(spec));
-    sim::RunResult r = sim::simulateProgram(p, machine);
+    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
     std::vector<double> got = algos::extractSorted(p, r.received, n);
@@ -142,8 +143,9 @@ TEST(Sort, AlreadySortedAndReversed)
         for (int i = 0; i < 6; ++i)
             spec.values.push_back(reversed ? 6.0 - i : 1.0 + i);
         Program p = algos::makeSortProgram(spec);
-        sim::RunResult r = sim::simulateProgram(
-            p, machineFor(algos::sortTopology(spec)));
+        sim::RunResult r =
+            sim::SimSession(p, machineFor(algos::sortTopology(spec)))
+                .run(kVectorsRequest);
         ASSERT_EQ(r.status, RunStatus::kCompleted);
         std::vector<double> got = algos::extractSorted(p, r.received, 6);
         for (int i = 0; i < 6; ++i)
@@ -183,12 +185,12 @@ TEST(Streams, InterleavedNeedsAQueuePerStream)
     Program p = algos::makeStreamsProgram(spec);
 
     // With numStreams queues: completes.
-    sim::RunResult ok = sim::simulateProgram(
-        p, machineFor(algos::streamsTopology(spec), 3));
+    sim::RunResult ok =
+        sim::SimSession(p, machineFor(algos::streamsTopology(spec), 3)).run();
     EXPECT_EQ(ok.status, RunStatus::kCompleted);
     // With fewer, the same-label group cannot be placed.
-    sim::RunResult bad = sim::simulateProgram(
-        p, machineFor(algos::streamsTopology(spec), 2));
+    sim::RunResult bad =
+        sim::SimSession(p, machineFor(algos::streamsTopology(spec), 2)).run();
     EXPECT_EQ(bad.status, RunStatus::kDeadlocked);
 }
 
@@ -200,8 +202,8 @@ TEST(Streams, SequentialRunsWithOneQueue)
     spec.wordsPerStream = 3;
     spec.pattern = algos::StreamPattern::kSequential;
     Program p = algos::makeStreamsProgram(spec);
-    sim::RunResult r = sim::simulateProgram(
-        p, machineFor(algos::streamsTopology(spec), 1));
+    sim::RunResult r =
+        sim::SimSession(p, machineFor(algos::streamsTopology(spec), 1)).run();
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
@@ -215,8 +217,9 @@ TEST(Streams, FanPatternsCompleteWithEnoughQueues)
         spec.wordsPerStream = 3;
         spec.pattern = pattern;
         Program p = algos::makeStreamsProgram(spec);
-        sim::RunResult r = sim::simulateProgram(
-            p, machineFor(algos::streamsTopology(spec), 3));
+        sim::RunResult r =
+            sim::SimSession(p, machineFor(algos::streamsTopology(spec), 3))
+                .run();
         EXPECT_EQ(r.status, RunStatus::kCompleted)
             << algos::streamPatternName(pattern) << ": " << r.statusStr();
     }

@@ -10,7 +10,8 @@
 #include "core/compile.h"
 #include "core/crossoff.h"
 #include "core/related.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -26,7 +27,7 @@ runLcs(const algos::AlignSpec& spec)
     MachineSpec machine;
     machine.topo = algos::alignTopology(spec);
     machine.queuesPerLink = 2;
-    sim::RunResult r = sim::simulateProgram(p, machine);
+    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
     if (r.status != RunStatus::kCompleted)
         return -1;
     auto res = *p.messageByName("RES");

@@ -26,7 +26,7 @@
 #include "core/program.h"
 #include "core/program_gen.h"
 #include "core/topology.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 namespace syscomm {
 namespace {
@@ -47,11 +47,12 @@ runOnce(const Program& program, const Topology& topo,
     spec.topo = SharedTopology(Topology(topo));
     spec.queuesPerLink = 2;
     spec.queueCapacity = 1;
-    sim::SimOptions options;
-    options.policy = policy;
+    sim::SessionOptions options;
     options.kernel = kernel;
-    options.maxCycles = 200'000;
-    return sim::simulateProgram(program, spec, options);
+    sim::RunRequest request;
+    request.policy = policy;
+    request.maxCycles = 200'000;
+    return sim::SimSession(program, spec, options).run(request);
 }
 
 void

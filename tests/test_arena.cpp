@@ -27,7 +27,7 @@
 
 #include "core/program_gen.h"
 #include "sim/arena.h"
-#include "sim/batch.h"
+#include "sim/shape_sweep.h"
 #include "sim/session.h"
 #include "test_support.h"
 
@@ -391,7 +391,8 @@ TEST(ArenaCheckpoint, SweepWorkersUnaffectedByPausedRequests)
 {
     // A pauseAt request in a sweep just yields a truncated result;
     // the pooled worker session must reset cleanly for whoever gets
-    // it next.
+    // it next. The random policy reads its seed, so the eight
+    // requests are eight distinct cells the sweep must each simulate.
     Topology topo = Topology::linearArray(5);
     GenOptions gen;
     gen.numMessages = 5;
@@ -403,23 +404,27 @@ TEST(ArenaCheckpoint, SweepWorkersUnaffectedByPausedRequests)
     std::vector<RunRequest> requests;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         RunRequest request;
+        request.policy = PolicyKind::kRandom;
         request.seed = seed;
         if (seed % 3 == 0)
             request.pauseAt = 4;
         requests.push_back(request);
     }
-    sim::SweepOptions threads;
+    sim::ShapeSweepOptions threads;
     threads.numWorkers = 2;
-    sim::SweepSummary sweep =
-        sim::SweepRunner(program, s, {}, threads).run(requests);
+    sim::ShapeSweepResult sweep =
+        sim::ShapeSweep(program, topo, {{"", 2, 1}}, threads).run(requests);
+    EXPECT_EQ(sweep.rowsShared, 0u);
 
     SimSession serial(program, s);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         RunResult expected = serial.run(requests[i]);
-        expectSameRunResult(expected, sweep.results[i],
+        expectSameRunResult(expected, sweep.rows[i].result,
                          "request " + std::to_string(i));
     }
-    EXPECT_EQ(sweep.statusCounts[static_cast<int>(RunStatus::kPaused)], 2);
+    EXPECT_EQ(sweep.shapeSummary(0)
+                  .statusCounts[static_cast<int>(RunStatus::kPaused)],
+              2);
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 #include "algos/paper_figures.h"
 #include "core/compile.h"
 #include "core/crossoff.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 namespace syscomm {
 namespace {
@@ -61,9 +61,7 @@ TEST_P(BufferSweep, RuntimeMatchesLookaheadClassification)
             continue;
         bool accepted =
             isDeadlockFreeWithLookahead(p, uniformSkipBound(capacity));
-        sim::SimOptions options;
-        sim::RunResult r =
-            sim::simulateProgram(p, machine(2, capacity), options);
+        sim::RunResult r = sim::SimSession(p, machine(2, capacity)).run();
         bool completed = r.status == RunStatus::kCompleted;
         EXPECT_EQ(accepted, capacity >= k);
         EXPECT_EQ(completed, accepted)
@@ -79,10 +77,9 @@ TEST(Buffering, ExtensionCapacityCountsTowardBound)
     // capacity 1 + extension 2 behaves like capacity 3 for
     // classification and completion.
     Program p = frontLoaded(3);
-    EXPECT_EQ(
-        sim::simulateProgram(p, machine(2, 1)).status,
-        RunStatus::kDeadlocked);
-    sim::RunResult r = sim::simulateProgram(p, machine(2, 1, 2, 4));
+    EXPECT_EQ(sim::SimSession(p, machine(2, 1)).run().status,
+              RunStatus::kDeadlocked);
+    sim::RunResult r = sim::SimSession(p, machine(2, 1, 2, 4)).run();
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     EXPECT_GT(r.stats.extendedWords, 0);
 }
@@ -90,8 +87,8 @@ TEST(Buffering, ExtensionCapacityCountsTowardBound)
 TEST(Buffering, ExtensionPenaltySlowsCompletion)
 {
     Program p = frontLoaded(4);
-    sim::RunResult cheap = sim::simulateProgram(p, machine(2, 1, 3, 0));
-    sim::RunResult costly = sim::simulateProgram(p, machine(2, 1, 3, 8));
+    sim::RunResult cheap = sim::SimSession(p, machine(2, 1, 3, 0)).run();
+    sim::RunResult costly = sim::SimSession(p, machine(2, 1, 3, 8)).run();
     ASSERT_EQ(cheap.status, RunStatus::kCompleted);
     ASSERT_EQ(costly.status, RunStatus::kCompleted);
     EXPECT_GT(costly.cycles, cheap.cycles);
@@ -100,8 +97,8 @@ TEST(Buffering, ExtensionPenaltySlowsCompletion)
 TEST(Buffering, PureHardwareBeatsExtensionAtEqualCapacity)
 {
     Program p = frontLoaded(4);
-    sim::RunResult hw = sim::simulateProgram(p, machine(2, 4, 0, 0));
-    sim::RunResult ext = sim::simulateProgram(p, machine(2, 1, 3, 6));
+    sim::RunResult hw = sim::SimSession(p, machine(2, 4, 0, 0)).run();
+    sim::RunResult ext = sim::SimSession(p, machine(2, 1, 3, 6)).run();
     ASSERT_EQ(hw.status, RunStatus::kCompleted);
     ASSERT_EQ(ext.status, RunStatus::kCompleted);
     EXPECT_LE(hw.cycles, ext.cycles);
@@ -132,7 +129,7 @@ TEST(Buffering, DeeperQueuesNeverBreakCompletion)
     Cycle prev_cycles = 0;
     for (int capacity : {1, 2, 4, 8}) {
         m.queueCapacity = capacity;
-        sim::RunResult r = sim::simulateProgram(p, m);
+        sim::RunResult r = sim::SimSession(p, m).run();
         ASSERT_EQ(r.status, RunStatus::kCompleted) << capacity;
         if (prev_cycles) {
             EXPECT_LE(r.cycles, prev_cycles) << capacity;

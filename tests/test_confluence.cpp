@@ -11,7 +11,8 @@
 
 #include "core/crossoff.h"
 #include "core/program_gen.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -101,8 +102,8 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
     spec.topo = topo;
     spec.queuesPerLink = 2;
 
-    sim::RunResult a = sim::simulateProgram(p, spec);
-    sim::RunResult b = sim::simulateProgram(p, spec);
+    sim::RunResult a = sim::SimSession(p, spec).run(kVectorsRequest);
+    sim::RunResult b = sim::SimSession(p, spec).run(kVectorsRequest);
     ASSERT_EQ(a.status, b.status);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.stats.wordsForwarded, b.stats.wordsForwarded);
@@ -128,11 +129,11 @@ TEST(Determinism, RandomPolicyDeterministicUnderSeed)
     MachineSpec spec;
     spec.topo = Topology::linearArray(2);
     spec.queuesPerLink = 2;
-    sim::SimOptions options;
-    options.policy = sim::PolicyKind::kRandom;
-    options.seed = 99;
-    sim::RunResult r1 = sim::simulateProgram(p, spec, options);
-    sim::RunResult r2 = sim::simulateProgram(p, spec, options);
+    sim::RunRequest request = kVectorsRequest;
+    request.policy = sim::PolicyKind::kRandom;
+    request.seed = 99;
+    sim::RunResult r1 = sim::SimSession(p, spec).run(request);
+    sim::RunResult r2 = sim::SimSession(p, spec).run(request);
     EXPECT_EQ(r1.status, r2.status);
     EXPECT_EQ(r1.cycles, r2.cycles);
 }

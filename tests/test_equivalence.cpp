@@ -13,7 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "core/crossoff.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -75,9 +76,9 @@ TEST_P(Equivalence, LookaheadBoundMatchesQueueCapacity)
         spec.topo = Topology::linearArray(2);
         spec.queuesPerLink = p.numMessages(); // dedicated queues
         spec.queueCapacity = capacity;
-        sim::SimOptions sim_options;
-        sim_options.policy = sim::PolicyKind::kStatic;
-        sim::RunResult r = sim::simulateProgram(p, spec, sim_options);
+        sim::RunRequest request = kVectorsRequest;
+        request.policy = sim::PolicyKind::kStatic;
+        sim::RunResult r = sim::SimSession(p, spec).run(request);
         bool completed = r.status == sim::RunStatus::kCompleted;
 
         EXPECT_EQ(classified_free, completed)
@@ -160,9 +161,9 @@ TEST(Equivalence, MultiHopRouteCapacityBoundMatchesRuntime)
             spec.topo = topo;
             spec.queuesPerLink = std::max(1, analysis.maxOnLink());
             spec.queueCapacity = capacity;
-            sim::SimOptions sim_options;
-            sim_options.policy = sim::PolicyKind::kStatic;
-            sim::RunResult r = sim::simulateProgram(p, spec, sim_options);
+            sim::RunRequest request = kVectorsRequest;
+            request.policy = sim::PolicyKind::kStatic;
+            sim::RunResult r = sim::SimSession(p, spec).run(request);
             bool completed = r.status == sim::RunStatus::kCompleted;
 
             EXPECT_EQ(classified_free, completed)
@@ -204,9 +205,9 @@ TEST(Equivalence, BasicAcceptanceImpliesEveryCapacityCompletes)
         spec.topo = Topology::linearArray(2);
         spec.queuesPerLink = p.numMessages();
         spec.queueCapacity = 1;
-        sim::SimOptions options;
-        options.policy = sim::PolicyKind::kStatic;
-        sim::RunResult r = sim::simulateProgram(p, spec, options);
+        sim::RunRequest request = kVectorsRequest;
+        request.policy = sim::PolicyKind::kStatic;
+        sim::RunResult r = sim::SimSession(p, spec).run(request);
         EXPECT_EQ(r.status, sim::RunStatus::kCompleted) << seed;
     }
 }

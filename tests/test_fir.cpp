@@ -10,7 +10,8 @@
 #include "algos/fir.h"
 #include "core/compile.h"
 #include "core/crossoff.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -40,10 +41,10 @@ TEST_P(FirSweep, EndToEnd)
     ASSERT_TRUE(plan.ok) << plan.error;
     EXPECT_FALSE(plan.usedTrivialFallback);
 
-    sim::SimOptions options;
-    options.labels = plan.normalizedLabels;
-    options.audit = true;
-    sim::RunResult r = sim::simulateProgram(p, machine, options);
+    sim::RunRequest request;
+    request.labels = plan.normalizedLabels;
+    request.collect = sim::Collect::kAll;
+    sim::RunResult r = sim::SimSession(p, machine).run(request);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     EXPECT_TRUE(r.audit.compatible);
 
@@ -95,7 +96,7 @@ TEST(Fir, HigherBufferDoesNotChangeResults)
     std::vector<double> expected = firReference(spec);
     for (int capacity : {1, 2, 8}) {
         machine.queueCapacity = capacity;
-        sim::RunResult r = sim::simulateProgram(p, machine);
+        sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
         ASSERT_EQ(r.status, RunStatus::kCompleted) << capacity;
         auto y = *p.messageByName("Y1");
         for (std::size_t j = 0; j < expected.size(); ++j)
@@ -111,9 +112,9 @@ TEST(Fir, DeeperBuffersNeverSlowItDown)
     machine.topo = firTopology(4);
     machine.queuesPerLink = 2;
     machine.queueCapacity = 1;
-    Cycle shallow = sim::simulateProgram(p, machine).cycles;
+    Cycle shallow = sim::SimSession(p, machine).run().cycles;
     machine.queueCapacity = 4;
-    Cycle deep = sim::simulateProgram(p, machine).cycles;
+    Cycle deep = sim::SimSession(p, machine).run().cycles;
     EXPECT_LE(deep, shallow);
 }
 

@@ -18,8 +18,7 @@
 
 #include "algos/paper_figures.h"
 #include "core/program_gen.h"
-#include "sim/batch.h"
-#include "sim/machine.h"
+#include "sim/shape_sweep.h"
 #include "test_support.h"
 
 namespace syscomm {
@@ -32,33 +31,38 @@ using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
 using sim::SessionOptions;
-using sim::SimOptions;
 using sim::SimSession;
-using sim::simulateProgram;
 
 std::string
-describe(const SimOptions& options, const MachineSpec& spec)
+describe(const RunRequest& request, const SessionOptions& session,
+         const MachineSpec& spec)
 {
     std::ostringstream os;
-    os << "policy=" << sim::policyKindName(options.policy)
+    os << "policy=" << sim::policyKindName(request.policy)
        << " queues=" << spec.queuesPerLink
        << " cap=" << spec.queueCapacity << " ext=" << spec.extensionCapacity
-       << " pen=" << spec.extensionPenalty << " seed=" << options.seed
-       << " m2m=" << options.memoryToMemory;
+       << " pen=" << spec.extensionPenalty << " seed=" << request.seed
+       << " m2m=" << session.memoryToMemory;
     return os.str();
 }
 
-/** Run under both kernels and assert identical observable outcomes. */
+/**
+ * Run under both kernels and assert identical observable outcomes.
+ * Every result vector is collected (plus the audit when @p request
+ * asks for it), so no comparison below passes on two vectors that
+ * were simply never collected.
+ */
 void
 expectKernelsAgree(const Program& program, const MachineSpec& spec,
-                   SimOptions options)
+                   RunRequest request, SessionOptions session = {})
 {
-    options.kernel = KernelKind::kReference;
-    RunResult ref = simulateProgram(program, spec, options);
-    options.kernel = KernelKind::kEventDriven;
-    RunResult evt = simulateProgram(program, spec, options);
+    request.collect |= kVectorsRequest.collect;
+    session.kernel = KernelKind::kReference;
+    RunResult ref = SimSession(program, spec, session).run(request);
+    session.kernel = KernelKind::kEventDriven;
+    RunResult evt = SimSession(program, spec, session).run(request);
 
-    std::string ctx = describe(options, spec);
+    std::string ctx = describe(request, session, spec);
     ASSERT_EQ(evt.status, ref.status)
         << ctx << " ref=" << ref.statusStr() << " evt=" << evt.statusStr();
     EXPECT_EQ(evt.cycles, ref.cycles) << ctx;
@@ -105,12 +109,12 @@ TEST(KernelEquivalence, RandomizedLinearArrayAllPolicies)
             gen.seed = seed;
             gen.interleave = 0.25;
             Program p = randomDeadlockFreeProgram(topo, gen);
-            SimOptions options;
-            options.policy = policy;
-            options.seed = seed;
-            options.audit = true;
+            RunRequest request;
+            request.policy = policy;
+            request.seed = seed;
+            request.collect = Collect::kAudit;
             expectKernelsAgree(p, spec(topo, 2 + seed % 2, 1 + seed % 3),
-                               options);
+                               request);
         }
     }
 }
@@ -125,9 +129,9 @@ TEST(KernelEquivalence, RandomizedMeshAndTorus)
         gen.seed = 100 + seed;
         gen.interleave = 0.4;
         Program p = randomDeadlockFreeProgram(topo, gen);
-        SimOptions options;
-        options.seed = seed;
-        expectKernelsAgree(p, spec(topo, 3, 2), options);
+        RunRequest request;
+        request.seed = seed;
+        expectKernelsAgree(p, spec(topo, 3, 2), request);
     }
 }
 
@@ -150,14 +154,13 @@ TEST(KernelEquivalence, PerturbedProgramsIncludingDeadlocks)
             Program p = randomDeadlockFreeProgram(topo, gen);
             Program mutated =
                 perturbProgram(p, static_cast<int>(1 + seed % 4), seed);
-            SimOptions options;
-            options.policy = policy;
-            options.seed = seed;
-            options.maxCycles = 20'000;
+            RunRequest request;
+            request.policy = policy;
+            request.seed = seed;
+            request.maxCycles = 20'000;
             MachineSpec s = spec(topo, 1 + seed % 2, 1);
-            expectKernelsAgree(mutated, s, options);
-            options.kernel = KernelKind::kEventDriven;
-            if (simulateProgram(mutated, s, options).status ==
+            expectKernelsAgree(mutated, s, request);
+            if (SimSession(mutated, s).run(request).status ==
                 RunStatus::kDeadlocked)
                 ++deadlocked;
         }
@@ -173,27 +176,24 @@ TEST(KernelEquivalence, PaperFigureGallery)
     // the compatible policy.
     for (int cap : {1, 2}) {
         for (Program p : {algos::fig5P1(), algos::fig5P2(), algos::fig5P3()}) {
-            SimOptions options;
-            expectKernelsAgree(p, spec(algos::fig5Topology(), 2, cap),
-                               options);
+            expectKernelsAgree(p, spec(algos::fig5Topology(), 2, cap), {});
         }
     }
     for (PolicyKind policy : {PolicyKind::kCompatible, PolicyKind::kFcfs}) {
-        SimOptions options;
-        options.policy = policy;
-        options.audit = true;
+        RunRequest request;
+        request.policy = policy;
+        request.collect = Collect::kAudit;
         expectKernelsAgree(algos::fig7Program(), spec(algos::fig7Topology(), 1, 1),
-                           options);
+                           request);
         expectKernelsAgree(algos::fig8Program(), spec(algos::fig8Topology(), 1, 1),
-                           options);
+                           request);
         expectKernelsAgree(algos::fig9Program(), spec(algos::fig9Topology(), 1, 1),
-                           options);
+                           request);
     }
-    SimOptions options;
     expectKernelsAgree(algos::fig6CycleProgram(),
-                       spec(algos::fig6Topology(), 2, 1), options);
+                       spec(algos::fig6Topology(), 2, 1), {});
     expectKernelsAgree(algos::fig2FirProgram(),
-                       spec(algos::fig2Topology(), 2, 1), options);
+                       spec(algos::fig2Topology(), 2, 1), {});
 }
 
 TEST(KernelEquivalence, QueueExtensionAndPenalties)
@@ -208,11 +208,11 @@ TEST(KernelEquivalence, QueueExtensionAndPenalties)
         gen.seed = 300 + seed;
         gen.interleave = 0.3;
         Program p = randomDeadlockFreeProgram(topo, gen);
-        SimOptions options;
-        options.seed = seed;
+        RunRequest request;
+        request.seed = seed;
         expectKernelsAgree(
             p, spec(topo, 2, 1, /*ext=*/2 + seed % 3, /*penalty=*/2 + seed % 5),
-            options);
+            request);
     }
 }
 
@@ -226,16 +226,17 @@ TEST(KernelEquivalence, StaticPolicyAndMemoryToMemory)
         gen.seed = 400 + seed;
         gen.interleave = 0.0; // few competing messages: static feasible
         Program p = randomDeadlockFreeProgram(topo, gen);
-        SimOptions options;
-        options.policy = PolicyKind::kStatic;
-        options.seed = seed;
-        expectKernelsAgree(p, spec(topo, 8, 2), options);
+        RunRequest request;
+        request.policy = PolicyKind::kStatic;
+        request.seed = seed;
+        expectKernelsAgree(p, spec(topo, 8, 2), request);
 
-        SimOptions m2m;
+        RunRequest seeded;
+        seeded.seed = seed;
+        SessionOptions m2m;
         m2m.memoryToMemory = true;
         m2m.memAccessCost = 1 + static_cast<int>(seed % 2);
-        m2m.seed = seed;
-        expectKernelsAgree(p, spec(topo, 4, 2), m2m);
+        expectKernelsAgree(p, spec(topo, 4, 2), seeded, m2m);
     }
 }
 
@@ -247,17 +248,17 @@ TEST(KernelEquivalence, MaxCyclesBudgetExhaustion)
     gen.maxWords = 8;
     gen.seed = 7;
     Program p = randomDeadlockFreeProgram(topo, gen);
-    SimOptions options;
-    options.maxCycles = 25; // far too few
-    expectKernelsAgree(p, spec(topo, 2, 1), options);
+    RunRequest request;
+    request.maxCycles = 25; // far too few
+    expectKernelsAgree(p, spec(topo, 2, 1), request);
 }
 
-TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
+TEST(KernelEquivalence, OneShapeSweepAgreesAcrossKernels)
 {
     // The sweep driver as equivalence harness: the same request batch
-    // (policies x seeds, full collection) through one SweepRunner per
-    // kernel must agree run by run — and the threaded fan-out must
-    // not perturb any result.
+    // (policies x seeds, full collection) through a one-shape
+    // ShapeSweep per kernel must agree run by run — and the threaded
+    // fan-out must not perturb any result.
     Topology topo = Topology::linearArray(5);
     GenOptions gen;
     gen.numMessages = 6;
@@ -266,7 +267,6 @@ TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
     gen.interleave = 0.5;
     Program p = randomDeadlockFreeProgram(topo, gen);
     Program mutated = perturbProgram(p, 2, 77);
-    MachineSpec s = spec(topo, 2, 1);
 
     std::vector<sim::RunRequest> requests;
     for (PolicyKind policy : {PolicyKind::kCompatible, PolicyKind::kFcfs,
@@ -275,22 +275,28 @@ TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
             sim::RunRequest request;
             request.policy = policy;
             request.seed = seed;
-            request.maxCycles = 20'000;
+            // The seed also moves the (never reached) cycle budget, so
+            // no request is equivalent to another and the sweep runs
+            // every cell instead of copying seed-blind rows.
+            request.maxCycles = 20'000 + seed;
             request.collect = sim::Collect::kAll;
             requests.push_back(request);
         }
     }
 
-    sim::SessionOptions ref;
-    ref.kernel = KernelKind::kReference;
-    sim::SessionOptions evt;
-    evt.kernel = KernelKind::kEventDriven;
-    sim::SweepOptions threads;
-    threads.numWorkers = 3;
-    sim::SweepSummary refSweep =
-        sim::SweepRunner(mutated, s, ref, threads).run(requests);
-    sim::SweepSummary evtSweep =
-        sim::SweepRunner(mutated, s, evt, threads).run(requests);
+    sim::ShapeSweepOptions ref;
+    ref.session.kernel = KernelKind::kReference;
+    ref.numWorkers = 3;
+    sim::ShapeSweepOptions evt = ref;
+    evt.session.kernel = KernelKind::kEventDriven;
+    sim::ShapeSweepResult refResult =
+        sim::ShapeSweep(mutated, topo, {{"", 2, 1}}, ref).run(requests);
+    sim::ShapeSweepResult evtResult =
+        sim::ShapeSweep(mutated, topo, {{"", 2, 1}}, evt).run(requests);
+    EXPECT_EQ(refResult.rowsShared, 0u);
+    EXPECT_EQ(evtResult.rowsShared, 0u);
+    sim::SweepSummary refSweep = refResult.shapeSummary(0);
+    sim::SweepSummary evtSweep = evtResult.shapeSummary(0);
 
     ASSERT_EQ(refSweep.results.size(), requests.size());
     ASSERT_EQ(evtSweep.results.size(), requests.size());
@@ -333,10 +339,10 @@ TEST(KernelEquivalence, LargeArrayPhasesAt4kCells)
         Program p = largeArrayProgram(kCells, gen);
         for (PolicyKind policy : {PolicyKind::kCompatible,
                                   PolicyKind::kRandom}) {
-            SimOptions options;
-            options.policy = policy;
-            options.seed = 9 + static_cast<int>(phase);
-            expectKernelsAgree(p, spec(topo, 2, 2), options);
+            RunRequest request;
+            request.policy = policy;
+            request.seed = 9 + static_cast<int>(phase);
+            expectKernelsAgree(p, spec(topo, 2, 2), request);
         }
     }
 }
@@ -371,19 +377,19 @@ TEST(KernelEquivalence, RandomPolicyMultiPendingFastForward)
             for (int w = 0; w < kWords; ++w)
                 p.read(6, m);
         }
-        SimOptions options;
-        options.policy = PolicyKind::kRandom;
-        options.seed = seed;
-        options.maxCycles = 50'000;
+        RunRequest request;
+        request.policy = PolicyKind::kRandom;
+        request.seed = seed;
+        request.maxCycles = 50'000;
         // Queue capacity 1 with a deep, slow extension: every surfaced
         // word stalls the whole pipeline for 6 cycles, giving the
         // event kernel plenty of provably inert stretches to skip
         // while the two losing messages sit in kRequested.
         expectKernelsAgree(
-            p, spec(topo, 1, 1, /*ext=*/3, /*penalty=*/6), options);
+            p, spec(topo, 1, 1, /*ext=*/3, /*penalty=*/6), request);
         // Same shape with room for simultaneous assignment churn.
         expectKernelsAgree(
-            p, spec(topo, 2, 1, /*ext=*/2, /*penalty=*/4), options);
+            p, spec(topo, 2, 1, /*ext=*/2, /*penalty=*/4), request);
     }
 }
 
@@ -585,9 +591,9 @@ TEST(KernelEquivalence, LongStreamSparseArray)
             for (int w = 0; w < 24; ++w)
                 p.read(to, id);
         }
-        SimOptions options;
-        options.seed = seed;
-        expectKernelsAgree(p, spec(topo, 2, 1 + seed % 4), options);
+        RunRequest request;
+        request.seed = seed;
+        expectKernelsAgree(p, spec(topo, 2, 1 + seed % 4), request);
     }
 }
 

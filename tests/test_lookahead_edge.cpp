@@ -26,7 +26,7 @@
 #include "core/machine_spec.h"
 #include "core/program.h"
 #include "core/topology.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "text/parser.h"
 
 namespace syscomm {
@@ -75,10 +75,10 @@ runAtCapacity(const Program& program, int capacity)
     spec.topo = SharedTopology(Topology::linearArray(2));
     spec.queuesPerLink = 2;
     spec.queueCapacity = capacity;
-    sim::SimOptions options;
-    options.policy = sim::PolicyKind::kFcfs;
-    options.maxCycles = 100'000;
-    return sim::simulateProgram(program, spec, options).status;
+    sim::RunRequest request;
+    request.policy = sim::PolicyKind::kFcfs;
+    request.maxCycles = 100'000;
+    return sim::SimSession(program, spec).run(request).status;
 }
 
 TEST(LookaheadEdge, SkipBoundExactlyAtWriteRun)
@@ -194,10 +194,10 @@ TEST(LookaheadEdge, ExtensionCapacityCountsTowardTheBound)
     spec.queuesPerLink = 2;
     spec.queueCapacity = 1;
     spec.extensionCapacity = kWords - 1;
-    sim::SimOptions options;
-    options.policy = sim::PolicyKind::kFcfs;
-    options.maxCycles = 100'000;
-    EXPECT_EQ(sim::simulateProgram(program, spec, options).status,
+    sim::RunRequest request;
+    request.policy = sim::PolicyKind::kFcfs;
+    request.maxCycles = 100'000;
+    EXPECT_EQ(sim::SimSession(program, spec).run(request).status,
               sim::RunStatus::kCompleted);
     EXPECT_EQ(runAtCapacity(program, 1),
               sim::RunStatus::kDeadlocked);

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/streams.h"
-#include "sim/machine.h"
 #include "sim/memmodel.h"
 
 namespace syscomm {
@@ -17,8 +16,8 @@ namespace {
 using sim::compareModels;
 using sim::ModelComparison;
 using sim::RunStatus;
-using sim::SimOptions;
-using sim::simulateProgram;
+using sim::SessionOptions;
+using sim::SimSession;
 
 MachineSpec
 spec(Topology topo, int queues = 2)
@@ -54,7 +53,7 @@ forwardingPipeline(int cells, int words)
 TEST(MemModel, SystolicHasZeroMemoryAccesses)
 {
     Program p = forwardingPipeline(4, 6);
-    sim::RunResult r = simulateProgram(p, spec(Topology::linearArray(4)));
+    sim::RunResult r = SimSession(p, spec(Topology::linearArray(4))).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_EQ(r.stats.memAccesses, 0);
 }
@@ -66,10 +65,10 @@ TEST(MemModel, MemoryToMemoryChargesFourPerUpdate)
     // data item flowing through the array".
     int cells = 4, words = 6;
     Program p = forwardingPipeline(cells, words);
-    SimOptions options;
+    SessionOptions options;
     options.memoryToMemory = true;
     sim::RunResult r =
-        simulateProgram(p, spec(Topology::linearArray(cells)), options);
+        SimSession(p, spec(Topology::linearArray(cells)), options).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     // Interior cells: (cells-2) * words * 4; endpoints add 2 per word
     // each (host write staging + receiver read staging).
@@ -92,9 +91,9 @@ TEST(MemModel, MemoryToMemoryIsSlower)
 TEST(MemModel, SpeedupGrowsWithMemoryCost)
 {
     Program p = forwardingPipeline(4, 8);
-    SimOptions cheap;
+    SessionOptions cheap;
     cheap.memAccessCost = 1;
-    SimOptions expensive;
+    SessionOptions expensive;
     expensive.memAccessCost = 4;
     ModelComparison c1 =
         compareModels(p, spec(Topology::linearArray(4)), cheap);

@@ -11,7 +11,8 @@
 #include "core/crossoff.h"
 #include "core/label_verify.h"
 #include "core/program_gen.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -35,9 +36,9 @@ TEST_P(MatMulSweep, MatchesReference)
     CompilePlan plan = compileProgram(p, machine);
     ASSERT_TRUE(plan.ok) << plan.error;
 
-    sim::SimOptions options;
-    options.labels = plan.normalizedLabels;
-    sim::RunResult r = sim::simulateProgram(p, machine, options);
+    sim::RunRequest request = kVectorsRequest;
+    request.labels = plan.normalizedLabels;
+    sim::RunResult r = sim::SimSession(p, machine).run(request);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
     std::vector<double> got =
@@ -94,7 +95,7 @@ TEST(Mesh, RandomProgramsOnMeshComplete)
         MachineSpec machine;
         machine.topo = topo;
         machine.queuesPerLink = gen.numMessages; // generous
-        sim::RunResult r = sim::simulateProgram(p, machine);
+        sim::RunResult r = sim::SimSession(p, machine).run();
         EXPECT_EQ(r.status, RunStatus::kCompleted)
             << "seed " << seed << ": " << r.statusStr();
     }

@@ -10,7 +10,7 @@
 #include "core/crossoff.h"
 #include "core/program_gen.h"
 #include "core/repair.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "test_support.h"
 
 namespace syscomm {
@@ -36,7 +36,7 @@ TEST(Repair, RepairedP1RunsToCompletion)
     MachineSpec spec;
     spec.topo = algos::fig5Topology();
     spec.queuesPerLink = 2;
-    sim::RunResult run = sim::simulateProgram(r.program, spec);
+    sim::RunResult run = sim::SimSession(r.program, spec).run();
     EXPECT_EQ(run.status, sim::RunStatus::kCompleted);
 }
 

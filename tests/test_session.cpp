@@ -1,9 +1,9 @@
 /**
  * @file
- * SimSession / SweepRunner coverage: the compile-once/run-many entry
- * point must be indistinguishable from a fresh single-use simulator
- * on every run, across interleaved seeds and policies; the threaded
- * sweep driver must equal a serial loop over the same requests; and
+ * SimSession / one-shape ShapeSweep coverage: the compile-once/
+ * run-many entry point must be indistinguishable from a fresh session
+ * on every run, across interleaved seeds and policies; a threaded
+ * one-shape sweep must equal a serial loop over the same requests; and
  * the Collect flags must gate exactly the vectors they name without
  * perturbing any counter.
  */
@@ -18,15 +18,13 @@
 
 #include "algos/paper_figures.h"
 #include "core/program_gen.h"
-#include "sim/batch.h"
-#include "sim/machine.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 #include "test_support.h"
 
 namespace syscomm {
 namespace {
 
-using sim::ArraySimulator;
 using sim::Collect;
 using sim::collects;
 using sim::KernelKind;
@@ -35,11 +33,10 @@ using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
 using sim::SessionOptions;
-using sim::SimOptions;
+using sim::ShapeSweep;
+using sim::ShapeSweepOptions;
+using sim::ShapeSweepResult;
 using sim::SimSession;
-using sim::simulateProgram;
-using sim::SweepOptions;
-using sim::SweepRunner;
 using sim::SweepSummary;
 
 /** A seed-sensitive workload: perturbed program under unsafe policies
@@ -55,6 +52,17 @@ perturbedProgram(std::uint64_t seed)
     gen.interleave = 0.5;
     Program p = randomDeadlockFreeProgram(topo, gen);
     return perturbProgram(p, static_cast<int>(1 + seed % 4), seed);
+}
+
+/** Options for the fresh baselines: labels are computed on the first
+ *  run that needs them instead of at construction. Comparing against a
+ *  default (eager) session pins that precomputeLabels changes when
+ *  labels are computed, never what a run returns. */
+SessionOptions
+lazyLabels(SessionOptions session = {})
+{
+    session.precomputeLabels = false;
+    return session;
 }
 
 MachineSpec
@@ -94,14 +102,8 @@ TEST(SimSession, RerunIsBitIdenticalToFreshSimulator)
             RunResult first = reused.run(request);
             RunResult second = reused.run(request);
             RunResult third = reused.run(request);
-
-            SimOptions legacy;
-            legacy.kernel = kernel;
-            legacy.policy = policy;
-            legacy.seed = 7;
-            legacy.maxCycles = 20'000;
-            legacy.audit = true;
-            RunResult fresh = simulateProgram(p, spec, legacy);
+            RunResult fresh =
+                SimSession(p, spec, lazyLabels(session)).run(request);
 
             std::string ctx =
                 std::string("kernel=") + sim::kernelKindName(kernel) +
@@ -129,12 +131,12 @@ TEST(SimSession, InterleavedSeedsDoNotLeakState)
     // Fresh baselines per seed.
     std::vector<RunResult> fresh;
     for (std::uint64_t seed : seeds) {
-        SimOptions legacy;
-        legacy.policy = PolicyKind::kRandom;
-        legacy.seed = seed;
-        legacy.maxCycles = 20'000;
-        legacy.audit = true; // Collect::kAll audits too
-        fresh.push_back(simulateProgram(p, spec, legacy));
+        RunRequest request;
+        request.policy = PolicyKind::kRandom;
+        request.seed = seed;
+        request.maxCycles = 20'000;
+        request.collect = Collect::kAll;
+        fresh.push_back(SimSession(p, spec, lazyLabels()).run(request));
     }
 
     // The same seeds interleaved through one session.
@@ -169,13 +171,7 @@ TEST(SimSession, InterleavedPoliciesDoNotLeakState)
         request.maxCycles = 20'000;
         request.collect = Collect::kAll;
         RunResult r = session.run(request);
-
-        SimOptions legacy;
-        legacy.policy = policy;
-        legacy.seed = 11;
-        legacy.maxCycles = 20'000;
-        legacy.audit = true; // Collect::kAll audits too
-        RunResult fresh = simulateProgram(p, spec, legacy);
+        RunResult fresh = SimSession(p, spec, lazyLabels()).run(request);
         expectSameRunResult(r, fresh,
                          std::string("policy=") +
                              sim::policyKindName(policy));
@@ -183,9 +179,12 @@ TEST(SimSession, InterleavedPoliciesDoNotLeakState)
 }
 
 // ---------------------------------------------------------------------
-// (c) SweepRunner == serial loop over the same requests
+// (c) a one-shape ShapeSweep == serial loop over the same requests
 // ---------------------------------------------------------------------
 
+/** Policies x seeds, every request distinct: the seed also moves the
+ *  (never reached) cycle budget, so ShapeSweep cannot copy the rows of
+ *  seed-blind policies and simulates every cell on the workers. */
 std::vector<RunRequest>
 mixedRequests()
 {
@@ -197,7 +196,7 @@ mixedRequests()
             RunRequest request;
             request.policy = policy;
             request.seed = seed;
-            request.maxCycles = 20'000;
+            request.maxCycles = 20'000 + seed;
             request.collect = Collect::kEvents | Collect::kReceived;
             requests.push_back(request);
         }
@@ -205,7 +204,7 @@ mixedRequests()
     return requests;
 }
 
-TEST(SweepRunner, MatchesSerialLoop)
+TEST(OneShapeSweep, MatchesSerialLoop)
 {
     Program p = perturbedProgram(7);
     MachineSpec spec = smallSpec(5, 2, 1);
@@ -218,15 +217,15 @@ TEST(SweepRunner, MatchesSerialLoop)
         serialResults.push_back(serial.run(request));
 
     for (int workers : {1, 2, 4}) {
-        SweepOptions sweepOptions;
+        ShapeSweepOptions sweepOptions;
         sweepOptions.numWorkers = workers;
-        SweepRunner runner(p, spec, {}, sweepOptions);
-        SweepSummary summary = runner.run(requests);
+        ShapeSweep sweep(p, spec.topo, {{"", 2, 1}}, sweepOptions);
+        ShapeSweepResult result = sweep.run(requests);
+        SweepSummary summary = result.shapeSummary(0);
 
         ASSERT_EQ(summary.results.size(), requests.size());
-        EXPECT_EQ(summary.workersUsed,
-                  std::min<int>(workers,
-                                static_cast<int>(requests.size())));
+        EXPECT_EQ(result.workersUsed, workers);
+        EXPECT_EQ(result.rowsShared, 0u);
         for (std::size_t i = 0; i < requests.size(); ++i) {
             expectSameRunResult(summary.results[i], serialResults[i],
                              "workers=" + std::to_string(workers) +
@@ -262,9 +261,9 @@ TEST(SweepRunner, MatchesSerialLoop)
     }
 }
 
-TEST(SweepRunner, PersistentPoolKeepsBatchesDeterministic)
+TEST(OneShapeSweep, PersistentPoolKeepsBatchesDeterministic)
 {
-    // Many small batches through one runner: the pool threads are
+    // Many small batches through one sweep: the pool threads are
     // spawned by the first threaded batch and reused by every later
     // one (pooledWorkers never shrinks), interleaved batch shapes —
     // including single-request batches that run inline — do not
@@ -279,52 +278,53 @@ TEST(SweepRunner, PersistentPoolKeepsBatchesDeterministic)
     for (const RunRequest& request : requests)
         serialResults.push_back(serial.run(request));
 
-    SweepOptions sweepOptions;
+    ShapeSweepOptions sweepOptions;
     sweepOptions.numWorkers = 3;
-    SweepRunner runner(p, spec, {}, sweepOptions);
-    EXPECT_EQ(runner.pooledWorkers(), 0); // lazily spawned
+    ShapeSweep sweep(p, spec.topo, {{"", 2, 1}}, sweepOptions);
+    EXPECT_EQ(sweep.pooledWorkers(), 0); // lazily spawned
 
     for (int batch = 0; batch < 4; ++batch) {
-        SweepSummary summary = runner.run(requests);
-        EXPECT_EQ(runner.pooledWorkers(), 2); // workers - 1, persistent
-        ASSERT_EQ(summary.results.size(), requests.size());
+        ShapeSweepResult result = sweep.run(requests);
+        EXPECT_EQ(sweep.pooledWorkers(), 2); // workers - 1, persistent
+        ASSERT_EQ(result.rows.size(), requests.size());
+        EXPECT_EQ(result.rowsShared, 0u);
         for (std::size_t i = 0; i < requests.size(); ++i) {
-            expectSameRunResult(summary.results[i], serialResults[i],
+            expectSameRunResult(result.rows[i].result, serialResults[i],
                              "batch=" + std::to_string(batch) +
                                  " request=" + std::to_string(i));
         }
 
         // An inline single-request batch between threaded ones.
         std::vector<RunRequest> one{requests[batch]};
-        SweepSummary single = runner.run(one);
-        ASSERT_EQ(single.results.size(), 1u);
+        ShapeSweepResult single = sweep.run(one);
+        ASSERT_EQ(single.rows.size(), 1u);
         EXPECT_EQ(single.workersUsed, 1);
-        expectSameRunResult(single.results.front(), serialResults[batch],
+        expectSameRunResult(single.rows.front().result, serialResults[batch],
                          "inline batch=" + std::to_string(batch));
-        EXPECT_EQ(runner.pooledWorkers(), 2); // pool never shed
+        EXPECT_EQ(sweep.pooledWorkers(), 2); // pool never shed
     }
 }
 
-TEST(SweepRunner, StatusHistogramCoversDeadlocks)
+TEST(OneShapeSweep, StatusHistogramCoversDeadlocks)
 {
     // Fig. 7 at one queue per link: the compatible policy completes,
     // FCFS jams — the histogram must see both terminal states.
     Program p = algos::fig7Program();
-    MachineSpec spec;
-    spec.topo = algos::fig7Topology();
-    spec.queuesPerLink = 1;
-    spec.queueCapacity = 1;
     std::vector<RunRequest> requests;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         RunRequest request;
         request.policy =
             seed % 2 ? PolicyKind::kFcfs : PolicyKind::kCompatible;
         request.seed = seed;
-        request.maxCycles = 20'000;
+        request.maxCycles = 20'000 + seed; // distinct: no shared rows
         requests.push_back(request);
     }
-    SweepRunner runner(p, spec, {}, {4});
-    SweepSummary summary = runner.run(requests);
+    ShapeSweepOptions sweepOptions;
+    sweepOptions.numWorkers = 4;
+    ShapeSweep sweep(p, algos::fig7Topology(), {{"", 1, 1}}, sweepOptions);
+    ShapeSweepResult result = sweep.run(requests);
+    EXPECT_EQ(result.rowsShared, 0u);
+    SweepSummary summary = result.shapeSummary(0);
     EXPECT_EQ(summary.completed(), 6);
     EXPECT_EQ(summary.deadlocked(), 6);
     ASSERT_EQ(summary.perPolicy.size(), 2u);
@@ -521,11 +521,7 @@ TEST(SimSession, RecoversAfterPolicyConfigError)
     good.maxCycles = 20'000;
     good.collect = Collect::kAll;
     RunResult after = session.run(good);
-
-    SimOptions legacy;
-    legacy.policy = PolicyKind::kCompatible;
-    legacy.maxCycles = 20'000;
-    RunResult fresh = simulateProgram(p, spec, legacy);
+    RunResult fresh = SimSession(p, spec, lazyLabels()).run(good);
     expectSameRunResult(after, fresh, "run after config error");
 }
 
@@ -579,8 +575,7 @@ TEST(SimSession, ConfigErrorResultHonorsCollectFlags)
     ASSERT_EQ(r.status, RunStatus::kConfigError);
     EXPECT_TRUE(r.events.empty());
 
-    // Asking for events does expose the partial cycle-0 log, exactly
-    // as the single-use simulator always did.
+    // Asking for events does expose the partial cycle-0 log.
     bad.collect = Collect::kAudit | Collect::kEvents;
     RunResult collected = session.run(bad);
     ASSERT_EQ(collected.status, RunStatus::kConfigError);
@@ -647,24 +642,22 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
     EXPECT_FALSE(session.run(compat).labelsUsed.empty());
 
     // ...but an identical label-free request still reports none, and
-    // matches both its own first run and a fresh simulator.
+    // matches both its own first run and a fresh session.
     RunResult after = session.run(fcfs);
     expectSameRunResult(after, before, "fcfs after compatible");
 
-    SimOptions legacy;
-    legacy.policy = PolicyKind::kFcfs;
-    legacy.maxCycles = 20'000;
-    RunResult fresh = simulateProgram(p, spec, legacy);
+    RunRequest vectors = fcfs;
+    vectors.collect = kVectorsRequest.collect;
+    RunResult fresh = SimSession(p, spec, lazyLabels()).run(vectors);
     EXPECT_TRUE(fresh.labelsUsed.empty());
     EXPECT_EQ(after.labelsUsed, fresh.labelsUsed);
     EXPECT_EQ(after.events, fresh.events);
 
-    // Legacy callers that hand labels to a label-free policy still
-    // see them echoed (the wrapper forwards them as a per-run
-    // override).
-    SimOptions withLabels = legacy;
+    // A per-run label override handed to a label-free policy is still
+    // echoed in labelsUsed.
+    RunRequest withLabels = vectors;
     withLabels.labels.assign(p.numMessages(), 0);
-    EXPECT_EQ(simulateProgram(p, spec, withLabels).labelsUsed,
+    EXPECT_EQ(SimSession(p, spec, lazyLabels()).run(withLabels).labelsUsed,
               withLabels.labels);
 }
 
@@ -673,37 +666,33 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
 //     machine shapes
 // ---------------------------------------------------------------------
 
-TEST(SweepRunner, InterleavedMultiShapeBatchesMatchSerial)
+TEST(OneShapeSweep, InterleavedMultiShapeBatchesMatchSerial)
 {
-    // Three runners over three machine *shapes* (queue count /
-    // capacity / extension ladders), each with its own persistent
+    // Three one-shape sweeps over three machine *shapes* (queue count
+    // / capacity / extension ladders), each with its own persistent
     // worker pool and per-worker arena-backed sessions. Batches are
-    // fed to the runners round-robin — the interleaving a
-    // shape-ladder sweep produces — and every result must equal a
-    // serial SimSession loop. Run under TSan in CI: any sharing of
-    // hot arena state between workers (or stale state surviving the
-    // request-queue hand-off between batches) is a race or a
-    // mismatch here.
+    // fed to the sweeps round-robin — the interleaving a shape-ladder
+    // sweep produces — and every result must equal a serial
+    // SimSession loop. Run under TSan in CI: any sharing of hot arena
+    // state between workers (or stale state surviving the hand-off
+    // between batches) is a race or a mismatch here.
     Program p = perturbedProgram(6);
-    const MachineSpec shapes[] = {
-        smallSpec(5, 1, 1),
-        smallSpec(5, 2, 2),
-        [] {
-            MachineSpec s = smallSpec(5, 2, 1);
-            s.extensionCapacity = 2;
-            s.extensionPenalty = 3;
-            return s;
-        }(),
+    const sim::ShapeSpec shapes[] = {
+        {"", 1, 1},
+        {"", 2, 2},
+        {"", 2, 1, 2, 3},
     };
 
-    SweepOptions threaded;
+    ShapeSweepOptions threaded;
     threaded.numWorkers = 3;
-    std::vector<std::unique_ptr<SweepRunner>> runners;
+    const Topology topo = Topology::linearArray(5);
+    std::vector<std::unique_ptr<ShapeSweep>> sweeps;
     std::vector<std::unique_ptr<SimSession>> serials;
-    for (const MachineSpec& shape : shapes) {
-        runners.push_back(std::make_unique<SweepRunner>(
-            p, shape, SessionOptions{}, threaded));
-        serials.push_back(std::make_unique<SimSession>(p, shape));
+    for (const sim::ShapeSpec& shape : shapes) {
+        sweeps.push_back(std::make_unique<ShapeSweep>(
+            p, topo, std::vector<sim::ShapeSpec>{shape}, threaded));
+        serials.push_back(
+            std::make_unique<SimSession>(p, sweeps.back()->spec(0)));
     }
 
     const PolicyKind policies[] = {PolicyKind::kCompatible,
@@ -720,20 +709,21 @@ TEST(SweepRunner, InterleavedMultiShapeBatchesMatchSerial)
                          : Collect::kEvents | Collect::kMsgTiming;
             batch.push_back(request);
         }
-        for (std::size_t shape = 0; shape < runners.size(); ++shape) {
-            SweepSummary sweep = runners[shape]->run(batch);
-            ASSERT_EQ(sweep.results.size(), batch.size());
+        for (std::size_t shape = 0; shape < sweeps.size(); ++shape) {
+            ShapeSweepResult sweep = sweeps[shape]->run(batch);
+            ASSERT_EQ(sweep.rows.size(), batch.size());
+            EXPECT_EQ(sweep.rowsShared, 0u);
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 expectSameRunResult(serials[shape]->run(batch[i]),
-                                 sweep.results[i],
+                                 sweep.rows[i].result,
                                  "round " + std::to_string(round) +
                                      " shape " + std::to_string(shape) +
                                      " request " + std::to_string(i));
             }
         }
     }
-    for (const auto& runner : runners)
-        EXPECT_EQ(runner->pooledWorkers(), 2); // 3 workers - lead thread
+    for (const auto& sweep : sweeps)
+        EXPECT_EQ(sweep->pooledWorkers(), 2); // 3 workers - lead thread
 }
 
 } // namespace

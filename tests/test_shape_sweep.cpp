@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -1213,15 +1214,31 @@ TEST(ShapeSweep, SharedRowsEqualDirectRunsOfTheirOwnCells)
     // each of the 4 rungs: 35 of the 80 cells run, 45 are copies.
     const std::size_t wantShared = 80 - (9 * 3 + 2 * 4);
 
-    for (int workers : {1, 4}) {
-        const std::string what = std::to_string(workers) + " worker(s)";
+    // The third pass builds the sweep over a CompiledProgram whose
+    // default labels are `labels` and overrides them through
+    // SessionOptions::labels: every per-shape session applies the
+    // override (only precomputeLabels is the compiled program's call).
+    const std::vector<std::int64_t> flat(p.numMessages(), 0);
+    for (int pass = 0; pass < 3; ++pass) {
+        const int workers = pass == 0 ? 1 : 4;
+        const std::string what = std::to_string(workers) + " worker(s)" +
+                                 (pass == 2 ? ", compiled" : "");
         for (CountingObserver& observer : observed)
             observer.assigns = 0;
         ShapeSweepOptions options;
         options.numWorkers = workers;
-        ShapeSweep sweep(p, topo, shapes, options);
-        ShapeSweepResult result = sweep.run(requests);
+        if (pass == 2)
+            options.session.labels = flat;
+        std::unique_ptr<ShapeSweep> sweep =
+            pass < 2 ? std::make_unique<ShapeSweep>(p, topo, shapes, options)
+                     : std::make_unique<ShapeSweep>(
+                           CompiledProgram::compile(p, topo, labels), shapes,
+                           options);
+        ShapeSweepResult result = sweep->run(requests);
         ASSERT_TRUE(result.complete) << what;
+        if (pass == 2) { // compatible, seed 1, no per-run override
+            EXPECT_EQ(result.row(0, 0).result.labelsUsed, flat);
+        }
         EXPECT_EQ(result.rowsShared, wantShared) << what;
         EXPECT_NE(result.str(shapes).find("(shared: 45 rows)"),
                   std::string::npos)
@@ -1231,7 +1248,7 @@ TEST(ShapeSweep, SharedRowsEqualDirectRunsOfTheirOwnCells)
         bool seen[sim::kNumRunStatuses] = {};
         for (std::size_t s = 0; s < shapes.size(); ++s) {
             MachineSpec spec = specFor(topo, shapes[s]);
-            SimSession direct(p, spec);
+            SimSession direct(p, spec, options.session);
             for (std::size_t r = 0; r < requests.size(); ++r) {
                 RunRequest request = requests[r];
                 CountingObserver mirror;

@@ -8,16 +8,15 @@
 #include <gtest/gtest.h>
 
 #include "algos/paper_figures.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
 
-using sim::PolicyKind;
 using sim::RunResult;
 using sim::RunStatus;
-using sim::SimOptions;
-using sim::simulateProgram;
+using sim::SimSession;
 
 MachineSpec
 spec(Topology topo, int queues = 2, int capacity = 1)
@@ -36,7 +35,8 @@ TEST(SimBasic, SingleWordAdjacent)
     p.compute(0, [](CellContext& ctx) { ctx.setNextWrite(42.0); });
     p.write(0, a);
     p.read(1, a);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(2)));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(2))).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.error;
     ASSERT_EQ(r.received[a].size(), 1u);
     EXPECT_DOUBLE_EQ(r.received[a][0], 42.0);
@@ -56,7 +56,8 @@ TEST(SimBasic, MultiHopForwarding)
     }
     for (int i = 0; i < 3; ++i)
         p.read(4, a);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(5)));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(5))).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_EQ(r.received[a], (std::vector<double>{10.0, 11.0, 12.0}));
     // Three words crossed three intermediate hops each.
@@ -74,7 +75,7 @@ TEST(SimBasic, PipelineLatencyScalesWithHops)
         MessageId a = p.declareMessage("A", 0, cells - 1);
         p.write(0, a);
         p.read(cells - 1, a);
-        RunResult r = simulateProgram(p, spec(Topology::linearArray(cells)));
+        RunResult r = SimSession(p, spec(Topology::linearArray(cells))).run();
         ASSERT_EQ(r.status, RunStatus::kCompleted);
         EXPECT_GE(r.cycles, cells - 1);
         EXPECT_LE(r.cycles, 3 * cells + 4);
@@ -92,7 +93,8 @@ TEST(SimBasic, PassThroughForwardsLastRead)
     p.read(1, a);
     p.write(1, b);
     p.read(2, b);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(3)));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(3))).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_DOUBLE_EQ(r.received[b][0], 7.5);
 }
@@ -108,7 +110,8 @@ TEST(SimBasic, ComputeOpsRunInOrder)
     });
     p.write(0, a);
     p.read(1, a);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(2)));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(2))).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_DOUBLE_EQ(r.received[a][0], 13.0);
     EXPECT_EQ(r.stats.computeOps, 3);
@@ -121,7 +124,7 @@ TEST(SimBasic, Fig5P1AndP3DeadlockAtRuntime)
     // P1 needs two words of buffering, so it still deadlocks at
     // capacity 1; P3 deadlocks at any capacity.
     for (Program p : {algos::fig5P1(), algos::fig5P3()}) {
-        RunResult r = simulateProgram(p, spec(algos::fig5Topology(), 2, 1));
+        RunResult r = SimSession(p, spec(algos::fig5Topology(), 2, 1)).run();
         EXPECT_EQ(r.status, RunStatus::kDeadlocked) << r.statusStr();
         EXPECT_TRUE(r.deadlock.deadlocked);
         EXPECT_FALSE(r.deadlock.render().empty());
@@ -133,7 +136,7 @@ TEST(SimBasic, Fig5P2CompletesWithOneWordBuffer)
     // P2 (facing writes) needs exactly one word of buffering per
     // queue — which matches its lookahead classification with bound 1.
     Program p = algos::fig5P2();
-    RunResult r = simulateProgram(p, spec(algos::fig5Topology(), 2, 1));
+    RunResult r = SimSession(p, spec(algos::fig5Topology(), 2, 1)).run();
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
@@ -142,7 +145,7 @@ TEST(SimBasic, P1CompletesWithBufferTwo)
     // Section 8's example: two-word queues resolve P1 (A and B on
     // separate queues).
     Program p = algos::fig5P1();
-    RunResult r = simulateProgram(p, spec(algos::fig5Topology(), 2, 2));
+    RunResult r = SimSession(p, spec(algos::fig5Topology(), 2, 2)).run();
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
@@ -150,7 +153,7 @@ TEST(SimBasic, P3NeverCompletes)
 {
     // Cyclic read-first: no buffer size helps.
     Program p = algos::fig5P3();
-    RunResult r = simulateProgram(p, spec(algos::fig5Topology(), 4, 16));
+    RunResult r = SimSession(p, spec(algos::fig5Topology(), 4, 16)).run();
     EXPECT_EQ(r.status, RunStatus::kDeadlocked);
 }
 
@@ -159,7 +162,7 @@ TEST(SimBasic, InvalidProgramIsConfigError)
     Program p(2);
     MessageId a = p.declareMessage("A", 0, 1);
     p.write(0, a); // no read
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(2)));
+    RunResult r = SimSession(p, spec(Topology::linearArray(2))).run();
     EXPECT_EQ(r.status, RunStatus::kConfigError);
     EXPECT_FALSE(r.error.empty());
 }
@@ -172,7 +175,7 @@ TEST(SimBasic, BlockedCyclesAreCounted)
     MessageId a = p.declareMessage("A", 0, 3);
     p.write(0, a);
     p.read(3, a);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(4)));
+    RunResult r = SimSession(p, spec(Topology::linearArray(4))).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_GT(r.stats.cellBlockedCycles, 0);
     EXPECT_GT(r.stats.perCellBlocked[3], 0);
@@ -189,7 +192,8 @@ TEST(SimBasic, ReceivedValuesInOrder)
     }
     for (int i = 0; i < 8; ++i)
         p.read(1, a);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(2)));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(2))).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     ASSERT_EQ(r.received[a].size(), 8u);
     for (int i = 0; i < 8; ++i)
@@ -211,7 +215,8 @@ TEST(SimBasic, QueueReusedAcrossSequentialMessages)
         p.read(1, a);
     p.write(0, b);
     p.read(1, b);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(2), 1));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(2), 1)).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     ASSERT_EQ(r.events.size(), 2u);
     EXPECT_EQ(r.events[0].msg, a);
@@ -234,7 +239,8 @@ TEST(SimBasic, QueueDirectionResetOnReassignment)
     p.read(0, rep);
     p.read(1, req);
     p.write(1, rep);
-    RunResult r = simulateProgram(p, spec(Topology::linearArray(2), 1));
+    RunResult r =
+        SimSession(p, spec(Topology::linearArray(2), 1)).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     ASSERT_EQ(r.events.size(), 2u);
     EXPECT_EQ(r.events[0].queueId, r.events[1].queueId);
@@ -253,7 +259,7 @@ TEST(SimBasic, RunsOnTorusTopology)
     MachineSpec s;
     s.topo = topo;
     s.queuesPerLink = 1;
-    RunResult r = simulateProgram(p, s);
+    RunResult r = SimSession(p, s).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_EQ(r.received[m].size(), 4u);
 }
@@ -261,10 +267,7 @@ TEST(SimBasic, RunsOnTorusTopology)
 TEST(SimBasic, LabelsAutoComputedWhenEmpty)
 {
     Program p = algos::fig7Program();
-    SimOptions options;
-    options.policy = PolicyKind::kCompatible;
-    RunResult r =
-        simulateProgram(p, spec(algos::fig7Topology(), 1), options);
+    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     ASSERT_EQ(r.labelsUsed.size(), 3u);
     EXPECT_EQ(r.labelsUsed[*p.messageByName("A")], 1);

@@ -9,16 +9,18 @@
 
 #include "algos/paper_figures.h"
 #include "core/labeling.h"
-#include "sim/machine.h"
+#include "sim/session.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
 
+using sim::Collect;
 using sim::PolicyKind;
+using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
-using sim::SimOptions;
-using sim::simulateProgram;
+using sim::SimSession;
 
 MachineSpec
 spec(Topology topo, int queues, int capacity = 1)
@@ -30,13 +32,13 @@ spec(Topology topo, int queues, int capacity = 1)
     return s;
 }
 
-SimOptions
+RunRequest
 withPolicy(PolicyKind kind)
 {
-    SimOptions options;
-    options.policy = kind;
-    options.maxCycles = 100000;
-    return options;
+    RunRequest request = kVectorsRequest;
+    request.policy = kind;
+    request.maxCycles = 100000;
+    return request;
 }
 
 // ---------------------------------------------------------------------
@@ -46,8 +48,8 @@ withPolicy(PolicyKind kind)
 TEST(Fig7, FcfsDeadlocksWithOneQueue)
 {
     Program p = algos::fig7Program();
-    RunResult r = simulateProgram(p, spec(algos::fig7Topology(), 1),
-                                  withPolicy(PolicyKind::kFcfs));
+    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1))
+                      .run(withPolicy(PolicyKind::kFcfs));
     EXPECT_EQ(r.status, RunStatus::kDeadlocked) << r.statusStr();
     // C4 is stuck reading C while B holds the C3-C4 queue.
     std::string render = r.deadlock.render();
@@ -57,18 +59,17 @@ TEST(Fig7, FcfsDeadlocksWithOneQueue)
 TEST(Fig7, CompatibleCompletesWithOneQueue)
 {
     Program p = algos::fig7Program();
-    RunResult r = simulateProgram(p, spec(algos::fig7Topology(), 1),
-                                  withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1))
+                      .run(withPolicy(PolicyKind::kCompatible));
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
 TEST(Fig7, CompatibleTraceIsAuditClean)
 {
     Program p = algos::fig7Program();
-    SimOptions options = withPolicy(PolicyKind::kCompatible);
-    options.audit = true;
-    RunResult r =
-        simulateProgram(p, spec(algos::fig7Topology(), 1), options);
+    RunRequest request = withPolicy(PolicyKind::kCompatible);
+    request.collect = Collect::kAll;
+    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run(request);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_TRUE(r.audit.compatible) << r.audit.str(p);
 }
@@ -76,10 +77,9 @@ TEST(Fig7, CompatibleTraceIsAuditClean)
 TEST(Fig7, FcfsTraceViolatesCompatibility)
 {
     Program p = algos::fig7Program();
-    SimOptions options = withPolicy(PolicyKind::kFcfs);
-    options.audit = true;
-    RunResult r =
-        simulateProgram(p, spec(algos::fig7Topology(), 1), options);
+    RunRequest request = withPolicy(PolicyKind::kFcfs);
+    request.collect = Collect::kAll;
+    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run(request);
     ASSERT_EQ(r.status, RunStatus::kDeadlocked);
     EXPECT_FALSE(r.audit.compatible);
 }
@@ -91,11 +91,10 @@ TEST(Fig7, GraphLabelingAlsoAvoidsTheDeadlock)
     Program p = algos::fig7Program();
     Labeling labeling = graphLabeling(p);
     ASSERT_TRUE(labeling.success);
-    SimOptions options = withPolicy(PolicyKind::kCompatible);
-    options.labels = labeling.normalized();
-    options.audit = true;
-    RunResult r =
-        simulateProgram(p, spec(algos::fig7Topology(), 1), options);
+    RunRequest request = withPolicy(PolicyKind::kCompatible);
+    request.labels = labeling.normalized();
+    request.collect = Collect::kAll;
+    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run(request);
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     EXPECT_TRUE(r.audit.compatible);
 }
@@ -104,12 +103,12 @@ TEST(Fig7, StaticNeedsThreeQueuesOnMiddleLinks)
 {
     Program p = algos::fig7Program();
     // Static assignment fails with 1 queue (A and C share C2-C3)...
-    RunResult r1 = simulateProgram(p, spec(algos::fig7Topology(), 1),
-                                   withPolicy(PolicyKind::kStatic));
+    RunResult r1 = SimSession(p, spec(algos::fig7Topology(), 1))
+                       .run(withPolicy(PolicyKind::kStatic));
     EXPECT_EQ(r1.status, RunStatus::kConfigError);
     // ...and succeeds with 2 (max two messages per link).
-    RunResult r2 = simulateProgram(p, spec(algos::fig7Topology(), 2),
-                                   withPolicy(PolicyKind::kStatic));
+    RunResult r2 = SimSession(p, spec(algos::fig7Topology(), 2))
+                       .run(withPolicy(PolicyKind::kStatic));
     EXPECT_EQ(r2.status, RunStatus::kCompleted) << r2.error;
 }
 
@@ -120,8 +119,8 @@ TEST(Fig7, StaticNeedsThreeQueuesOnMiddleLinks)
 TEST(Fig8, FcfsDeadlocksWithOneQueue)
 {
     Program p = algos::fig8Program();
-    RunResult r = simulateProgram(p, spec(algos::fig8Topology(), 1),
-                                  withPolicy(PolicyKind::kFcfs));
+    RunResult r = SimSession(p, spec(algos::fig8Topology(), 1))
+                      .run(withPolicy(PolicyKind::kFcfs));
     EXPECT_EQ(r.status, RunStatus::kDeadlocked);
 }
 
@@ -129,8 +128,8 @@ TEST(Fig8, CompatibleCompletesWithTwoQueues)
 {
     // "No deadlock if # queues greater than 1."
     Program p = algos::fig8Program();
-    RunResult r = simulateProgram(p, spec(algos::fig8Topology(), 2),
-                                  withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig8Topology(), 2))
+                      .run(withPolicy(PolicyKind::kCompatible));
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
@@ -140,8 +139,8 @@ TEST(Fig8, CompatibleWithOneQueueCannotProceed)
     // rule needs two queues; with one, assumption (ii) of Theorem 1
     // fails and the run cannot complete.
     Program p = algos::fig8Program();
-    RunResult r = simulateProgram(p, spec(algos::fig8Topology(), 1),
-                                  withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig8Topology(), 1))
+                      .run(withPolicy(PolicyKind::kCompatible));
     EXPECT_EQ(r.status, RunStatus::kDeadlocked);
 }
 
@@ -149,13 +148,13 @@ TEST(Fig8, LargerInstancesBehaveTheSame)
 {
     for (int words : {2, 4, 8}) {
         Program p = algos::fig8Program(words);
-        EXPECT_EQ(simulateProgram(p, spec(algos::fig8Topology(), 1),
-                                  withPolicy(PolicyKind::kFcfs))
+        EXPECT_EQ(SimSession(p, spec(algos::fig8Topology(), 1))
+                      .run(withPolicy(PolicyKind::kFcfs))
                       .status,
                   RunStatus::kDeadlocked)
             << words;
-        EXPECT_EQ(simulateProgram(p, spec(algos::fig8Topology(), 2),
-                                  withPolicy(PolicyKind::kCompatible))
+        EXPECT_EQ(SimSession(p, spec(algos::fig8Topology(), 2))
+                      .run(withPolicy(PolicyKind::kCompatible))
                       .status,
                   RunStatus::kCompleted)
             << words;
@@ -169,16 +168,16 @@ TEST(Fig8, LargerInstancesBehaveTheSame)
 TEST(Fig9, FcfsDeadlocksWithOneQueue)
 {
     Program p = algos::fig9Program();
-    RunResult r = simulateProgram(p, spec(algos::fig9Topology(), 1),
-                                  withPolicy(PolicyKind::kFcfs));
+    RunResult r = SimSession(p, spec(algos::fig9Topology(), 1))
+                      .run(withPolicy(PolicyKind::kFcfs));
     EXPECT_EQ(r.status, RunStatus::kDeadlocked);
 }
 
 TEST(Fig9, CompatibleCompletesWithTwoQueues)
 {
     Program p = algos::fig9Program();
-    RunResult r = simulateProgram(p, spec(algos::fig9Topology(), 2),
-                                  withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig9Topology(), 2))
+                      .run(withPolicy(PolicyKind::kCompatible));
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
@@ -188,8 +187,8 @@ TEST(Fig9, StaticWithTwoQueuesCompletes)
     // and C2, then messages A and B can each be assigned to a separate
     // queue statically, and no deadlock will occur."
     Program p = algos::fig9Program();
-    RunResult r = simulateProgram(p, spec(algos::fig9Topology(), 2),
-                                  withPolicy(PolicyKind::kStatic));
+    RunResult r = SimSession(p, spec(algos::fig9Topology(), 2))
+                      .run(withPolicy(PolicyKind::kStatic));
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.error;
 }
 
@@ -200,8 +199,8 @@ TEST(Fig9, StaticWithTwoQueuesCompletes)
 TEST(Fig2, ProducesPaperOutputs)
 {
     Program p = algos::fig2FirProgram();
-    RunResult r = simulateProgram(p, spec(algos::fig2Topology(), 2),
-                                  withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig2Topology(), 2))
+                      .run(withPolicy(PolicyKind::kCompatible));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     // y1 = 3*1 + 5*2 + 7*3 = 34; y2 = 3*2 + 5*3 + 7*4 = 49.
     auto ya = *p.messageByName("YA");
@@ -215,8 +214,8 @@ TEST(Fig2, RunsEvenWithOneQueuePerLink)
     // The FIR schedule never needs two queues at once in the same
     // direction group under the section 6 labels.
     Program p = algos::fig2FirProgram();
-    RunResult r = simulateProgram(p, spec(algos::fig2Topology(), 2, 1),
-                                  withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig2Topology(), 2, 1))
+                      .run(withPolicy(PolicyKind::kCompatible));
     EXPECT_EQ(r.status, RunStatus::kCompleted);
 }
 
@@ -229,8 +228,8 @@ TEST(Fig6, RingCycleCompletes)
     Program p = algos::fig6CycleProgram();
     for (PolicyKind kind : {PolicyKind::kCompatible, PolicyKind::kStatic,
                             PolicyKind::kFcfs}) {
-        RunResult r = simulateProgram(p, spec(algos::fig6Topology(), 1),
-                                      withPolicy(kind));
+        RunResult r =
+            SimSession(p, spec(algos::fig6Topology(), 1)).run(withPolicy(kind));
         EXPECT_EQ(r.status, RunStatus::kCompleted)
             << sim::policyKindName(kind);
     }

@@ -8,7 +8,7 @@
 #include "algos/fir.h"
 #include "algos/paper_figures.h"
 #include "core/program_gen.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 namespace syscomm {
 namespace {
@@ -22,7 +22,7 @@ TEST(Stats, WordAccountingOnFir)
     MachineSpec spec;
     spec.topo = algos::firTopology(4);
     spec.queuesPerLink = 2;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
 
     std::int64_t words = 0;
@@ -49,7 +49,7 @@ TEST(Stats, ForwardingAccountingMultiHop)
     MachineSpec spec;
     spec.topo = Topology::linearArray(4);
     spec.queuesPerLink = 1;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     // 5 words over 3 hops: 2 internal moves each.
     EXPECT_EQ(r.stats.wordsForwarded, 10);
@@ -64,7 +64,7 @@ TEST(Stats, PerCellBlockedSumsToTotal)
     MachineSpec spec;
     spec.topo = algos::fig7Topology();
     spec.queuesPerLink = 1;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     Cycle sum = 0;
     for (Cycle c : r.stats.perCellBlocked)
@@ -83,7 +83,7 @@ TEST(Stats, QueueBusyNeverExceedsCyclesTimesQueues)
     MachineSpec spec;
     spec.topo = topo;
     spec.queuesPerLink = 2;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_LE(r.stats.queueBusyCycles,
               r.cycles * topo.numLinks() * spec.queuesPerLink);
@@ -100,7 +100,7 @@ TEST(Stats, RequestWaitAccumulates)
     MachineSpec spec;
     spec.topo = algos::fig7Topology();
     spec.queuesPerLink = 1;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_GT(r.stats.requestWaitCycles, 0);
     EXPECT_GT(r.stats.avgRequestWait(), 0.0);
@@ -112,7 +112,7 @@ TEST(Stats, SummaryMentionsKeyCounters)
     MachineSpec spec;
     spec.topo = algos::fig2Topology();
     spec.queuesPerLink = 2;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     std::string s = r.stats.summary();
     EXPECT_NE(s.find("cycles:"), std::string::npos);
@@ -127,9 +127,9 @@ TEST(Stats, MaxCyclesStatusWhenBudgetTooSmall)
     MachineSpec spec;
     spec.topo = algos::firTopology(3);
     spec.queuesPerLink = 2;
-    sim::SimOptions options;
-    options.maxCycles = 10; // far too few
-    sim::RunResult r = sim::simulateProgram(p, spec, options);
+    sim::RunRequest request;
+    request.maxCycles = 10; // far too few
+    sim::RunResult r = sim::SimSession(p, spec).run(request);
     EXPECT_EQ(r.status, RunStatus::kMaxCycles);
     EXPECT_EQ(r.cycles, 10);
 }

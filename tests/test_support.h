@@ -17,6 +17,19 @@
 
 namespace syscomm {
 
+/**
+ * A default RunRequest that materializes every result vector (events,
+ * releases, message timing, received values) but not the audit.
+ * Tests that read those vectors start from it, so no assertion
+ * compares two vectors that were simply never collected.
+ */
+inline const sim::RunRequest kVectorsRequest = [] {
+    sim::RunRequest request;
+    request.collect = sim::Collect::kEvents | sim::Collect::kReleases |
+                      sim::Collect::kMsgTiming | sim::Collect::kReceived;
+    return request;
+}();
+
 /** Field-by-field equality of two results (bit-identical contract). */
 inline void
 expectSameRunResult(const sim::RunResult& a, const sim::RunResult& b,

@@ -13,15 +13,17 @@
 #include "core/compile.h"
 #include "core/label_verify.h"
 #include "core/program_gen.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 
 namespace syscomm {
 namespace {
 
+using sim::Collect;
 using sim::PolicyKind;
+using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
-using sim::SimOptions;
+using sim::SimSession;
 
 std::int64_t
 totalWords(const Program& p)
@@ -89,10 +91,10 @@ TEST_P(Theorem1, CompatibleAlwaysCompletes)
             continue;
         }
 
-        SimOptions options;
-        options.labels = plan.normalizedLabels;
-        options.audit = true;
-        RunResult r = sim::simulateProgram(p, machine, options);
+        RunRequest request;
+        request.labels = plan.normalizedLabels;
+        request.collect = Collect::kAll;
+        RunResult r = SimSession(p, machine).run(request);
         ASSERT_EQ(r.status, RunStatus::kCompleted)
             << topology.name() << " queues=" << param.queues
             << " cap=" << param.capacity << " seed=" << seed << "\n"
@@ -138,10 +140,10 @@ TEST(Theorem1Baselines, UnsafePoliciesNeverMisdeliver)
         machine.topo = topology;
         machine.queuesPerLink = 1; // scarce: provoke misassignment
         for (PolicyKind kind : {PolicyKind::kFcfs, PolicyKind::kRandom}) {
-            SimOptions options;
-            options.policy = kind;
-            options.seed = seed;
-            RunResult r = sim::simulateProgram(p, machine, options);
+            RunRequest request;
+            request.policy = kind;
+            request.seed = seed;
+            RunResult r = SimSession(p, machine).run(request);
             ASSERT_NE(r.status, RunStatus::kConfigError);
             ASSERT_NE(r.status, RunStatus::kMaxCycles);
             if (r.status == RunStatus::kCompleted)
@@ -170,10 +172,10 @@ TEST(Theorem1Baselines, EagerReservationAlsoSafe)
         CompilePlan plan = compileProgram(p, machine);
         if (!plan.ok)
             continue;
-        SimOptions options;
-        options.policy = PolicyKind::kCompatibleEager;
-        options.labels = plan.normalizedLabels;
-        RunResult r = sim::simulateProgram(p, machine, options);
+        RunRequest request;
+        request.policy = PolicyKind::kCompatibleEager;
+        request.labels = plan.normalizedLabels;
+        RunResult r = SimSession(p, machine).run(request);
         EXPECT_EQ(r.status, RunStatus::kCompleted) << "seed " << seed;
     }
 }
@@ -191,9 +193,9 @@ TEST(Theorem1Baselines, StaticSafeWhenFeasible)
         MachineSpec machine;
         machine.topo = topology;
         machine.queuesPerLink = 6; // enough for a dedicated queue each
-        SimOptions options;
-        options.policy = PolicyKind::kStatic;
-        RunResult r = sim::simulateProgram(p, machine, options);
+        RunRequest request;
+        request.policy = PolicyKind::kStatic;
+        RunResult r = SimSession(p, machine).run(request);
         EXPECT_EQ(r.status, RunStatus::kCompleted) << "seed " << seed;
     }
 }

@@ -8,8 +8,8 @@
 
 #include "algos/fir.h"
 #include "algos/paper_figures.h"
-#include "sim/machine.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -28,7 +28,7 @@ fig7Machine(int queues = 1)
 TEST(Trace, ReleasesMatchAssignments)
 {
     Program p = algos::fig7Program();
-    sim::RunResult r = sim::simulateProgram(p, fig7Machine());
+    sim::RunResult r = sim::SimSession(p, fig7Machine()).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     // Every assignment is eventually released on completion.
     EXPECT_EQ(r.events.size(), r.releases.size());
@@ -40,7 +40,7 @@ TEST(Trace, TimelineShowsMessagesAndFreeTime)
 {
     Program p = algos::fig7Program();
     MachineSpec spec = fig7Machine();
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     std::string timeline = sim::renderQueueTimeline(r, p, spec);
     // All three links appear.
@@ -60,7 +60,7 @@ TEST(Trace, TimelineWidthIsBounded)
     MachineSpec spec;
     spec.topo = algos::firTopology(3);
     spec.queuesPerLink = 2;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     std::string timeline = sim::renderQueueTimeline(r, p, spec, 40);
     for (std::size_t pos = timeline.find('\n');
@@ -76,7 +76,7 @@ TEST(Trace, TimelineWidthIsBounded)
 TEST(Trace, MessageLatenciesAreOrdered)
 {
     Program p = algos::fig7Program();
-    sim::RunResult r = sim::simulateProgram(p, fig7Machine());
+    sim::RunResult r = sim::SimSession(p, fig7Machine()).run(kVectorsRequest);
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     for (MessageId m = 0; m < p.numMessages(); ++m) {
         auto [sent, received] = r.msgTiming[m];
@@ -95,9 +95,9 @@ TEST(Trace, MessageLatenciesAreOrdered)
 TEST(Trace, NeverSentMessagesReported)
 {
     Program p = algos::fig7Program();
-    sim::SimOptions options;
-    options.policy = sim::PolicyKind::kFcfs;
-    sim::RunResult r = sim::simulateProgram(p, fig7Machine(), options);
+    sim::RunRequest request = kVectorsRequest;
+    request.policy = sim::PolicyKind::kFcfs;
+    sim::RunResult r = sim::SimSession(p, fig7Machine()).run(request);
     ASSERT_EQ(r.status, RunStatus::kDeadlocked);
     // C never gets its last queue under FCFS; B's words never reach C4.
     auto b = *p.messageByName("B");
@@ -118,7 +118,7 @@ TEST(Trace, IdealCyclesLowerBoundsConstrainedRuns)
     spec.topo = topo;
     spec.queuesPerLink = 2;
     spec.queueCapacity = 1;
-    sim::RunResult r = sim::simulateProgram(p, spec);
+    sim::RunResult r = sim::SimSession(p, spec).run();
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     EXPECT_LE(ideal, r.cycles);
 }

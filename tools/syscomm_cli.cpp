@@ -36,7 +36,7 @@
 #include "serve/json.h"
 #include "serve/lint.h"
 #include "serve/protocol.h"
-#include "sim/machine.h"
+#include "sim/session.h"
 #include "sim/shape_sweep.h"
 #include "text/parser.h"
 
@@ -536,15 +536,16 @@ auditCommand(int argc, char** argv, int argi)
         return 2;
     }
 
-    syscomm::sim::SimOptions options;
-    options.audit = true;
-    options.seed = static_cast<std::uint64_t>(args.seed);
-    options.maxCycles = args.maxCycles;
+    syscomm::sim::SessionOptions options;
+    syscomm::sim::RunRequest request;
+    request.collect = syscomm::sim::Collect::kAll;
+    request.seed = static_cast<std::uint64_t>(args.seed);
+    request.maxCycles = args.maxCycles;
     bool known = false;
     for (int i = 0; i < syscomm::sim::kNumPolicyKinds; ++i) {
         const auto kind = static_cast<syscomm::sim::PolicyKind>(i);
         if (args.policy == syscomm::sim::policyKindName(kind)) {
-            options.policy = kind;
+            request.policy = kind;
             known = true;
             break;
         }
@@ -571,7 +572,8 @@ auditCommand(int argc, char** argv, int argi)
     spec.extensionCapacity = static_cast<int>(args.extension);
     spec.extensionPenalty = static_cast<int>(args.penalty);
     const syscomm::sim::RunResult result =
-        syscomm::sim::simulateProgram(parsed.program, spec, options);
+        syscomm::sim::SimSession(parsed.program, spec, options)
+            .run(request);
 
     const bool ok = result.completed() && result.audit.compatible;
     JsonValue out = JsonValue::object();

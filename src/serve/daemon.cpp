@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -54,21 +55,23 @@ parseLintMode(const std::string& name, DaemonOptions::LintMode& out)
     return false;
 }
 
-/** One admitted submission, pinned for the daemon's lifetime. */
-struct SyscommDaemon::Sub
+/**
+ * What only execution reads. A submission holds it while it is
+ * waiting, compiling or running; the terminal transition releases it
+ * (retireLocked), so a finished submission costs its record, not its
+ * program.
+ */
+struct SyscommDaemon::Live
 {
-    std::string id;
-    SubmissionState state = SubmissionState::kWaiting;
-    /** Parsed payload; meaningless for terminal spool-recovered
-     *  entries (payloadValid false), which never execute again. */
     Submission payload;
-    bool payloadValid = false;
-    /** The original submit request line (what the spool persists). */
-    std::string rawLine;
     /** Sweep journal path; "" = not journaled (no spool / not a sweep). */
     std::string journalPath;
-    /** Terminal result body (the result verb's "result" member). */
-    JsonValue result;
+    /**
+     * Admission-time lint report (--lint=warn|enforce), rendered once
+     * at admission and moved onto the terminal result by finish();
+     * null when the analyzer found nothing. Immutable until then.
+     */
+    JsonValue lint;
     /**
      * Stop request for in-flight work: set on cancel and on drain,
      * polled by ShapeSweep (stopFlag) and the run slice loop.
@@ -80,15 +83,6 @@ struct SyscommDaemon::Sub
     bool cachedCompile = false;
     /** Last pause-slice cycle count of a single run (daemon mutex). */
     Cycle executedCycles = 0;
-    /** Client-supplied dedup key; "" = none (daemon mutex). */
-    std::string idempotencyKey;
-    /**
-     * Admission-time lint report (--lint=warn|enforce), rendered once
-     * at admission and stamped onto the terminal result by finish().
-     * Immutable after admission.
-     */
-    JsonValue lint;
-    bool hasLint = false;
     /**
      * Wall time (steady ms) of the last slice boundary of a single
      * run; 0 while not running. The watchdog compares it to now.
@@ -96,6 +90,39 @@ struct SyscommDaemon::Sub
     std::atomic<std::int64_t> lastProgressMs{0};
     /** Set by the watchdog; the slice loop turns it into kError. */
     std::atomic<bool> watchdogFired{false};
+};
+
+/**
+ * One admitted submission. The record (id, state, result, key) stays
+ * for the daemon's lifetime; `live` exists exactly while the state is
+ * not terminal. Fields are guarded by the daemon mutex, except that
+ * the worker executing a submission reads `live` without it: only
+ * that worker can retire a submission that has left the queue.
+ */
+struct SyscommDaemon::Sub
+{
+    std::string id;
+    SubmissionState state = SubmissionState::kWaiting;
+    /** Terminal result body (the result verb's "result" member). */
+    JsonValue result;
+    /** Client-supplied dedup key; "" = none. */
+    std::string idempotencyKey;
+    std::unique_ptr<Live> live;
+};
+
+/** One accepted connection and the thread serving it, which holds
+ *  the entry's address. */
+struct SyscommDaemon::Client
+{
+    Client() = default;
+    Client(const Client&) = delete;
+    Client& operator=(const Client&) = delete;
+
+    /** The connection; -1 once clientLoop closed it (clientMutex_). */
+    int fd = -1;
+    /** clientLoop's last act; acceptLoop then joins (clientMutex_). */
+    bool done = false;
+    std::thread thread;
 };
 
 namespace {
@@ -284,10 +311,10 @@ SyscommDaemon::requestDrain()
     if (!control_.advance(ServiceWant::kServe, ServiceWant::kDrain))
         control_.advance(ServiceWant::kReload, ServiceWant::kDrain);
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [id, sub] : subs_) {
+    for (auto& [id, sub] : liveSubs_) {
         if (sub->state == SubmissionState::kCompiling ||
             sub->state == SubmissionState::kRunning)
-            sub->stop.store(true, std::memory_order_relaxed);
+            sub->live->stop.store(true, std::memory_order_relaxed);
     }
     workCv_.notify_all();
 }
@@ -316,6 +343,7 @@ SyscommDaemon::stop()
     }
     control_.set(ServiceWant::kStop);
     workCv_.notify_all();
+    watchdogCv_.notify_all();
     idleCv_.notify_all();
     if (wakePipe_[1] >= 0) {
         char byte = 'x';
@@ -327,16 +355,17 @@ SyscommDaemon::stop()
         watchdogThread_.join();
     {
         std::lock_guard<std::mutex> lock(clientMutex_);
-        for (int fd : clientFds_) {
-            if (fd >= 0)
-                ::shutdown(fd, SHUT_RDWR);
+        for (const Client& client : clients_) {
+            if (client.fd >= 0)
+                ::shutdown(client.fd, SHUT_RDWR);
         }
     }
-    for (auto& t : clientThreads_) {
-        if (t.joinable())
-            t.join();
-    }
-    clientThreads_.clear();
+    // The accept thread is gone, so the list no longer changes shape;
+    // each client thread takes clientMutex_ on its way out, so join
+    // without holding it.
+    for (Client& client : clients_)
+        client.thread.join();
+    clients_.clear();
     for (auto& t : workerThreads_) {
         if (t.joinable())
             t.join();
@@ -421,23 +450,22 @@ SyscommDaemon::recoverSpool(std::string& error)
             if (n >= nextId_)
                 nextId_ = n + 1;
         }
+        std::string line;
+        std::string ioErr;
+        if (!io_->readFile(spoolFile(id, kSubSuffix), line, ioErr))
+            continue;
         auto sub = std::make_unique<Sub>();
         sub->id = id;
-        std::string ioErr;
-        if (!io_->readFile(spoolFile(id, kSubSuffix), sub->rawLine,
-                           ioErr))
-            continue;
         // Rebuild the idempotency index from the persisted request
         // line, terminal or not: a client retrying across the restart
         // must land on this id, not create a duplicate.
-        {
-            JsonValue raw;
-            std::string rawErr;
-            if (parseJson(sub->rawLine, raw, rawErr)) {
-                sub->idempotencyKey = raw.getString("idempotency_key");
-                if (!sub->idempotencyKey.empty())
-                    idempotency_.emplace(sub->idempotencyKey, id);
-            }
+        JsonValue msg;
+        std::string err;
+        const bool lineParsed = parseJson(line, msg, err);
+        if (lineParsed) {
+            sub->idempotencyKey = msg.getString("idempotency_key");
+            if (!sub->idempotencyKey.empty())
+                idempotency_.emplace(sub->idempotencyKey, id);
         }
 
         std::string doneText;
@@ -445,9 +473,9 @@ SyscommDaemon::recoverSpool(std::string& error)
                           ioErr)) {
             // Finished in a previous life: re-index the result.
             JsonValue done;
-            std::string err;
+            std::string doneErr;
             SubmissionState state = SubmissionState::kError;
-            if (parseJson(doneText, done, err) &&
+            if (parseJson(doneText, done, doneErr) &&
                 parseSubmissionState(done.getString("state"), state)) {
                 sub->state = state;
                 const JsonValue* result = done.find("result");
@@ -459,32 +487,61 @@ SyscommDaemon::recoverSpool(std::string& error)
                     "error",
                     JsonValue::str("unreadable done marker"));
             }
-            subs_.emplace(id, std::move(sub));
+            addLocked(std::move(sub));
             continue;
         }
 
         // Unfinished: reparse and requeue. Journaled sweeps resume
         // from their checkpoints; runs re-execute from scratch (they
         // are deterministic, so the client observes no difference).
-        JsonValue msg;
-        std::string err;
-        if (!parseJson(sub->rawLine, msg, err) ||
-            !parseSubmission(msg, sub->payload, err)) {
+        Submission payload;
+        if (!lineParsed || !parseSubmission(msg, payload, err)) {
             sub->state = SubmissionState::kError;
             sub->result = JsonValue::object().set(
                 "error", JsonValue::str("spool recovery: " + err));
             writeDoneMarker(*sub);
-            subs_.emplace(id, std::move(sub));
+            addLocked(std::move(sub));
             continue;
         }
-        sub->payloadValid = true;
-        if (sub->payload.isSweep)
-            sub->journalPath = spoolFile(id, kJournalSuffix);
-        sub->state = SubmissionState::kWaiting;
-        queue_.push_back(sub.get());
-        subs_.emplace(id, std::move(sub));
+        sub->live = std::make_unique<Live>();
+        if (payload.isSweep)
+            sub->live->journalPath = spoolFile(id, kJournalSuffix);
+        sub->live->payload = std::move(payload);
+        queue_.push_back(addLocked(std::move(sub)));
     }
     return true;
+}
+
+SyscommDaemon::Sub*
+SyscommDaemon::addLocked(std::unique_ptr<Sub> sub)
+{
+    Sub* raw = sub.get();
+    ++stateCounts_[static_cast<int>(raw->state)];
+    if (!submissionStateTerminal(raw->state))
+        liveSubs_.emplace(raw->id, raw);
+    subs_.emplace(raw->id, std::move(sub));
+    return raw;
+}
+
+void
+SyscommDaemon::setStateLocked(Sub& sub, SubmissionState state)
+{
+    --stateCounts_[static_cast<int>(sub.state)];
+    ++stateCounts_[static_cast<int>(state)];
+    sub.state = state;
+    if (submissionStateTerminal(state))
+        liveSubs_.erase(sub.id);
+}
+
+std::unique_ptr<SyscommDaemon::Live>
+SyscommDaemon::retireLocked(Sub& sub, SubmissionState state,
+                            JsonValue result)
+{
+    setStateLocked(sub, state);
+    sub.result = std::move(result);
+    writeDoneMarker(sub);
+    idleCv_.notify_all();
+    return std::move(sub.live);
 }
 
 void
@@ -546,7 +603,7 @@ SyscommDaemon::workerLoop()
                 return;
             sub = queue_.front();
             queue_.pop_front();
-            sub->state = SubmissionState::kCompiling;
+            setStateLocked(*sub, SubmissionState::kCompiling);
             ++active_;
         }
         execute(sub);
@@ -565,25 +622,28 @@ SyscommDaemon::watchdogLoop()
         std::max<std::int64_t>(10, options_.watchdogMs / 4));
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stopping_) {
-        workCv_.wait_for(lock, poll);
+        // Its own condition variable: a submit's notify_one on
+        // workCv_ must always reach a worker.
+        watchdogCv_.wait_for(lock, poll);
         if (stopping_)
             return;
         const std::int64_t now = steadyNowMs();
-        for (auto& [id, sub] : subs_) {
+        for (auto& [id, sub] : liveSubs_) {
             // Single runs only: their slice loop reports progress
             // every sliceCycles. Sweeps legitimately go long between
             // journal checkpoints, so they are not watched.
+            Live& live = *sub->live;
             if (sub->state != SubmissionState::kRunning ||
-                !sub->payloadValid || sub->payload.isSweep)
+                live.payload.isSweep)
                 continue;
-            if (sub->watchdogFired.load(std::memory_order_relaxed))
+            if (live.watchdogFired.load(std::memory_order_relaxed))
                 continue;
             const std::int64_t last =
-                sub->lastProgressMs.load(std::memory_order_relaxed);
+                live.lastProgressMs.load(std::memory_order_relaxed);
             if (last > 0 && now - last > options_.watchdogMs) {
-                sub->watchdogFired.store(true,
+                live.watchdogFired.store(true,
                                          std::memory_order_relaxed);
-                sub->stop.store(true, std::memory_order_relaxed);
+                live.stop.store(true, std::memory_order_relaxed);
                 ++watchdogFired_;
             }
         }
@@ -594,21 +654,21 @@ void
 SyscommDaemon::finish(Sub* sub, SubmissionState state,
                       JsonValue result)
 {
+    std::unique_ptr<Live> released;
     std::lock_guard<std::mutex> lock(mutex_);
-    sub->state = state;
     // --lint=warn rides along: the submission was served anyway, but
     // its result carries the admission-time diagnostics.
-    if (sub->hasLint)
-        result.set("lint", sub->lint);
-    sub->result = std::move(result);
-    writeDoneMarker(*sub);
-    idleCv_.notify_all();
+    if (!sub->live->lint.isNull())
+        result.set("lint", std::move(sub->live->lint));
+    released = retireLocked(*sub, state, std::move(result));
+    // `lock` unlocks before `released` frees the payload.
 }
 
 void
 SyscommDaemon::execute(Sub* sub)
 {
-    Submission& payload = sub->payload;
+    Live& live = *sub->live;
+    const Submission& payload = live.payload;
     const std::uint64_t key = CompileCache::keyFor(
         payload.program, payload.topo, payload.programVersion);
     // The cache consumes copies: a drain can park this submission and
@@ -617,7 +677,7 @@ SyscommDaemon::execute(Sub* sub)
     CachedProgram entry =
         cache_.get(key, Program(payload.program),
                    SharedTopology(Topology(payload.topo)), &wasHit);
-    sub->cachedCompile = wasHit;
+    live.cachedCompile = wasHit;
 
     if (!entry.compiled->valid()) {
         finish(sub, SubmissionState::kError,
@@ -626,20 +686,19 @@ SyscommDaemon::execute(Sub* sub)
         return;
     }
     {
+        std::unique_ptr<Live> released;
         std::lock_guard<std::mutex> lock(mutex_);
-        if (sub->cancelRequested) {
-            sub->state = SubmissionState::kCancelled;
-            sub->result = JsonValue::object();
-            writeDoneMarker(*sub);
-            idleCv_.notify_all();
+        if (live.cancelRequested) {
+            released = retireLocked(*sub, SubmissionState::kCancelled,
+                                    JsonValue::object());
             return;
         }
-        sub->state = SubmissionState::kRunning;
+        setStateLocked(*sub, SubmissionState::kRunning);
         // 0 = "no slice boundary seen yet"; the watchdog ignores it,
         // so a submission re-queued after a park can never be judged
         // by a stale timestamp from its previous execution.
-        sub->lastProgressMs.store(0, std::memory_order_relaxed);
-        sub->watchdogFired.store(false, std::memory_order_relaxed);
+        live.lastProgressMs.store(0, std::memory_order_relaxed);
+        live.watchdogFired.store(false, std::memory_order_relaxed);
     }
     if (payload.isSweep)
         executeSweep(sub, entry);
@@ -650,7 +709,8 @@ SyscommDaemon::execute(Sub* sub)
 void
 SyscommDaemon::executeRun(Sub* sub, const CachedProgram& entry)
 {
-    const Submission& payload = sub->payload;
+    Live& live = *sub->live;
+    const Submission& payload = live.payload;
     MachineSpec spec;
     spec.topo = entry.compiled->sharedTopo();
     const sim::ShapeSpec& shape = payload.shapes[0];
@@ -674,25 +734,25 @@ SyscommDaemon::executeRun(Sub* sub, const CachedProgram& entry)
     // is bit-exact by contract).
     sim::RunRequest request = payload.requests[0];
     request.pauseAt = std::min(slice, budget);
-    sub->lastProgressMs.store(steadyNowMs(),
+    live.lastProgressMs.store(steadyNowMs(),
                               std::memory_order_relaxed);
     sim::RunResult result = session.run(request);
     while (result.status == sim::RunStatus::kPaused) {
-        sub->lastProgressMs.store(steadyNowMs(),
+        live.lastProgressMs.store(steadyNowMs(),
                                   std::memory_order_relaxed);
         bool cancelled = false;
         bool draining = false;
         bool watchdogged = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            sub->executedCycles = result.cycles;
-            if (sub->stop.load(std::memory_order_relaxed)) {
+            live.executedCycles = result.cycles;
+            if (live.stop.load(std::memory_order_relaxed)) {
                 // Watchdog verdicts outrank cancel/drain: the run
                 // overshot its slice deadline and fails explicitly,
                 // never silently requeues.
-                watchdogged = sub->watchdogFired.load(
+                watchdogged = live.watchdogFired.load(
                     std::memory_order_relaxed);
-                cancelled = !watchdogged && sub->cancelRequested;
+                cancelled = !watchdogged && live.cancelRequested;
                 draining = !watchdogged && !cancelled;
             }
         }
@@ -721,7 +781,7 @@ SyscommDaemon::executeRun(Sub* sub, const CachedProgram& entry)
             // from scratch, which is observably identical because
             // runs are deterministic.
             std::lock_guard<std::mutex> lock(mutex_);
-            sub->state = SubmissionState::kWaiting;
+            setStateLocked(*sub, SubmissionState::kWaiting);
             queue_.push_front(sub);
             idleCv_.notify_all();
             return;
@@ -741,14 +801,15 @@ SyscommDaemon::executeRun(Sub* sub, const CachedProgram& entry)
     }
 
     JsonValue body = runResultJson(result, session.machineDigest());
-    body.set("cached_compile", JsonValue::boolean(sub->cachedCompile));
+    body.set("cached_compile", JsonValue::boolean(live.cachedCompile));
     finish(sub, submissionStateForRun(result.status), std::move(body));
 }
 
 void
 SyscommDaemon::executeSweep(Sub* sub, const CachedProgram& entry)
 {
-    const Submission& payload = sub->payload;
+    Live& live = *sub->live;
+    const Submission& payload = live.payload;
     sim::ShapeSweepOptions sweepOptions;
     sweepOptions.session.kernel = payload.kernel;
     // A sweep parallelizes inside its daemon worker: the operator's
@@ -764,12 +825,12 @@ SyscommDaemon::executeSweep(Sub* sub, const CachedProgram& entry)
         (sweepWorkers <= 0 || payload.sweepWorkers < sweepWorkers))
         sweepWorkers = payload.sweepWorkers;
     sweepOptions.numWorkers = sweepWorkers;
-    sweepOptions.journalPath = sub->journalPath;
+    sweepOptions.journalPath = live.journalPath;
     sweepOptions.checkpointEvery = payload.checkpointEvery > 0
                                        ? payload.checkpointEvery
                                        : options_.sweepCheckpointEvery;
     sweepOptions.programVersion = payload.programVersion;
-    sweepOptions.stopFlag = &sub->stop;
+    sweepOptions.stopFlag = &live.stop;
     sweepOptions.io = io_;
     sweepOptions.fsyncEveryRecord =
         options_.fsyncPolicy == FsyncPolicy::kAlways;
@@ -800,7 +861,7 @@ SyscommDaemon::executeSweep(Sub* sub, const CachedProgram& entry)
         bool cancelled = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            cancelled = sub->cancelRequested;
+            cancelled = live.cancelRequested;
         }
         if (cancelled) {
             finish(sub, SubmissionState::kCancelled,
@@ -811,7 +872,7 @@ SyscommDaemon::executeSweep(Sub* sub, const CachedProgram& entry)
         // a restarted daemon (or this one, were it un-drained)
         // resumes from the journal.
         std::lock_guard<std::mutex> lock(mutex_);
-        sub->state = SubmissionState::kWaiting;
+        setStateLocked(*sub, SubmissionState::kWaiting);
         queue_.push_front(sub);
         idleCv_.notify_all();
         return;
@@ -850,7 +911,7 @@ SyscommDaemon::executeSweep(Sub* sub, const CachedProgram& entry)
     body.set("sweep_workers",
              JsonValue::integer(result.workersUsed));
     body.set("cached_compile",
-             JsonValue::boolean(sub->cachedCompile));
+             JsonValue::boolean(live.cachedCompile));
     finish(sub, SubmissionState::kCompleted, std::move(body));
 }
 
@@ -888,17 +949,44 @@ SyscommDaemon::acceptLoop()
             int fd = ::accept(fds[i].fd, nullptr, nullptr);
             if (fd < 0)
                 continue;
+            reapClients();
             std::lock_guard<std::mutex> lock(clientMutex_);
-            clientFds_.push_back(fd);
-            clientThreads_.emplace_back(&SyscommDaemon::clientLoop,
-                                        this, fd);
+            Client& client = clients_.emplace_back();
+            client.fd = fd;
+            try {
+                client.thread = std::thread(&SyscommDaemon::clientLoop,
+                                            this, &client);
+            } catch (const std::system_error&) {
+                // Out of threads or address space: drop this one
+                // connection and keep serving the others.
+                clients_.pop_back();
+                ::close(fd);
+            }
         }
     }
 }
 
 void
-SyscommDaemon::clientLoop(int fd)
+SyscommDaemon::reapClients()
 {
+    std::list<Client> finished;
+    {
+        std::lock_guard<std::mutex> lock(clientMutex_);
+        for (auto it = clients_.begin(); it != clients_.end();) {
+            auto next = std::next(it);
+            if (it->done)
+                finished.splice(finished.end(), clients_, it);
+            it = next;
+        }
+    }
+    for (Client& client : finished)
+        client.thread.join();
+}
+
+void
+SyscommDaemon::clientLoop(Client* client)
+{
+    const int fd = client->fd;
     std::string pending;
     char buf[4096];
     for (;;) {
@@ -938,11 +1026,11 @@ SyscommDaemon::clientLoop(int fd)
     {
         // Mark dead before closing: stop() only shutdown()s live
         // entries, so a recycled fd number can never be hit twice.
+        // Nothing touches *client after this block: the accept loop
+        // may join this thread and free the entry.
         std::lock_guard<std::mutex> lock(clientMutex_);
-        auto it =
-            std::find(clientFds_.begin(), clientFds_.end(), fd);
-        if (it != clientFds_.end())
-            *it = -1;
+        client->fd = -1;
+        client->done = true;
     }
     ::close(fd);
 }
@@ -1015,15 +1103,15 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
                               "daemon is not accepting submissions");
     }
 
-    auto sub = std::make_unique<Sub>();
+    auto live = std::make_unique<Live>();
     std::string err;
-    if (!parseSubmission(msg, sub->payload, err)) {
+    if (!parseSubmission(msg, live->payload, err)) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++rejectedBadRequest_;
         return rejectResponse("bad_request", err);
     }
-    sub->payloadValid = true;
-    sub->rawLine = line;
+    const Submission& p = live->payload;
+    const std::string& key = p.idempotencyKey;
 
     // Admission-time static analysis (--lint). Runs before the daemon
     // lock — the compile cache carries its own locking and in-flight
@@ -1034,24 +1122,11 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
     // of an already-admitted key must stay a read even under enforce,
     // so the index is probed first and re-checked at admission.
     if (options_.lintMode != DaemonOptions::LintMode::kOff) {
-        const Submission& p = sub->payload;
-        if (!p.idempotencyKey.empty()) {
+        if (!key.empty()) {
             std::lock_guard<std::mutex> lock(mutex_);
-            auto known = idempotency_.find(p.idempotencyKey);
-            if (known != idempotency_.end()) {
-                auto existing = subs_.find(known->second);
-                if (existing != subs_.end()) {
-                    JsonValue response = JsonValue::object();
-                    response.set("ok", JsonValue::boolean(true));
-                    response.set("id", JsonValue::str(known->second));
-                    response.set("state",
-                                 JsonValue::str(submissionStateName(
-                                     existing->second->state)));
-                    response.set("deduplicated",
-                                 JsonValue::boolean(true));
-                    return response;
-                }
-            }
+            JsonValue known = dedupResponseLocked(key);
+            if (!known.isNull())
+                return known;
         }
         // A sweep is analyzed at its most generously buffered rung: a
         // deadlock witness holds a fortiori at every smaller capacity
@@ -1088,13 +1163,13 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
                 return response;
             }
             if (!report->diagnostics.empty() ||
-                report->verdict != LintVerdict::kCertified) {
-                sub->lint = lintReportJson(*report, p.program);
-                sub->hasLint = true;
-            }
+                report->verdict != LintVerdict::kCertified)
+                live->lint = lintReportJson(*report, p.program);
         }
     }
 
+    // Declared after `live`: every early return unlocks before the
+    // rejected payload is freed.
     std::lock_guard<std::mutex> lock(mutex_);
     // Idempotent resubmission: a key we have already admitted (this
     // life or a previous one — the index is rebuilt from the spool)
@@ -1102,24 +1177,10 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
     // Checked before every other rejection: a retry of an admitted
     // submission must succeed even degraded or queue-full, it is a
     // read.
-    const std::string& key = sub->payload.idempotencyKey;
     if (!key.empty()) {
-        auto known = idempotency_.find(key);
-        if (known != idempotency_.end()) {
-            auto existing = subs_.find(known->second);
-            if (existing != subs_.end()) {
-                JsonValue response = JsonValue::object();
-                response.set("ok", JsonValue::boolean(true));
-                response.set("id", JsonValue::str(known->second));
-                response.set(
-                    "state",
-                    JsonValue::str(submissionStateName(
-                        existing->second->state)));
-                response.set("deduplicated",
-                             JsonValue::boolean(true));
-                return response;
-            }
-        }
+        JsonValue known = dedupResponseLocked(key);
+        if (!known.isNull())
+            return known;
     }
     if (degraded_) {
         // Reject-new/serve-reads mode: the spool cannot persist new
@@ -1141,10 +1202,9 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
                 std::to_string(queue_.size()) + ")");
     }
     const std::string id = makeId(nextId_++);
-    sub->id = id;
     if (!options_.spoolDir.empty()) {
-        if (sub->payload.isSweep)
-            sub->journalPath = spoolFile(id, kJournalSuffix);
+        if (p.isSweep)
+            live->journalPath = spoolFile(id, kJournalSuffix);
         // Persist before acknowledging: an id we returned must be an
         // id a restarted daemon still knows.
         std::string ioErr;
@@ -1158,12 +1218,13 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
         }
         clearDegradedLocked();
     }
+    auto sub = std::make_unique<Sub>();
+    sub->id = id;
     sub->idempotencyKey = key;
     if (!key.empty())
         idempotency_.emplace(key, id);
-    Sub* raw = sub.get();
-    subs_.emplace(id, std::move(sub));
-    queue_.push_back(raw);
+    sub->live = std::move(live);
+    queue_.push_back(addLocked(std::move(sub)));
     workCv_.notify_one();
 
     JsonValue response = JsonValue::object();
@@ -1174,6 +1235,24 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
     response.set("description",
                  JsonValue::str(submissionStateDescription(
                      SubmissionState::kWaiting)));
+    return response;
+}
+
+JsonValue
+SyscommDaemon::dedupResponseLocked(const std::string& key) const
+{
+    auto known = idempotency_.find(key);
+    if (known == idempotency_.end())
+        return JsonValue();
+    auto existing = subs_.find(known->second);
+    if (existing == subs_.end())
+        return JsonValue();
+    JsonValue response = JsonValue::object();
+    response.set("ok", JsonValue::boolean(true));
+    response.set("id", JsonValue::str(known->second));
+    response.set("state", JsonValue::str(submissionStateName(
+                              existing->second->state)));
+    response.set("deduplicated", JsonValue::boolean(true));
     return response;
 }
 
@@ -1210,12 +1289,12 @@ SyscommDaemon::handleLint(const JsonValue& msg)
 }
 
 bool
-SyscommDaemon::journalProgress(const Sub& sub, JsonValue& out)
+SyscommDaemon::journalProgress(const Live& live, JsonValue& out)
 {
-    if (sub.journalPath.empty())
+    if (live.journalPath.empty())
         return false;
     sim::SweepJournalInfo info;
-    if (!sim::inspectSweepJournal(sub.journalPath, info))
+    if (!sim::inspectSweepJournal(live.journalPath, info))
         return false;
     out = JsonValue::object();
     out.set("rows_done", JsonValue::integer(static_cast<std::int64_t>(
@@ -1257,16 +1336,18 @@ SyscommDaemon::handleStatus(const JsonValue& msg)
                  JsonValue::str(submissionStateDescription(sub.state)));
     response.set("terminal", JsonValue::boolean(
                                  submissionStateTerminal(sub.state)));
+    if (sub.live == nullptr)
+        return response;
     if (sub.state == SubmissionState::kRunning &&
-        sub.payloadValid && !sub.payload.isSweep)
-        response.set("cycles", JsonValue::integer(sub.executedCycles));
+        !sub.live->payload.isSweep)
+        response.set("cycles",
+                     JsonValue::integer(sub.live->executedCycles));
     // Journal-backed progress for a sweep, live or parked: rows done
     // plus each in-flight row's checkpoint header. Reading the
     // journal while the sweep appends is safe — a torn tail parses
     // as "everything sound before it", same as a resume would see.
     JsonValue progress;
-    if (!submissionStateTerminal(sub.state) &&
-        journalProgress(sub, progress))
+    if (journalProgress(*sub.live, progress))
         response.set("progress", std::move(progress));
     return response;
 }
@@ -1300,6 +1381,7 @@ JsonValue
 SyscommDaemon::handleCancel(const JsonValue& msg)
 {
     const std::string id = msg.getString("id");
+    std::unique_ptr<Live> released;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = subs_.find(id);
     if (it == subs_.end())
@@ -1316,15 +1398,13 @@ SyscommDaemon::handleCancel(const JsonValue& msg)
     if (sub.state == SubmissionState::kWaiting) {
         queue_.erase(std::remove(queue_.begin(), queue_.end(), &sub),
                      queue_.end());
-        sub.state = SubmissionState::kCancelled;
-        sub.result = JsonValue::object();
-        writeDoneMarker(sub);
-        idleCv_.notify_all();
+        released = retireLocked(sub, SubmissionState::kCancelled,
+                                JsonValue::object());
     } else {
         // In flight: ask it to stop; the worker finishes the
         // transition at its next slice/checkpoint.
-        sub.cancelRequested = true;
-        sub.stop.store(true, std::memory_order_relaxed);
+        sub.live->cancelRequested = true;
+        sub.live->stop.store(true, std::memory_order_relaxed);
     }
     response.set("ok", JsonValue::boolean(true));
     response.set("id", JsonValue::str(id));
@@ -1351,14 +1431,12 @@ SyscommDaemon::statsJson()
     response.set("ok", JsonValue::boolean(true));
     response.set("control", JsonValue::str(control_.status()));
 
-    int counts[kNumSubmissionStates] = {};
-    for (const auto& [id, sub] : subs_)
-        ++counts[static_cast<int>(sub->state)];
     JsonValue states = JsonValue::object();
     for (int i = 0; i < kNumSubmissionStates; ++i)
         states.set(
             submissionStateName(static_cast<SubmissionState>(i)),
-            JsonValue::integer(counts[i]));
+            JsonValue::integer(
+                static_cast<std::int64_t>(stateCounts_[i])));
     response.set("submissions", std::move(states));
 
     JsonValue queue = JsonValue::object();
@@ -1415,11 +1493,9 @@ SyscommDaemon::statsJson()
     // (or killed-and-restarted) daemon reports parked work without
     // opening a single session.
     JsonValue sweeps = JsonValue::array();
-    for (const auto& [id, sub] : subs_) {
-        if (submissionStateTerminal(sub->state))
-            continue;
+    for (const auto& [id, sub] : liveSubs_) {
         JsonValue progress;
-        if (!journalProgress(*sub, progress))
+        if (!journalProgress(*sub->live, progress))
             continue;
         JsonValue entry = JsonValue::object();
         entry.set("id", JsonValue::str(id));

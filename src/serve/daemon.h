@@ -38,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -192,7 +193,25 @@ class SyscommDaemon
     JsonValue statsJson();
 
   private:
+    struct Live;
     struct Sub;
+    struct Client;
+
+    // -- submission index (mutex_ must be held) --------------------
+    /** Index @p sub under its current state; returns it. */
+    Sub* addLocked(std::unique_ptr<Sub> sub);
+    /** Move @p sub to @p state, keeping the state tally and the live
+     *  set current. */
+    void setStateLocked(Sub& sub, SubmissionState state);
+    /**
+     * Terminal transition: record @p state and @p result, write the
+     * done marker, wake waitIdle, and hand back the live part. The
+     * caller destroys it after unlocking.
+     */
+    std::unique_ptr<Live> retireLocked(Sub& sub, SubmissionState state,
+                                       JsonValue result);
+    /** A dedup hit's answer for @p key; null when the key is new. */
+    JsonValue dedupResponseLocked(const std::string& key) const;
 
     // -- spool ----------------------------------------------------
     std::string spoolFile(const std::string& id,
@@ -209,12 +228,14 @@ class SyscommDaemon
     void execute(Sub* sub);
     void executeRun(Sub* sub, const CachedProgram& entry);
     void executeSweep(Sub* sub, const CachedProgram& entry);
-    /** Terminal transition + done marker + idle wakeup. */
+    /** Stamp the lint report onto @p result, then retire @p sub. */
     void finish(Sub* sub, SubmissionState state, JsonValue result);
 
     // -- protocol -------------------------------------------------
     void acceptLoop();
-    void clientLoop(int fd);
+    /** Join the client threads that have finished. */
+    void reapClients();
+    void clientLoop(Client* client);
     std::string handleLine(const std::string& line);
     JsonValue handleSubmit(const JsonValue& msg,
                            const std::string& line);
@@ -226,7 +247,7 @@ class SyscommDaemon
     /** Journal-derived progress of a sweep submission (running or
      *  parked): rows done + per-row checkpoint headers, via
      *  inspectSweepJournal — no sessions are opened. */
-    bool journalProgress(const Sub& sub, JsonValue& out);
+    bool journalProgress(const Live& live, JsonValue& out);
 
     DaemonOptions options_;
     ServiceControl control_;
@@ -237,8 +258,13 @@ class SyscommDaemon
     std::mutex mutex_;
     std::condition_variable workCv_;
     std::condition_variable idleCv_;
+    std::condition_variable watchdogCv_;
     /** id -> submission; ids are dense ("s-000001", ...). */
     std::map<std::string, std::unique_ptr<Sub>> subs_;
+    /** The non-terminal subset of subs_, in id order. */
+    std::map<std::string, Sub*> liveSubs_;
+    /** Submissions per state, kept current at every transition. */
+    std::uint64_t stateCounts_[kNumSubmissionStates] = {};
     std::deque<Sub*> queue_;
     /** idempotency key -> id: duplicate submits return the same id. */
     std::map<std::string, std::string> idempotency_;
@@ -269,8 +295,8 @@ class SyscommDaemon
     std::thread watchdogThread_;
     std::vector<std::thread> workerThreads_;
     std::mutex clientMutex_;
-    std::vector<std::thread> clientThreads_;
-    std::vector<int> clientFds_;
+    /** Open connections, plus finished ones not yet joined. */
+    std::list<Client> clients_;
     bool started_ = false;
 };
 

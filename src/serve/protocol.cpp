@@ -274,12 +274,12 @@ parseSubmission(const JsonValue& msg, Submission& out,
     }
     out.isSweep = kind == "sweep";
 
-    out.programText = msg.getString("program");
-    if (out.programText.empty()) {
+    const std::string programText = msg.getString("program");
+    if (programText.empty()) {
         error = "submit: missing 'program' text";
         return false;
     }
-    text::ParseResult parsed = text::parseProgram(out.programText);
+    text::ParseResult parsed = text::parseProgram(programText);
     if (!parsed.ok) {
         error = "submit: program: " + parsed.error;
         return false;
@@ -396,12 +396,12 @@ parseLintRequest(const JsonValue& msg, LintRequest& out,
         error = "lint: expected an object";
         return false;
     }
-    out.programText = msg.getString("program");
-    if (out.programText.empty()) {
+    const std::string programText = msg.getString("program");
+    if (programText.empty()) {
         error = "lint: missing 'program' text";
         return false;
     }
-    text::ParseResult parsed = text::parseProgram(out.programText);
+    text::ParseResult parsed = text::parseProgram(programText);
     if (!parsed.ok) {
         error = "lint: program: " + parsed.error;
         return false;

@@ -105,13 +105,13 @@ SubmissionState submissionStateForRun(sim::RunStatus status);
  * A parsed submit payload: one "run" (single machine shape, first
  * request) or one "sweep" (shape ladder x request grid). Owns the
  * Program — daemon-side it must stay alive for the whole execution,
- * so the daemon heap-allocates the Submission and pins it.
+ * so the daemon heap-allocates the Submission and frees it when the
+ * submission reaches a terminal state (the spool keeps the request
+ * line, which recovery reparses).
  */
 struct Submission
 {
     bool isSweep = false;
-    /** Original program text (spooled; reparsed on restart). */
-    std::string programText;
     Program program{1};
     Topology topo;
     /** The machine ladder; exactly one entry for a "run". */
@@ -169,7 +169,6 @@ bool parseSubmission(const JsonValue& msg, Submission& out,
  */
 struct LintRequest
 {
-    std::string programText;
     Program program{1};
     Topology topo;
     /** The machine shape to analyze against (defaults as in submit). */

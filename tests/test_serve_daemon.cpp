@@ -7,8 +7,10 @@
  * queue rejects explicitly, cancel works on waiting and in-flight
  * submissions, and a drained daemon's spool resumes on a second
  * daemon with per-row machine digests bit-identical to an
- * uninterrupted reference. The multi-client suites run under TSan in
- * CI.
+ * uninterrupted reference. A terminal submission keeps only its
+ * record (bounded heap, same answers before and after a restart), and
+ * stats tallies every state. The multi-client suites run under TSan
+ * in CI.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +19,22 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "core/program_gen.h"
+#include "core/topology.h"
 #include "serve/cache.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -30,15 +42,30 @@
 #include "serve/protocol.h"
 #include "sim/shape_sweep.h"
 #include "text/parser.h"
+#include "text/printer.h"
+
+// ASan and TSan replace malloc, so glibc's heap counters see nothing.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SYSCOMM_TEST_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SYSCOMM_TEST_MALLOC_REPLACED 1
+#endif
+#endif
 
 namespace syscomm::serve {
 namespace {
 
+namespace fs = std::filesystem;
+
+/** A fresh (removed) per-process directory path, so a repeated run
+ *  never recovers an earlier repetition's spool. */
 std::string
 tempDir(const std::string& name)
 {
     const std::string dir = testing::TempDir() + name + "_" +
                             std::to_string(::getpid());
+    fs::remove_all(dir);
     return dir;
 }
 
@@ -201,6 +228,31 @@ rowKeys(const JsonValue& sweepResult)
                        ":" + row.getString("machine_digest"));
     }
     return keys;
+}
+
+/** Every state's count in a stats response's "submissions" object. */
+std::map<std::string, std::int64_t>
+stateTally(const JsonValue& stats)
+{
+    std::map<std::string, std::int64_t> tally;
+    const JsonValue* subs = stats.find("submissions");
+    if (subs == nullptr)
+        return tally;
+    for (const JsonValue::Member& member : subs->members())
+        tally[member.first] = member.second.asInt64();
+    return tally;
+}
+
+/** A full tally: @p nonZero's states, zero for every other state. */
+std::map<std::string, std::int64_t>
+expectedTally(const std::map<std::string, std::int64_t>& nonZero)
+{
+    std::map<std::string, std::int64_t> tally;
+    for (int i = 0; i < kNumSubmissionStates; ++i)
+        tally[submissionStateName(static_cast<SubmissionState>(i))] = 0;
+    for (const auto& [state, count] : nonZero)
+        tally.at(state) = count;
+    return tally;
 }
 
 struct DaemonHandle
@@ -439,9 +491,7 @@ TEST(ServeDaemon, ConcurrentIdenticalSubmissionsCompileOnce)
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->getInt("misses", -1), 1);
     EXPECT_EQ(cache->getInt("hits", -1), kClients - 1);
-    const JsonValue* subs = stats.find("submissions");
-    ASSERT_NE(subs, nullptr);
-    EXPECT_EQ(subs->getInt("completed", -1), kClients);
+    EXPECT_EQ(stateTally(stats), expectedTally({{"completed", kClients}}));
 }
 
 // ---------------------------------------------------------------------
@@ -734,8 +784,7 @@ TEST(ServeDaemon, DrainedSpoolResumesBitIdenticallyOnRestart)
                   referenceLong);
         JsonValue stats;
         ASSERT_TRUE(client2.stats(stats, error)) << error;
-        EXPECT_EQ(stats.find("submissions")->getInt("completed", 0),
-                  2);
+        EXPECT_EQ(stateTally(stats), expectedTally({{"completed", 2}}));
     }
 }
 
@@ -805,6 +854,335 @@ TEST(ServeDaemon, DrainParksInFlightRunAndRestartRecomputesIt)
             fetchResult(client, id).getString("machine_digest"),
             digestRef);
     }
+}
+
+// ---------------------------------------------------------------------
+// A terminal submission keeps only its record
+// ---------------------------------------------------------------------
+
+TEST(ServeDaemon, StatsTallyCountsEveryTransition)
+{
+    const std::string spool = tempDir("serve_spool_tally");
+    const JsonValue big = sweepBody(ringText(6, 4000), 6, 8, 2, 200);
+    std::int64_t completed = 1; // the first run
+    std::int64_t cancelled = 1; // B, cancelled while waiting
+    std::string sweepId;
+    std::string parkedId;
+    {
+        DaemonOptions options = baseOptions("tallyA");
+        options.spoolDir = spool;
+        options.workers = 1;
+        DaemonHandle handle;
+        handle.start(options);
+        ServeClient client;
+        handle.connect(client);
+        JsonValue status;
+        std::string error;
+        JsonValue response;
+
+        submitAndWait(client, runBody(ringText(4, 50), 4), status);
+        EXPECT_EQ(status.getString("state"), "completed");
+        JsonValue dead = runBody(blockingRingText(3, 8), 3);
+        dead.set("shape", shapeJson("q1c1", 1, 1, 0));
+        submitAndWait(client, dead, status);
+        EXPECT_EQ(status.getString("state"), "deadlocked");
+        submitAndWait(
+            client,
+            runBody("cells 3\nmessage a 0 -> 0\ncell 0 { W(a) R(a) }\n",
+                    3),
+            status);
+        EXPECT_EQ(status.getString("state"), "error");
+
+        // A pins the worker; B waits behind it and is cancelled there;
+        // A is cancelled in flight.
+        std::string idA;
+        std::string idB;
+        ASSERT_TRUE(client.submit(big, idA, response, error)) << error;
+        ASSERT_TRUE(client.submit(big, idB, response, error)) << error;
+        ASSERT_TRUE(client.cancel(idB, response, error)) << error;
+        ASSERT_TRUE(response.getBool("ok", false)) << writeJson(response);
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_TRUE(client.status(idA, response, error)) << error;
+            if (response.getString("state") != "waiting")
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ASSERT_TRUE(client.cancel(idA, response, error)) << error;
+        ASSERT_TRUE(client.waitTerminal(idA, 60'000, status, error))
+            << error;
+        // A finishing before the cancel lands is legal; count what
+        // happened.
+        if (status.getString("state") == "cancelled")
+            ++cancelled;
+        else
+            ++completed;
+
+        // Parked for the next life: a sweep far too long to finish
+        // before the drain, and a run queued behind it.
+        ASSERT_TRUE(client.submit(
+            sweepBody(ringText(6, 4000), 6, 8, 64, 500), sweepId,
+            response, error))
+            << error;
+        ASSERT_TRUE(client.submit(runBody(ringText(4, 60), 4), parkedId,
+                                  response, error))
+            << error;
+        handle.daemon->requestDrain();
+        ASSERT_TRUE(handle.daemon->waitIdle(60'000));
+        EXPECT_EQ(stateTally(handle.daemon->statsJson()),
+                  expectedTally({{"completed", completed},
+                                 {"deadlocked", 1},
+                                 {"error", 1},
+                                 {"cancelled", cancelled},
+                                 {"waiting", 2}}));
+        handle.daemon->stop();
+    }
+
+    // Recovery: done markers come back terminal, the parked entries
+    // are requeued, and a spooled line that no longer parses fails as
+    // error.
+    {
+        std::ofstream(spool + "/s-000900.sub.json") << "{not json";
+    }
+    DaemonOptions options = baseOptions("tallyB");
+    options.spoolDir = spool;
+    options.workers = 1;
+    DaemonHandle handle;
+    handle.start(options);
+    ServeClient client;
+    handle.connect(client);
+    JsonValue status;
+    std::string error;
+    // The recovered sweep is first in id order; cancel it wherever it
+    // is (requeued or resumed) and let the parked run finish.
+    JsonValue response;
+    ASSERT_TRUE(client.cancel(sweepId, response, error)) << error;
+    EXPECT_TRUE(response.getBool("ok", false)) << writeJson(response);
+    ASSERT_TRUE(client.waitTerminal(sweepId, 60'000, status, error))
+        << error;
+    EXPECT_EQ(status.getString("state"), "cancelled");
+    ++cancelled;
+    ASSERT_TRUE(client.waitTerminal(parkedId, 60'000, status, error))
+        << error;
+    EXPECT_EQ(status.getString("state"), "completed");
+    ++completed;
+    ASSERT_TRUE(handle.daemon->waitIdle(60'000));
+    EXPECT_EQ(stateTally(handle.daemon->statsJson()),
+              expectedTally({{"completed", completed},
+                             {"deadlocked", 1},
+                             {"error", 2},
+                             {"cancelled", cancelled}}));
+}
+
+/** A warn-mode deadlocked run: its result carries the lint report. */
+JsonValue
+lintedRunBody()
+{
+    JsonValue body = runBody(blockingRingText(3, 8), 3);
+    body.set("shape", shapeJson("q1c1", 1, 1, 0));
+    body.set("idempotency_key", JsonValue::str("released-1"));
+    return body;
+}
+
+/** What a client can ask of a terminal submission, as wire text. */
+struct TerminalAnswers
+{
+    std::string status;
+    std::string result;
+    std::string cancel;
+    std::string resubmit;
+};
+
+void
+expectSameAnswers(const TerminalAnswers& want, const TerminalAnswers& got)
+{
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.result, want.result);
+    EXPECT_EQ(got.cancel, want.cancel);
+    EXPECT_EQ(got.resubmit, want.resubmit);
+}
+
+TerminalAnswers
+askTerminal(ServeClient& client, const std::string& id)
+{
+    TerminalAnswers answers;
+    JsonValue response;
+    std::string error;
+    EXPECT_TRUE(client.status(id, response, error)) << error;
+    answers.status = writeJson(response);
+    EXPECT_TRUE(client.result(id, response, error)) << error;
+    answers.result = writeJson(response);
+    EXPECT_TRUE(client.cancel(id, response, error)) << error;
+    answers.cancel = writeJson(response);
+    std::string dedupId;
+    EXPECT_TRUE(client.submit(lintedRunBody(), dedupId, response, error))
+        << error;
+    EXPECT_EQ(dedupId, id);
+    answers.resubmit = writeJson(response);
+    return answers;
+}
+
+TEST(ServeDaemon, ReleasedSubmissionAnswersAsBefore)
+{
+    const std::string spool = tempDir("serve_spool_released");
+    DaemonOptions options = baseOptions("released");
+    options.spoolDir = spool;
+    options.lintMode = DaemonOptions::LintMode::kWarn;
+
+    std::string id;
+    TerminalAnswers first;
+    {
+        DaemonHandle handle;
+        handle.start(options);
+        ServeClient client;
+        handle.connect(client);
+        JsonValue status;
+        id = submitAndWait(client, lintedRunBody(), status);
+        ASSERT_FALSE(id.empty());
+        first = askTerminal(client, id);
+
+        JsonValue response;
+        std::string error;
+        ASSERT_TRUE(parseJson(first.status, response, error)) << error;
+        EXPECT_EQ(response.getString("state"), "deadlocked");
+        EXPECT_TRUE(response.getBool("terminal", false));
+        EXPECT_EQ(response.find("cycles"), nullptr);
+        ASSERT_TRUE(parseJson(first.result, response, error)) << error;
+        const JsonValue* result = response.find("result");
+        ASSERT_NE(result, nullptr) << first.result;
+        EXPECT_EQ(result->getString("status"), "deadlocked");
+        EXPECT_GT(result->getInt("cycles", 0), 0);
+        EXPECT_EQ(result->getString("machine_digest").size(), 18u);
+        const JsonValue* lint = result->find("lint");
+        ASSERT_NE(lint, nullptr) << first.result;
+        EXPECT_EQ(lint->getString("verdict"), "deadlock");
+        ASSERT_TRUE(parseJson(first.cancel, response, error)) << error;
+        EXPECT_FALSE(response.getBool("ok", true));
+        EXPECT_EQ(response.getString("error"), "already terminal");
+        EXPECT_EQ(response.getString("state"), "deadlocked");
+        ASSERT_TRUE(parseJson(first.resubmit, response, error)) << error;
+        EXPECT_TRUE(response.getBool("ok", false));
+        EXPECT_TRUE(response.getBool("deduplicated", false));
+        EXPECT_EQ(response.getString("state"), "deadlocked");
+
+        // Asking again changes nothing.
+        expectSameAnswers(first, askTerminal(client, id));
+    }
+
+    // The same spool in a second life: the recovered entry answers
+    // byte for byte as before, and its key still deduplicates.
+    DaemonHandle handle;
+    handle.start(options);
+    ServeClient client;
+    handle.connect(client);
+    expectSameAnswers(first, askTerminal(client, id));
+    EXPECT_EQ(stateTally(handle.daemon->statsJson()),
+              expectedTally({{"deadlocked", 1}}));
+}
+
+TEST(ServeDaemon, TerminalSubmissionHeapIsBounded)
+{
+#if !defined(__GLIBC__) || defined(SYSCOMM_TEST_MALLOC_REPLACED)
+    GTEST_SKIP() << "needs glibc's own malloc (mallinfo2)";
+#else
+    // 64-message programs on an 8x8 mesh; 8 of them, so the compile
+    // cache and every (program, rung) lint analysis are warm after
+    // the first 32 submissions and stop growing.
+    constexpr int kPrograms = 8;
+    const Topology mesh = Topology::mesh(8, 8);
+    std::vector<std::string> programs;
+    for (int p = 0; p < kPrograms; ++p) {
+        GenOptions gen;
+        gen.numMessages = 64;
+        gen.interleave = 0.3;
+        gen.seed = 101 + p;
+        programs.push_back(
+            text::printProgram(randomDeadlockFreeProgram(mesh, gen)));
+    }
+    const JsonValue topology = JsonValue::object()
+                                   .set("kind", JsonValue::str("mesh"))
+                                   .set("rows", JsonValue::integer(8))
+                                   .set("cols", JsonValue::integer(8));
+    const JsonValue rungs[4] = {shapeJson("q2c1", 2, 1, 0),
+                                shapeJson("q3c2", 3, 2, 0),
+                                shapeJson("q2c3", 2, 3, 0),
+                                shapeJson("q3c4", 3, 4, 0)};
+    // Submission i: program i % 8; block i / 8 picks the rung, and
+    // every eighth block is 4-rung x 2-request sweeps.
+    auto bodyFor = [&](int i) {
+        const int block = i / kPrograms;
+        JsonValue body = JsonValue::object();
+        body.set("program", JsonValue::str(programs[i % kPrograms]));
+        body.set("topology", topology);
+        JsonValue requests = JsonValue::array();
+        if (block % 8 == 7) {
+            body.set("kind", JsonValue::str("sweep"));
+            JsonValue shapes = JsonValue::array();
+            for (const JsonValue& rung : rungs)
+                shapes.push(rung);
+            body.set("shapes", std::move(shapes));
+            requests.push(JsonValue::object()
+                              .set("policy", JsonValue::str("compatible"))
+                              .set("seed", JsonValue::integer(i)));
+            requests.push(JsonValue::object()
+                              .set("policy", JsonValue::str("fcfs"))
+                              .set("seed", JsonValue::integer(i)));
+        } else {
+            body.set("kind", JsonValue::str("run"));
+            body.set("shape", rungs[block % 4]);
+            requests.push(JsonValue::object()
+                              .set("policy", JsonValue::str("compatible"))
+                              .set("seed", JsonValue::integer(i)));
+        }
+        body.set("requests", std::move(requests));
+        return body;
+    };
+
+    DaemonOptions options = baseOptions("heap");
+    options.lintMode = DaemonOptions::LintMode::kWarn;
+    options.maxQueue = 1024;
+    DaemonHandle handle;
+    handle.start(options);
+    ServeClient client;
+    handle.connect(client);
+    auto submitRange = [&](int from, int to) {
+        for (int i = from; i < to; ++i) {
+            std::string id;
+            JsonValue response;
+            std::string error;
+            ASSERT_TRUE(client.submit(bodyFor(i), id, response, error))
+                << error;
+            ASSERT_TRUE(response.getBool("ok", false))
+                << writeJson(response);
+        }
+        ASSERT_TRUE(handle.daemon->waitIdle(120'000));
+    };
+
+    constexpr int kWarmup = 100;
+    constexpr int kMeasured = 400;
+    submitRange(0, kWarmup);
+    const std::size_t before = mallinfo2().uordblks;
+    submitRange(kWarmup, kWarmup + kMeasured);
+    const std::size_t after = mallinfo2().uordblks;
+
+    const JsonValue stats = handle.daemon->statsJson();
+    const std::map<std::string, std::int64_t> tally = stateTally(stats);
+    std::int64_t terminal = 0;
+    for (const auto& [state, count] : tally) {
+        SubmissionState parsed = SubmissionState::kWaiting;
+        ASSERT_TRUE(parseSubmissionState(state, parsed));
+        if (submissionStateTerminal(parsed))
+            terminal += count;
+    }
+    ASSERT_EQ(terminal, kWarmup + kMeasured) << writeJson(stats);
+
+    const double perSubmission =
+        (static_cast<double>(after) - static_cast<double>(before)) /
+        kMeasured;
+    RecordProperty("heap_bytes_per_terminal_submission",
+                   static_cast<int>(perSubmission));
+    EXPECT_LE(perSubmission, 12.0 * 1024)
+        << "heap per terminal submission: " << perSubmission << " B";
+#endif
 }
 
 } // namespace

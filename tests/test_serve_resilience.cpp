@@ -15,8 +15,11 @@
  *    daemon stop/restart without duplicating work, finishing with
  *    digests bit-identical to an uninterrupted reference;
  *  - the worker watchdog fails a run whose slice stalls past the
- *    deadline explicitly ("watchdog: ..." error), and never fires on
- *    healthy runs.
+ *    deadline explicitly ("watchdog: ..." error), never fires on
+ *    healthy runs, and never swallows the wakeup a submit owes an
+ *    idle worker;
+ *  - a finished connection's thread is joined, so a long-lived daemon
+ *    serving one connection per command does not leak threads.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -436,6 +440,70 @@ TEST(ServeResilience, WatchdogLeavesHealthyRunsAlone)
     EXPECT_EQ(response.getString("state"), "completed");
     ASSERT_TRUE(h.client.stats(response, error)) << error;
     EXPECT_EQ(response.getInt("watchdog_fired", -1), 0);
+}
+
+TEST(ServeResilience, WatchdogNeverSwallowsAWorkerWakeup)
+{
+    // One idle worker and a watchdog: every submit's wakeup must reach
+    // the worker, so each small run finishes promptly instead of
+    // waiting for the next submit to nudge the queue.
+    Harness h("watchdog_wake", nullptr, /*watchdogMs=*/2'000,
+              /*sliceCycles=*/5'000);
+    ASSERT_TRUE(h.started);
+    for (int i = 0; i < 50; ++i) {
+        std::string id;
+        std::string error;
+        JsonValue response;
+        ASSERT_TRUE(h.client.submit(runBody(4, 20), id, response, error))
+            << error;
+        ASSERT_TRUE(response.getBool("ok", false)) << writeJson(response);
+        ASSERT_TRUE(h.client.waitTerminal(id, 5'000, response, error))
+            << "submission " << i << ": " << error;
+        EXPECT_EQ(response.getString("state"), "completed");
+    }
+}
+
+/** Memory mappings of this process; -1 where /proc is unavailable. */
+int
+mapCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    if (!maps)
+        return -1;
+    int lines = 0;
+    std::string line;
+    while (std::getline(maps, line))
+        ++lines;
+    return lines;
+}
+
+TEST(ServeResilience, FinishedConnectionsAreReaped)
+{
+    // Each connection gets a thread; one that is never joined keeps
+    // its stack mapped (two mappings). A daemon serving one
+    // connection per command must join them as they finish.
+    Harness h("reap");
+    ASSERT_TRUE(h.started);
+    if (mapCount() < 0)
+        GTEST_SKIP() << "no /proc/self/maps";
+    auto connectPingClose = [&] {
+        ServeClient client;
+        std::string error;
+        JsonValue response;
+        return client.connectUnix(h.socketPath, error) &&
+               client.ping(response, error) &&
+               response.getBool("ok", false);
+    };
+    ASSERT_TRUE(connectPingClose());
+    const int before = mapCount();
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_TRUE(connectPingClose()) << "cycle " << i;
+    EXPECT_LT(mapCount() - before, 100);
+
+    std::string error;
+    JsonValue response;
+    ASSERT_TRUE(h.client.ping(response, error)) << error;
+    EXPECT_TRUE(response.getBool("ok", false));
 }
 
 } // namespace

@@ -58,7 +58,7 @@ main()
         if (r.status == sim::RunStatus::kDeadlocked) {
             std::printf("\nFCFS deadlock snapshot (the paper's lower-half "
                         "diagram):\n%s",
-                        r.deadlock.render().c_str());
+                        r.deadlock.render(p).c_str());
         }
     }
 

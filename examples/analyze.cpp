@@ -126,7 +126,7 @@ main(int argc, char** argv)
                     sim::policyKindName(policy), r.statusStr(),
                     static_cast<long long>(r.cycles));
         if (r.status == sim::RunStatus::kDeadlocked)
-            std::printf("%s", r.deadlock.render().c_str());
+            std::printf("%s", r.deadlock.render(program).c_str());
         std::printf("%s\n", r.audit.str(program).c_str());
     }
     return plan.ok ? 0 : 2;

@@ -48,7 +48,7 @@ show(const char* title, const Program& p, const Topology& topo,
         std::printf(" in %lld cycles", static_cast<long long>(r.cycles));
     std::printf("\n");
     if (r.status == sim::RunStatus::kDeadlocked)
-        std::printf("%s", r.deadlock.render().c_str());
+        std::printf("%s", r.deadlock.render(p).c_str());
     std::printf("\n");
 }
 

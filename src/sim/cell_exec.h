@@ -31,6 +31,12 @@ enum class BlockReason : std::uint8_t
     kCellDead,         ///< Fault injection killed this cell.
 };
 
+inline constexpr int kNumBlockReasons = 8;
+static_assert(static_cast<int>(BlockReason::kCellDead) + 1 ==
+                  kNumBlockReasons,
+              "update kNumBlockReasons when adding a BlockReason — "
+              "loadRunResult rejects bytes past it");
+
 const char* blockReasonName(BlockReason reason);
 
 /** Run-time state of one cell. */

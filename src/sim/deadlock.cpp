@@ -5,7 +5,7 @@
 namespace syscomm::sim {
 
 std::string
-DeadlockReport::render() const
+DeadlockReport::render(const Program& program) const
 {
     if (!deadlocked)
         return "no deadlock";
@@ -13,20 +13,28 @@ DeadlockReport::render() const
     os << "DEADLOCK at cycle " << atCycle << "\n";
     os << "blocked cells:\n";
     for (const CellBlockInfo& c : cells) {
-        os << "  cell " << c.cell << " @ op " << c.pc << " " << c.op
-           << " -- " << c.reason << "\n";
+        const Op& op = program.cellOps(c.cell)[c.pc];
+        os << "  cell " << c.cell << " @ op " << c.pc << " ";
+        if (op.isCompute())
+            os << "compute";
+        else
+            os << (op.isWrite() ? "W(" : "R(")
+               << program.message(op.msg).name << ")";
+        os << " -- " << blockReasonName(c.reason) << "\n";
     }
-    os << "links:\n";
+    os << (links.empty() ? "links: none\n" : "links:\n");
     for (const LinkSnapshot& l : links) {
         os << "  link " << l.link << " (" << l.a << " -- " << l.b << "):";
         for (const QueueSnapshot& q : l.queues) {
-            os << " [" << q.msg << " " << q.occupancy << "/" << q.capacity
-               << "]";
+            os << " ["
+               << (q.msg == kInvalidMessage ? "-"
+                                            : program.message(q.msg).name)
+               << " " << q.occupancy << "/" << q.capacity << "]";
         }
         if (!l.waiting.empty()) {
             os << "  waiting:";
-            for (const std::string& w : l.waiting)
-                os << " " << w;
+            for (MessageId w : l.waiting)
+                os << " " << program.message(w).name;
         }
         os << "\n";
     }

@@ -4,44 +4,65 @@
  * @file
  * Deadlock snapshot reporting. Because the simulator is deterministic
  * and progress is monotone, a cycle with zero progress events and
- * unfinished work is a proof of deadlock; this module renders the
- * frozen state (Fig. 7 lower-half style).
+ * unfinished work is a proof of deadlock. The report keeps what the
+ * lower half of Fig. 7 shows — the blocked cells, and the links whose
+ * queues hold a message or have one waiting — by id; render() turns
+ * the ids into text against the Program.
  */
 
 #include <string>
 #include <vector>
 
+#include "core/program.h"
 #include "core/types.h"
+#include "sim/cell_exec.h"
 
 namespace syscomm::sim {
 
-/** Frozen state of one cell. */
+/** Frozen state of one unfinished cell; its op is cellOps(cell)[pc]. */
 struct CellBlockInfo
 {
     CellId cell = kInvalidCell;
     int pc = 0;
-    std::string op;     ///< e.g. "R(C)"
-    std::string reason; ///< blockReasonName() text
+    BlockReason reason = BlockReason::kNone;
+
+    bool operator==(const CellBlockInfo& o) const
+    {
+        return cell == o.cell && pc == o.pc && reason == o.reason;
+    }
 };
 
 /** Frozen state of one queue. */
 struct QueueSnapshot
 {
     int id = 0;
-    std::string msg; ///< assigned message name, or "-"
+    /** Assigned message, or kInvalidMessage for a free queue. */
+    MessageId msg = kInvalidMessage;
     int occupancy = 0;
     int capacity = 0;
+
+    bool operator==(const QueueSnapshot& o) const
+    {
+        return id == o.id && msg == o.msg && occupancy == o.occupancy &&
+               capacity == o.capacity;
+    }
 };
 
-/** Frozen state of one link. */
+/** Frozen state of one implicated link: every one of its queues. */
 struct LinkSnapshot
 {
     LinkIndex link = kInvalidLink;
     CellId a = kInvalidCell;
     CellId b = kInvalidCell;
     std::vector<QueueSnapshot> queues;
-    /** Names of messages waiting (requested but unassigned) here. */
-    std::vector<std::string> waiting;
+    /** Messages waiting (requested but unassigned) here. */
+    std::vector<MessageId> waiting;
+
+    bool operator==(const LinkSnapshot& o) const
+    {
+        return link == o.link && a == o.a && b == o.b &&
+               queues == o.queues && waiting == o.waiting;
+    }
 };
 
 /**
@@ -59,20 +80,39 @@ struct FaultAttribution
     std::string event;
     /** Why the event is implicated, e.g. "2 unfinished crossings". */
     std::string why;
+
+    bool operator==(const FaultAttribution& o) const
+    {
+        return eventIndex == o.eventIndex && event == o.event &&
+               why == o.why;
+    }
 };
 
-/** Full deadlock snapshot. */
+/** Deadlock snapshot: the implicated state only, in id order. */
 struct DeadlockReport
 {
     bool deadlocked = false;
     Cycle atCycle = 0;
+    /** Unfinished cells, ascending. */
     std::vector<CellBlockInfo> cells;
+    /**
+     * Links with an assigned queue or a waiting request, ascending.
+     * A link whose queues are all free and that nothing waits for
+     * holds no part of the deadlock and is not listed.
+     */
     std::vector<LinkSnapshot> links;
     /** Non-empty exactly when the run ended RunStatus::kFaulted. */
     std::vector<FaultAttribution> faults;
 
-    /** Multi-line rendering of the blocked machine state. */
-    std::string render() const;
+    /** Multi-line rendering of the blocked machine state; the ids
+     *  index @p program, which must be the program that ran. */
+    std::string render(const Program& program) const;
+
+    bool operator==(const DeadlockReport& o) const
+    {
+        return deadlocked == o.deadlocked && atCycle == o.atCycle &&
+               cells == o.cells && links == o.links && faults == o.faults;
+    }
 };
 
 } // namespace syscomm::sim

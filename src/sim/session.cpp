@@ -51,15 +51,6 @@ kernelKindName(KernelKind kind)
 
 namespace {
 
-std::string
-opText(const Program& program, const Op& op)
-{
-    if (op.isCompute())
-        return "compute";
-    return std::string(op.isWrite() ? "W(" : "R(") +
-           program.message(op.msg).name + ")";
-}
-
 // Hierarchical bitmaps: O(1) insert/erase and O(levels) cursor seeks
 // regardless of how many cells/links are active, so dense-active
 // phases on 100k-cell arrays cost the same per mutation as sparse
@@ -153,8 +144,7 @@ saveRunResult(ByteWriter& w, const RunResult& result)
     for (const CellBlockInfo& c : d.cells) {
         w.put(c.cell);
         w.put(c.pc);
-        w.putString(c.op);
-        w.putString(c.reason);
+        w.put(c.reason);
     }
     w.put(static_cast<std::uint64_t>(d.links.size()));
     for (const LinkSnapshot& l : d.links) {
@@ -164,13 +154,11 @@ saveRunResult(ByteWriter& w, const RunResult& result)
         w.put(static_cast<std::uint64_t>(l.queues.size()));
         for (const QueueSnapshot& q : l.queues) {
             w.put(q.id);
-            w.putString(q.msg);
+            w.put(q.msg);
             w.put(q.occupancy);
             w.put(q.capacity);
         }
-        w.put(static_cast<std::uint64_t>(l.waiting.size()));
-        for (const std::string& s : l.waiting)
-            w.putString(s);
+        w.putVector(l.waiting);
     }
     w.put(static_cast<std::uint64_t>(d.faults.size()));
     for (const FaultAttribution& f : d.faults) {
@@ -199,7 +187,8 @@ loadRunResult(ByteReader& r, RunResult& result)
     for (CellBlockInfo& c : d.cells) {
         c.cell = r.get<CellId>();
         c.pc = r.get<int>();
-        if (!r.getString(c.op) || !r.getString(c.reason))
+        c.reason = r.get<BlockReason>();
+        if (!r.ok() || static_cast<int>(c.reason) >= kNumBlockReasons)
             return false;
     }
     const auto numLinks = r.get<std::uint64_t>();
@@ -216,19 +205,12 @@ loadRunResult(ByteReader& r, RunResult& result)
         l.queues.resize(static_cast<std::size_t>(numQueues));
         for (QueueSnapshot& q : l.queues) {
             q.id = r.get<int>();
-            if (!r.getString(q.msg))
-                return false;
+            q.msg = r.get<MessageId>();
             q.occupancy = r.get<int>();
             q.capacity = r.get<int>();
         }
-        const auto numWaiting = r.get<std::uint64_t>();
-        if (!r.ok() || numWaiting > r.remaining())
+        if (!r.getVector(l.waiting))
             return false;
-        l.waiting.resize(static_cast<std::size_t>(numWaiting));
-        for (std::string& s : l.waiting) {
-            if (!r.getString(s))
-                return false;
-        }
     }
     const auto numFaults = r.get<std::uint64_t>();
     if (!r.ok() || numFaults > r.remaining())
@@ -1603,41 +1585,67 @@ struct SimSession::Impl
         return true;
     }
 
+    /**
+     * The frozen state as the lower half of Fig. 7 shows it: the
+     * unfinished cells, and the links holding an assigned queue or a
+     * waiting request. Only program cells and routed links can be
+     * either, so only they are walked (as in resetRun()), and the
+     * report names everything by id — render() makes the text. Each
+     * vector is reserved to its exact size first: sweep rows keep
+     * these reports, so growth slack would stay allocated.
+     */
     DeadlockReport
     snapshot(Cycle now) const
     {
         DeadlockReport report;
         report.deadlocked = true;
         report.atCycle = now;
-        for (const CellRuntime& cell : cells) {
-            if (cell.done())
-                continue;
-            CellBlockInfo info;
-            info.cell = cell.cellId();
-            info.pc = cell.pc();
-            info.op = opText(program, cell.currentOp());
-            info.reason = blockReasonName(cell.lastBlock);
-            report.cells.push_back(std::move(info));
+        std::size_t blocked = 0;
+        for (CellId c : programCells)
+            blocked += cells[c].done() ? 0 : 1;
+        report.cells.reserve(blocked);
+        for (CellId c : programCells) {
+            if (!cells[c].done())
+                report.cells.push_back(
+                    {c, cells[c].pc(), cells[c].lastBlock});
         }
-        for (const LinkState& link : links) {
-            LinkSnapshot snap;
-            snap.link = link.index();
-            snap.a = spec.topo.link(link.index()).a;
-            snap.b = spec.topo.link(link.index()).b;
+
+        auto numWaiting = [](const LinkState& link) {
+            std::size_t n = 0;
+            for (const Crossing& c : link.crossings())
+                n += c.phase == CrossingPhase::kRequested ? 1 : 0;
+            return n;
+        };
+        auto listed = [&](const LinkState& link) {
             for (const HwQueue& q : link.queues()) {
-                QueueSnapshot qs;
-                qs.id = q.id();
-                qs.msg = q.isFree() ? "-"
-                                    : program.message(q.assignedMsg()).name;
-                qs.occupancy = q.size();
-                qs.capacity = q.totalCapacity();
-                snap.queues.push_back(std::move(qs));
+                if (!q.isFree())
+                    return true;
             }
+            return numWaiting(link) > 0;
+        };
+        std::size_t numListed = 0;
+        for (LinkIndex l : routedLinksDesc)
+            numListed += listed(links[l]) ? 1 : 0;
+        report.links.reserve(numListed);
+        for (auto it = routedLinksDesc.rbegin();
+             it != routedLinksDesc.rend(); ++it) {
+            const LinkState& link = links[*it];
+            if (!listed(link))
+                continue;
+            LinkSnapshot& snap = report.links.emplace_back();
+            snap.link = *it;
+            snap.a = spec.topo.link(*it).a;
+            snap.b = spec.topo.link(*it).b;
+            snap.queues.reserve(link.queues().size());
+            for (const HwQueue& q : link.queues()) {
+                snap.queues.push_back({q.id(), q.assignedMsg(), q.size(),
+                                       q.totalCapacity()});
+            }
+            snap.waiting.reserve(numWaiting(link));
             for (const Crossing& c : link.crossings()) {
                 if (c.phase == CrossingPhase::kRequested)
-                    snap.waiting.push_back(program.message(c.msg).name);
+                    snap.waiting.push_back(c.msg);
             }
-            report.links.push_back(std::move(snap));
         }
         return report;
     }

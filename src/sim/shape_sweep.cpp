@@ -37,7 +37,15 @@ constexpr std::uint32_t kJournalMagic = 0x4c4a5353u; // "SSJL"
 // programVersion tag to the config digest. 3 is the portable format:
 // little-endian scalars, per-record version byte, CRC32C framing.
 constexpr std::uint32_t kJournalVersion = 3;
+/** Version of the checkpoint and shard-range records. */
 constexpr std::uint8_t kRecVersion = 1;
+/**
+ * Version of the row record, whose payload is saveRunResult(). 2 is
+ * the id-based deadlock report. A row of another version is skipped,
+ * so resume simulates it again and merge counts it in
+ * SweepMergeResult::rowsOtherVersion.
+ */
+constexpr std::uint8_t kRowVersion = 2;
 constexpr std::uint8_t kRecRowDone = 1;
 constexpr std::uint8_t kRecCheckpoint = 2;
 /**
@@ -167,7 +175,7 @@ frameRecord(std::uint8_t kind, const std::vector<std::uint8_t>& payload)
     frame.reserve(kRecordOverhead + payload.size());
     ByteWriter w(frame);
     w.put(kind);
-    w.put(kRecVersion);
+    w.put(kind == kRecRowDone ? kRowVersion : kRecVersion);
     w.put(static_cast<std::uint64_t>(payload.size()));
     frame.insert(frame.end(), payload.begin(), payload.end());
     w.put(crc32c(frame.data(), frame.size()));
@@ -432,13 +440,12 @@ struct ShapeSweep::Journal
             }
             const auto shape = r.get<std::uint64_t>();
             const auto request = r.get<std::uint64_t>();
-            const bool inGrid = recVersion == kRecVersion && r.ok() &&
-                                shape < num_shapes &&
-                                request < num_requests;
+            const bool inGrid =
+                r.ok() && shape < num_shapes && request < num_requests;
             const std::size_t idx =
                 static_cast<std::size_t>(shape) * num_requests +
                 static_cast<std::size_t>(request);
-            if (kind == kRecRowDone && recVersion == kRecVersion) {
+            if (kind == kRecRowDone && recVersion == kRowVersion) {
                 ShapeSweepRow row;
                 row.shape = static_cast<std::size_t>(shape);
                 row.request = static_cast<std::size_t>(request);
@@ -959,7 +966,7 @@ inspectSweepJournal(const std::string& path, SweepJournalInfo& out)
             static_cast<std::size_t>(r.get<std::uint64_t>());
         const auto request =
             static_cast<std::size_t>(r.get<std::uint64_t>());
-        if (kind == kRecRowDone && recVersion == kRecVersion) {
+        if (kind == kRecRowDone && recVersion == kRowVersion) {
             if (r.ok()) {
                 ++out.rowsDone;
                 live.erase({shape, request});
@@ -1053,8 +1060,9 @@ mergeSweepJournals(const std::vector<std::string>& paths,
                     out.numRequests =
                         static_cast<std::size_t>(jRequests);
                 }
-            } else if (kind == kRecRowDone &&
-                       recVersion == kRecVersion) {
+            } else if (kind == kRecRowDone && recVersion != kRowVersion) {
+                ++out.rowsOtherVersion;
+            } else if (kind == kRecRowDone) {
                 SweepMergeRow row;
                 row.shape =
                     static_cast<std::size_t>(r.get<std::uint64_t>());

@@ -329,6 +329,9 @@ struct SweepMergeResult
     std::vector<SweepMergeRow> rows;
     /** Rows seen in more than one journal (each one cross-checked). */
     std::size_t duplicateRows = 0;
+    /** Row records of another row-record version (written by another
+     *  build), skipped: a resume simulates those rows again. */
+    std::size_t rowsOtherVersion = 0;
     /** True when the dimensions are known and every grid cell has a
      *  row — the merged sweep is whole. */
     bool complete = false;

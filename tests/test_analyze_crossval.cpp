@@ -103,7 +103,7 @@ checkProgram(const Program& program, const Topology& topo,
                         << "witness cell " << cell
                         << " not blocked dynamically:\n"
                         << report.render(program) << "\n"
-                        << result.deadlock.render();
+                        << result.deadlock.render(program);
                 }
             }
         }

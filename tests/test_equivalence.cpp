@@ -83,7 +83,7 @@ TEST_P(Equivalence, LookaheadBoundMatchesQueueCapacity)
 
         EXPECT_EQ(classified_free, completed)
             << "capacity " << capacity << " seed " << seed << "\n"
-            << (completed ? "" : r.deadlock.render());
+            << (completed ? "" : r.deadlock.render(p));
         (classified_free ? accepted : rejected)++;
     }
     // The sweep must exercise both verdicts to be meaningful.

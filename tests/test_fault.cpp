@@ -215,7 +215,7 @@ TEST(FaultInject, KilledRoutedLinkFaultsWithAttribution)
     ASSERT_EQ(r.status, RunStatus::kFaulted);
     EXPECT_FALSE(r.completed());
     ASSERT_FALSE(r.deadlock.faults.empty());
-    const std::string report = r.deadlock.render();
+    const std::string report = r.deadlock.render(p);
     EXPECT_NE(report.find("implicated faults"), std::string::npos);
     EXPECT_NE(report.find("kill-link"), std::string::npos);
 }
@@ -236,7 +236,7 @@ TEST(FaultInject, KilledCellFaultsWithAttribution)
     request.faults = &plan;
     RunResult r = session.run(request);
     ASSERT_EQ(r.status, RunStatus::kFaulted);
-    EXPECT_NE(r.deadlock.render().find("kill-cell"), std::string::npos);
+    EXPECT_NE(r.deadlock.render(p).find("kill-cell"), std::string::npos);
 }
 
 TEST(FaultInject, StallExpiresAndRunCompletes)

@@ -11,7 +11,10 @@
  *    read back / resume identically;
  *  - peekCheckpointInfo survives ~1k seeded truncations and bit
  *    flips without ever reading out of bounds (the ASan job turns
- *    "never" into a hard guarantee) and rejects torn headers.
+ *    "never" into a hard guarantee) and rejects torn headers;
+ *  - a deadlocked run's saveRunResult() bytes (what a journal row
+ *    carries) reject every strict prefix and an out-of-range block
+ *    reason, and survive seeded bit flips the same way.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "algos/paper_figures.h"
 #include "serve/io.h"
 #include "sim/crc32c.h"
 #include "sim/serial.h"
@@ -375,6 +379,102 @@ TEST(PortableFormat, PeekCheckpointInfoSurvivesTruncationAndBitFlipFuzz)
             EXPECT_EQ(info.writeSeq.size(), info.readSeq.size());
             EXPECT_GE(info.resumeFrom, 0);
             EXPECT_GE(info.cycles, 0);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Deadlocked row payload fuzz
+// ---------------------------------------------------------------------
+
+/** A Fig. 7 FCFS deadlock: blocked cells, listed links, a waiter. */
+RunResult
+fig7Deadlock()
+{
+    MachineSpec spec;
+    spec.topo = algos::fig7Topology();
+    spec.queuesPerLink = 1;
+    RunRequest request;
+    request.policy = sim::PolicyKind::kFcfs;
+    return SimSession(algos::fig7Program(), spec).run(request);
+}
+
+std::vector<std::uint8_t>
+encode(const RunResult& result)
+{
+    std::vector<std::uint8_t> bytes;
+    ByteWriter w(bytes);
+    sim::saveRunResult(w, result);
+    return bytes;
+}
+
+TEST(PortableFormat, DeadlockedRunResultRoundTripsAndRejectsBadReasons)
+{
+    const RunResult result = fig7Deadlock();
+    ASSERT_EQ(result.status, RunStatus::kDeadlocked);
+    ASSERT_FALSE(result.deadlock.cells.empty());
+    ASSERT_FALSE(result.deadlock.links.empty());
+    const std::vector<std::uint8_t> bytes = encode(result);
+
+    RunResult decoded;
+    ByteReader whole(bytes.data(), bytes.size());
+    ASSERT_TRUE(sim::loadRunResult(whole, decoded));
+    EXPECT_TRUE(decoded.deadlock == result.deadlock);
+    expectSameRunResult(decoded, result, "decoded row");
+
+    // The one byte that differs when the last cell's reason changes
+    // is that reason; a value past the enum must fail the decode.
+    RunResult other = result;
+    other.deadlock.cells.back().reason = sim::BlockReason::kCellDead;
+    const std::vector<std::uint8_t> otherBytes = encode(other);
+    ASSERT_EQ(otherBytes.size(), bytes.size());
+    std::size_t reasonAt = bytes.size();
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        if (bytes[i] != otherBytes[i]) {
+            ASSERT_EQ(reasonAt, bytes.size()) << "second difference";
+            reasonAt = i;
+        }
+    }
+    ASSERT_LT(reasonAt, bytes.size());
+    for (int bad : {sim::kNumBlockReasons, 0xff}) {
+        std::vector<std::uint8_t> mutated = bytes;
+        mutated[reasonAt] = static_cast<std::uint8_t>(bad);
+        ByteReader r(mutated.data(), mutated.size());
+        EXPECT_FALSE(sim::loadRunResult(r, decoded)) << "reason " << bad;
+    }
+}
+
+TEST(PortableFormat, DeadlockedRunResultSurvivesTruncationAndBitFlipFuzz)
+{
+    const RunResult result = fig7Deadlock();
+    ASSERT_EQ(result.status, RunStatus::kDeadlocked);
+    const std::vector<std::uint8_t> bytes = encode(result);
+
+    // Every strict prefix is a torn payload and must decode as false,
+    // never read past the buffer (the ASan CI job enforces "never").
+    RunResult decoded;
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        ByteReader r(bytes.data(), cut);
+        EXPECT_FALSE(sim::loadRunResult(r, decoded)) << "cut " << cut;
+    }
+
+    // 1000 seeded bit flips (plus a truncation half the time): decode
+    // or reject cleanly; a decoded report must hold in-range reasons.
+    for (std::uint64_t trial = 0; trial < 1000; ++trial) {
+        std::vector<std::uint8_t> mutated = bytes;
+        const std::uint64_t h = mix64(0xdead10c + trial);
+        mutated[static_cast<std::size_t>(h % mutated.size())] ^=
+            static_cast<std::uint8_t>(1u << (mix64(h) % 8));
+        std::size_t size = mutated.size();
+        if (trial % 2 == 1)
+            size = static_cast<std::size_t>(mix64(h ^ 0x5eed) %
+                                            (mutated.size() + 1));
+        ByteReader r(mutated.data(), size);
+        if (!sim::loadRunResult(r, decoded))
+            continue;
+        for (const sim::CellBlockInfo& c : decoded.deadlock.cells) {
+            EXPECT_LT(static_cast<int>(c.reason), sim::kNumBlockReasons)
+                << "trial " << trial;
         }
     }
 }

@@ -146,7 +146,7 @@ TEST(Repair, RepairedRandomProgramsCompleteOnBothKernels)
         sim::RunResult eventRun = event.run(request);
         ASSERT_EQ(eventRun.status, sim::RunStatus::kCompleted)
             << "seed " << seed << "\n"
-            << eventRun.deadlock.render();
+            << eventRun.deadlock.render(r.program);
 
         sim::SessionOptions denseKernel;
         denseKernel.kernel = sim::KernelKind::kReference;

@@ -1,0 +1,141 @@
+/**
+ * @file
+ * Heap allocations per warm SimSession::run(). A warm run reuses the
+ * session's machine, so what it still allocates is its result: the
+ * statistics vectors and, for a deadlocked run, the deadlock report.
+ * The report lists only the implicated cells and links by id, so a
+ * deadlocked run allocates O(implicated links), not O(machine) and
+ * one string per queue.
+ *
+ * This suite is its own binary so that the counting global operator
+ * new below counts nothing but it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/program_gen.h"
+#include "sim/session.h"
+
+// ASan and TSan replace operator new, so the count below sees nothing.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SYSCOMM_TEST_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SYSCOMM_TEST_MALLOC_REPLACED 1
+#endif
+#endif
+
+namespace {
+std::atomic<std::int64_t> allocations{0};
+}
+
+void*
+operator new(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace syscomm {
+namespace {
+
+using sim::PolicyKind;
+using sim::RunRequest;
+using sim::RunResult;
+using sim::RunStatus;
+using sim::SimSession;
+
+TEST(RunAllocations, WarmRunsAllocateOnlyTheirResult)
+{
+#ifdef SYSCOMM_TEST_MALLOC_REPLACED
+    GTEST_SKIP() << "the sanitizer replaces operator new";
+#else
+    // 16 random deadlock-free programs (64 messages) on an 8x8 mesh,
+    // each over the q1-4 x c1-4 ladder under three policies. Small
+    // queues deadlock most fcfs and random runs, and some compatible
+    // ones where the program needs more queues than the rung has.
+    const Topology mesh = Topology::mesh(8, 8);
+    std::int64_t completedRuns = 0;
+    std::int64_t completedAllocs = 0;
+    std::int64_t deadlockedRuns = 0;
+    std::int64_t deadlockedAllocs = 0;
+    std::int64_t listedLinks = 0;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        GenOptions gen;
+        gen.numMessages = 64;
+        gen.interleave = 0.3;
+        gen.seed = seed;
+        const Program program = randomDeadlockFreeProgram(mesh, gen);
+        const auto compiled = sim::CompiledProgram::compile(program, mesh);
+        for (int queues = 1; queues <= 4; ++queues) {
+            for (int capacity = 1; capacity <= 4; ++capacity) {
+                MachineSpec spec;
+                spec.topo = compiled->sharedTopo();
+                spec.queuesPerLink = queues;
+                spec.queueCapacity = capacity;
+                SimSession session(compiled, spec);
+                for (PolicyKind policy :
+                     {PolicyKind::kCompatible, PolicyKind::kFcfs,
+                      PolicyKind::kRandom}) {
+                    RunRequest request;
+                    request.policy = policy;
+                    request.seed = seed;
+                    (void)session.run(request); // warm-up
+                    const std::int64_t before = allocations.load();
+                    const RunResult r = session.run(request);
+                    const std::int64_t used = allocations.load() - before;
+                    if (r.status == RunStatus::kCompleted) {
+                        ++completedRuns;
+                        completedAllocs += used;
+                    } else {
+                        ASSERT_EQ(r.status, RunStatus::kDeadlocked)
+                            << r.statusStr();
+                        ++deadlockedRuns;
+                        deadlockedAllocs += used;
+                        listedLinks += static_cast<std::int64_t>(
+                            r.deadlock.links.size());
+                    }
+                }
+            }
+        }
+    }
+    ASSERT_GT(completedRuns, 0);
+    ASSERT_GT(deadlockedRuns, 0);
+    const double perCompleted =
+        static_cast<double>(completedAllocs) / completedRuns;
+    const double perDeadlocked =
+        static_cast<double>(deadlockedAllocs) / deadlockedRuns;
+    std::printf("completed: %lld runs, %.2f allocations per run\n"
+                "deadlocked: %lld runs, %.2f allocations per run, "
+                "%.1f links per report\n",
+                static_cast<long long>(completedRuns), perCompleted,
+                static_cast<long long>(deadlockedRuns), perDeadlocked,
+                static_cast<double>(listedLinks) / deadlockedRuns);
+    EXPECT_LE(perCompleted, 2.0);
+    EXPECT_LE(perDeadlocked, 120.0);
+#endif
+}
+
+} // namespace
+} // namespace syscomm

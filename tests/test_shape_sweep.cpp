@@ -25,7 +25,9 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/program_gen.h"
@@ -121,6 +123,46 @@ std::string
 tempPath(const std::string& name)
 {
     return testing::TempDir() + name;
+}
+
+std::vector<std::uint8_t>
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void
+writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Journal layout: a 16-byte header, then records of kind, record
+ * version, u64 payload length, payload (u64 shape, u64 request, ...),
+ * and a CRC32C over kind..payload. Returns the payload length of the
+ * record at @p at.
+ */
+std::size_t
+recordPayloadLength(const std::vector<std::uint8_t>& bytes, std::size_t at)
+{
+    std::size_t len = 0;
+    for (int b = 7; b >= 0; --b)
+        len = len << 8 | bytes[at + 2 + b];
+    return len;
+}
+
+/** Recompute the CRC32C of the (edited) record at @p at. */
+void
+resealRecord(std::vector<std::uint8_t>& bytes, std::size_t at)
+{
+    const std::size_t len = recordPayloadLength(bytes, at);
+    const std::uint32_t crc = sim::crc32c(bytes.data() + at, 10 + len);
+    for (int b = 0; b < 4; ++b)
+        bytes[at + 10 + len + b] = static_cast<std::uint8_t>(crc >> (8 * b));
 }
 
 // ---------------------------------------------------------------------
@@ -1373,31 +1415,16 @@ TEST(ShapeSweep, ResumeContinuesTheCheckpointedMemberOfAClass)
     }
 
     // The one record is cell (0, 0)'s checkpoint; re-address it to
-    // cell (0, 1). Layout: 16-byte header, then kind, record version,
-    // u64 payload length, payload (u64 shape, u64 request, ...), and
-    // a CRC32C over kind..payload.
-    std::vector<std::uint8_t> bytes;
-    {
-        std::ifstream in(journal, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
+    // cell (0, 1).
+    std::vector<std::uint8_t> bytes = readFile(journal);
     const std::size_t at = 16;
     ASSERT_GT(bytes.size(), at + 42);
     ASSERT_EQ(bytes[at], 2); // checkpoint record
-    std::size_t len = 0;
-    for (int b = 7; b >= 0; --b)
-        len = len << 8 | bytes[at + 2 + b];
-    ASSERT_EQ(bytes.size(), at + 14 + len);
+    ASSERT_EQ(bytes.size(), at + 14 + recordPayloadLength(bytes, at));
     ASSERT_EQ(bytes[at + 18], 0);
     bytes[at + 18] = 1;
-    const std::uint32_t crc = sim::crc32c(bytes.data() + at, 10 + len);
-    for (int b = 0; b < 4; ++b)
-        bytes[at + 10 + len + b] = static_cast<std::uint8_t>(crc >> (8 * b));
-    {
-        std::ofstream out(journal, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char*>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    resealRecord(bytes, at);
+    writeFile(journal, bytes);
     sim::SweepJournalInfo info;
     ASSERT_TRUE(sim::inspectSweepJournal(journal, info));
     ASSERT_EQ(info.inflight.size(), 1u);
@@ -1410,6 +1437,92 @@ TEST(ShapeSweep, ResumeContinuesTheCheckpointedMemberOfAClass)
     EXPECT_EQ(resumed.rowsShared, 1u);
     EXPECT_EQ(resumed.rowsFromJournal, 0u);
     expectSameRows(resumed, golden, "continued member");
+    std::remove(journal.c_str());
+}
+
+TEST(ShapeSweep, RowsOfAnotherVersionReRunAndCheckpointsResume)
+{
+    // A journal whose row records carry version 1, as the build
+    // before the id-based deadlock report wrote them. Those rows are
+    // skipped: a resume simulates them again, continuing each from
+    // its checkpoint (checkpoint records kept version 1), and a merge
+    // counts them rather than dropping them without a word.
+    Program p = perturbedProgram(4);
+    Topology topo = Topology::linearArray(6);
+    std::vector<ShapeSpec> shapes;
+    for (int queues : {1, 2, 3, 4}) {
+        ShapeSpec shape;
+        shape.name = "q=" + std::to_string(queues);
+        shape.queuesPerLink = queues;
+        shapes.push_back(std::move(shape));
+    }
+    std::vector<RunRequest> requests(3);
+    requests[1].policy = PolicyKind::kFcfs;
+    requests[2].policy = PolicyKind::kRandom;
+    requests[2].seed = 5;
+
+    ShapeSweepOptions plain;
+    plain.numWorkers = 1;
+    ShapeSweep goldenSweep(p, topo, shapes, plain);
+    ShapeSweepResult golden = goldenSweep.run(requests);
+    ASSERT_TRUE(golden.complete);
+    ASSERT_EQ(golden.rowsShared, 0u);
+    std::size_t deadlocked = 0;
+    for (const sim::ShapeSweepRow& row : golden.rows)
+        deadlocked += row.result.deadlock.deadlocked ? 1 : 0;
+    ASSERT_GT(deadlocked, 0u);
+
+    const std::string journal = tempPath("shape_sweep_old_rows.journal");
+    std::remove(journal.c_str());
+    ShapeSweepOptions journaled = plain;
+    journaled.journalPath = journal;
+    journaled.checkpointEvery = 7;
+    {
+        ShapeSweep sweep(p, topo, shapes, journaled);
+        ASSERT_TRUE(sweep.run(requests).complete);
+    }
+
+    std::vector<std::uint8_t> bytes = readFile(journal);
+    std::size_t rows = 0;
+    std::set<std::pair<std::uint8_t, std::uint8_t>> checkpointed;
+    std::size_t at = 16;
+    while (at < bytes.size()) {
+        ASSERT_LE(at + 14, bytes.size());
+        if (bytes[at] == 1) { // row record
+            EXPECT_EQ(bytes[at + 1], 2);
+            bytes[at + 1] = 1;
+            resealRecord(bytes, at);
+            ++rows;
+        } else if (bytes[at] == 2) { // checkpoint record
+            EXPECT_EQ(bytes[at + 1], 1);
+            checkpointed.insert({bytes[at + 10], bytes[at + 18]});
+        }
+        at += 14 + recordPayloadLength(bytes, at);
+    }
+    ASSERT_EQ(at, bytes.size());
+    ASSERT_EQ(rows, golden.rows.size());
+    ASSERT_FALSE(checkpointed.empty());
+    writeFile(journal, bytes);
+
+    sim::SweepJournalInfo info;
+    ASSERT_TRUE(sim::inspectSweepJournal(journal, info));
+    EXPECT_EQ(info.rowsDone, 0u);
+    EXPECT_EQ(info.inflight.size(), checkpointed.size());
+
+    sim::SweepMergeResult merged;
+    std::string error;
+    ASSERT_TRUE(sim::mergeSweepJournals({journal}, merged, error))
+        << error;
+    EXPECT_TRUE(merged.rows.empty());
+    EXPECT_EQ(merged.rowsOtherVersion, rows);
+    EXPECT_FALSE(merged.complete);
+
+    ShapeSweep sweep(p, topo, shapes, journaled);
+    ShapeSweepResult resumed = sweep.run(requests);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.rowsFromJournal, 0u);
+    EXPECT_EQ(resumed.checkpointsRestored, checkpointed.size());
+    expectSameRows(resumed, golden, "re-run old row");
     std::remove(journal.c_str());
 }
 

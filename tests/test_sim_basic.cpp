@@ -127,7 +127,7 @@ TEST(SimBasic, Fig5P1AndP3DeadlockAtRuntime)
         RunResult r = SimSession(p, spec(algos::fig5Topology(), 2, 1)).run();
         EXPECT_EQ(r.status, RunStatus::kDeadlocked) << r.statusStr();
         EXPECT_TRUE(r.deadlock.deadlocked);
-        EXPECT_FALSE(r.deadlock.render().empty());
+        EXPECT_FALSE(r.deadlock.render(p).empty());
     }
 }
 

@@ -3,6 +3,7 @@
  * Run-time reproduction of the paper's queue-induced deadlock examples
  * (Figs. 7, 8, 9): the naive FCFS policy deadlocks exactly as the
  * figures describe, and the paper's avoidance procedure completes.
+ * The Fig. 5 P3 and Fig. 7 deadlock reports are pinned as text.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +43,28 @@ withPolicy(PolicyKind kind)
 }
 
 // ---------------------------------------------------------------------
+// Fig. 5
+// ---------------------------------------------------------------------
+
+TEST(Fig5, P3ReportListsNoIdleLink)
+{
+    // Reads face reads: both cells block before either writes, so
+    // the one link holds two free queues and nothing waits for them.
+    // No link is part of the deadlock, and the report lists none.
+    Program p = algos::fig5P3();
+    RunResult r = SimSession(p, spec(algos::fig5Topology(), 2))
+                      .run(withPolicy(PolicyKind::kCompatible));
+    EXPECT_EQ(r.status, RunStatus::kDeadlocked) << r.statusStr();
+    EXPECT_TRUE(r.deadlock.links.empty());
+    EXPECT_EQ(r.deadlock.render(p),
+              "DEADLOCK at cycle 1\n"
+              "blocked cells:\n"
+              "  cell 0 @ op 0 R(B) -- input word not available\n"
+              "  cell 1 @ op 0 R(A) -- input word not available\n"
+              "links: none\n");
+}
+
+// ---------------------------------------------------------------------
 // Fig. 7
 // ---------------------------------------------------------------------
 
@@ -51,9 +74,18 @@ TEST(Fig7, FcfsDeadlocksWithOneQueue)
     RunResult r = SimSession(p, spec(algos::fig7Topology(), 1))
                       .run(withPolicy(PolicyKind::kFcfs));
     EXPECT_EQ(r.status, RunStatus::kDeadlocked) << r.statusStr();
-    // C4 is stuck reading C while B holds the C3-C4 queue.
-    std::string render = r.deadlock.render();
-    EXPECT_NE(render.find("R(C)"), std::string::npos) << render;
+    // The figure's lower half: C4 waits for a queue to read C while B
+    // holds the only C3-C4 queue, and C fills the two queues before.
+    EXPECT_EQ(r.deadlock.render(p),
+              "DEADLOCK at cycle 12\n"
+              "blocked cells:\n"
+              "  cell 0 @ op 2 W(C) -- output queue full\n"
+              "  cell 2 @ op 5 W(B) -- output queue full\n"
+              "  cell 3 @ op 0 R(C) -- waiting for queue assignment\n"
+              "links:\n"
+              "  link 0 (0 -- 1): [C 1/1]\n"
+              "  link 1 (1 -- 2): [C 1/1]\n"
+              "  link 2 (2 -- 3): [B 1/1]  waiting: C\n");
 }
 
 TEST(Fig7, CompatibleCompletesWithOneQueue)

@@ -48,8 +48,7 @@ expectSameRunResult(const sim::RunResult& a, const sim::RunResult& b,
     EXPECT_EQ(b.received, a.received) << ctx;
     EXPECT_EQ(b.msgTiming, a.msgTiming) << ctx;
     EXPECT_EQ(b.labelsUsed, a.labelsUsed) << ctx;
-    EXPECT_EQ(b.deadlock.deadlocked, a.deadlock.deadlocked) << ctx;
-    EXPECT_EQ(b.deadlock.render(), a.deadlock.render()) << ctx;
+    EXPECT_TRUE(b.deadlock == a.deadlock) << ctx;
     EXPECT_EQ(b.audit.compatible, a.audit.compatible) << ctx;
     EXPECT_EQ(b.audit.violations.size(), a.audit.violations.size()) << ctx;
 }

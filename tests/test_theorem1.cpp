@@ -98,7 +98,7 @@ TEST_P(Theorem1, CompatibleAlwaysCompletes)
         ASSERT_EQ(r.status, RunStatus::kCompleted)
             << topology.name() << " queues=" << param.queues
             << " cap=" << param.capacity << " seed=" << seed << "\n"
-            << r.deadlock.render();
+            << r.deadlock.render(p);
         EXPECT_TRUE(r.audit.compatible) << r.audit.str(p);
         EXPECT_EQ(r.stats.wordsDelivered, totalWords(p));
         ++completed;

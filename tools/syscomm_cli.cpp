@@ -276,6 +276,9 @@ sweepMerge(int argc, char** argv, int argi)
     out.set("duplicate_rows",
             JsonValue::integer(static_cast<std::int64_t>(
                 merged.duplicateRows)));
+    out.set("rows_other_version",
+            JsonValue::integer(static_cast<std::int64_t>(
+                merged.rowsOtherVersion)));
     out.set("complete", JsonValue::boolean(merged.complete));
 
     int statusCounts[syscomm::sim::kNumRunStatuses] = {};
@@ -302,7 +305,10 @@ sweepMerge(int argc, char** argv, int argi)
     std::printf("%s\n", syscomm::serve::writeJson(out).c_str());
     if (requireComplete && !merged.complete) {
         std::fprintf(stderr,
-                     "sweep-merge: merged grid is incomplete\n");
+                     "sweep-merge: merged grid is incomplete "
+                     "(rows_other_version %zu: rows another build "
+                     "wrote, skipped; resume them to re-run)\n",
+                     merged.rowsOtherVersion);
         return 1;
     }
     return 0;
@@ -598,7 +604,7 @@ auditCommand(int argc, char** argv, int argi)
     out.set("labels", std::move(labels));
     if (result.deadlock.deadlocked)
         out.set("deadlock",
-                JsonValue::str(result.deadlock.render()));
+                JsonValue::str(result.deadlock.render(parsed.program)));
     std::printf("%s\n", syscomm::serve::writeJson(out).c_str());
     return ok ? 0 : 1;
 }

@@ -107,13 +107,14 @@ main()
         MachineSpec spec;
         spec.topo = algos::firTopology(4);
         spec.queuesPerLink = 2;
+        sim::RunLog log(p);
         sim::RunRequest request;
-        request.collect = sim::Collect::kEvents | sim::Collect::kReleases |
-                          sim::Collect::kMsgTiming | sim::Collect::kReceived;
+        request.observer = &log;
         sim::RunResult r = sim::SimSession(p, spec).run(request);
-        std::printf("%s\n", sim::renderMessageLatencies(r, p).c_str());
-        std::printf("%s\n",
-                    sim::renderQueueTimeline(r, p, spec, 60).c_str());
+        std::printf("%s\n", sim::renderMessageLatencies(log, p).c_str());
+        std::printf(
+            "%s\n",
+            sim::renderQueueTimeline(log, r.cycles, p, spec, 60).c_str());
     }
 
     std::printf("shape check: efficiency stays near 1 — two queues per\n"

@@ -69,7 +69,7 @@ main()
                      Topology topo, int queues) {
         // The capacity ladder is a machine-shape sweep: compile the
         // program once (ShapeSweep) and vary only the hardware. The
-        // default stats-only request is all the sweep wants — cycles,
+        // default unobserved request is all the sweep wants — cycles,
         // not event logs.
         std::vector<sim::ShapeSpec> shapes;
         for (int capacity : {1, 2, 4, 8, 16}) {

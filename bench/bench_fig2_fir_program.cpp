@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "core/compile.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -31,18 +32,17 @@ main()
     CompilePlan plan = compileProgram(p, spec);
     std::printf("%s\n", plan.report(p).c_str());
 
-    sim::RunRequest full;
-    full.collect = sim::Collect::kEvents | sim::Collect::kReleases |
-                   sim::Collect::kMsgTiming | sim::Collect::kReceived;
-    sim::RunRequest labeled = full;
+    sim::RunLog log(p);
+    sim::RunRequest labeled;
     labeled.labels = plan.normalizedLabels;
+    labeled.observer = &log;
     sim::RunResult r = sim::SimSession(p, spec).run(labeled);
     auto ya = *p.messageByName("YA");
     std::printf("status: %s after %lld cycles\n", r.statusStr(),
                 static_cast<long long>(r.cycles));
     std::printf("host received y1 = %.0f (paper: 34), y2 = %.0f "
                 "(paper: 49)\n\n",
-                r.received[ya][0], r.received[ya][1]);
+                log.received[ya][0], log.received[ya][1]);
 
     std::printf("generalized k-tap FIR (random weights/inputs)\n\n");
     row({"taps", "outputs", "ops", "cycles", "max-err"});
@@ -55,13 +55,16 @@ main()
             MachineSpec fspec;
             fspec.topo = algos::firTopology(taps);
             fspec.queuesPerLink = 2;
+            sim::RunLog flog(fp);
+            sim::RunRequest full;
+            full.observer = &flog;
             sim::RunResult fr = sim::SimSession(fp, fspec).run(full);
             auto y = *fp.messageByName("Y1");
             std::vector<double> expected = algos::firReference(fir);
             double err = 0;
             for (std::size_t i = 0; i < expected.size(); ++i) {
                 err = std::max(err,
-                               std::abs(fr.received[y][i] - expected[i]));
+                               std::abs(flog.received[y][i] - expected[i]));
             }
             row({std::to_string(taps), std::to_string(outputs),
                  std::to_string(fp.totalOps()), std::to_string(fr.cycles),

@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "core/compile.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -41,13 +42,18 @@ main()
               sim::PolicyKind::kCompatibleEager}) {
             MachineSpec s = spec;
             s.queuesPerLink = queues;
+            sim::SimSession session(p, s);
+            sim::RunLog log(p);
             sim::RunRequest request;
             request.policy = kind;
-            request.collect = sim::Collect::kAll;
-            sim::RunResult r = sim::SimSession(p, s).run(request);
+            request.observer = &log;
+            sim::RunResult r = session.run(request);
+            const sim::AuditReport audit = sim::auditAssignments(
+                p, session.compiled()->competing(), session.labels(),
+                log.events);
             row({sim::policyKindName(kind), std::to_string(queues),
                  r.statusStr(), std::to_string(r.cycles),
-                 r.audit.compatible ? "clean" : "violations"});
+                 audit.compatible ? "clean" : "violations"});
         }
     }
 

@@ -53,8 +53,8 @@ measure(const Program& p, const MachineSpec& spec, KernelKind kernel,
 
     // One compiled session per kernel: labeling/validation/allocation
     // happen once up front, so the timed loop measures the run-time
-    // kernels alone (P1 covers the compile-time analyses). Stats-only
-    // collection keeps result materialization out of the timing too.
+    // kernels alone (P1 covers the compile-time analyses). No observer
+    // is attached, so event recording stays out of the timing too.
     sim::SessionOptions options;
     options.kernel = kernel;
     sim::SimSession session(p, spec, options);

@@ -117,7 +117,7 @@ simulateScaling(benchmark::State& state, sim::KernelKind kernel)
     spec.queuesPerLink = 2;
     spec.queueCapacity = 4;
     // Compile once; the bench measures the run-time kernel, not the
-    // compile-time labeler (P1 covers that). Stats-only collection.
+    // compile-time labeler (P1 covers that). No observer.
     sim::SessionOptions options;
     options.kernel = kernel;
     sim::SimSession session(p, spec, options);

@@ -2,9 +2,9 @@
  * @file
  * Experiment S1: what compile-once/run-many buys. 64 seed-varied runs
  * of the 256-cell sparse/streaming workload through one SimSession
- * (state reset in place, stats-only collection) vs 64 fresh
- * one-shot SimSessions (revalidate, relabel, reallocate and
- * materialize every result vector per run), plus one-shape ShapeSweep
+ * (state reset in place, no observer) vs 64 fresh one-shot
+ * SimSessions (revalidate, relabel, reallocate and record every event
+ * in a fresh RunLog per run), plus one-shape ShapeSweep
  * thread-scaling over 1/2/4/8 workers. Appends machine-readable
  * lines to BENCH_session.json.
  *
@@ -23,6 +23,7 @@
 #include "core/topology.h"
 #include "sim/session.h"
 #include "sim/shape_sweep.h"
+#include "sim/trace.h"
 
 namespace {
 
@@ -72,16 +73,15 @@ main(int argc, char** argv)
     Program program = bench::streamingProgram(kCells, 4, 4, 16);
     MachineSpec spec = makeSpec(kCells);
 
-    // The one-shot baseline: a fresh session per run that materializes
-    // every result vector.
-    sim::RunRequest full;
-    full.collect = sim::Collect::kEvents | sim::Collect::kReleases |
-                   sim::Collect::kMsgTiming | sim::Collect::kReceived;
-
-    // Correctness guard: both paths agree on the outcome.
+    // Correctness guard: both paths agree on the outcome. The
+    // one-shot baseline is a fresh session per run that records every
+    // event in a fresh RunLog.
     {
         sim::SimSession session(program, spec);
         sim::RunResult reused = session.run({});
+        sim::RunLog log(program);
+        sim::RunRequest full;
+        full.observer = &log;
         sim::RunResult oneshot = sim::SimSession(program, spec).run(full);
         if (!reused.completed() || !oneshot.completed() ||
             reused.cycles != oneshot.cycles) {
@@ -96,7 +96,7 @@ main(int argc, char** argv)
     }
 
     // ------------------------------------------------------------------
-    // A: one session, kRuns seed-varied runs, stats-only collection.
+    // A: one session, kRuns seed-varied runs, no observer.
     // ------------------------------------------------------------------
     double best_session = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -114,13 +114,15 @@ main(int argc, char** argv)
 
     // ------------------------------------------------------------------
     // B: kRuns fresh one-shot sessions (revalidates, relabels,
-    // reallocates, collects everything).
+    // reallocates, records everything).
     // ------------------------------------------------------------------
     double best_oneshot = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
         auto start = Clock::now();
         for (int i = 0; i < kRuns; ++i) {
-            sim::RunRequest request = full;
+            sim::RunLog log(program);
+            sim::RunRequest request;
+            request.observer = &log;
             request.seed = static_cast<std::uint64_t>(i + 1);
             sim::RunResult r = sim::SimSession(program, spec).run(request);
             if (!r.completed())
@@ -176,7 +178,9 @@ main(int argc, char** argv)
         {
             auto start = Clock::now();
             for (int i = 0; i < kRuns; ++i) {
-                sim::RunRequest request = full;
+                sim::RunLog log(longProgram);
+                sim::RunRequest request;
+                request.observer = &log;
                 request.seed = static_cast<std::uint64_t>(i + 1);
                 if (!sim::SimSession(longProgram, spec).run(request)
                          .completed())

@@ -14,6 +14,7 @@
 #include "core/compile.h"
 #include "core/program_gen.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 
 using namespace syscomm;
 using namespace syscomm::bench;
@@ -76,17 +77,22 @@ main()
                         continue;
                     }
 
+                    sim::SimSession session(p, spec);
+                    sim::RunLog log(p);
                     sim::RunRequest request;
                     request.policy = kind;
                     request.labels = plan.normalizedLabels;
-                    request.collect = sim::Collect::kAll;
+                    request.observer = &log;
                     request.seed = trial;
-                    sim::RunResult r = sim::SimSession(p, spec).run(request);
+                    sim::RunResult r = session.run(request);
                     if (r.status == sim::RunStatus::kCompleted)
                         ++tally.completed;
                     else
                         ++tally.deadlocked;
-                    if (!r.audit.compatible)
+                    if (!sim::auditAssignments(
+                             p, session.compiled()->competing(),
+                             request.labels, log.events)
+                             .compatible)
                         ++tally.auditViolations;
                 }
                 row({tc.name, std::to_string(queues),

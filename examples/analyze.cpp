@@ -18,6 +18,7 @@
 
 #include "core/compile.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 #include "text/parser.h"
 #include "text/printer.h"
 
@@ -113,21 +114,30 @@ main(int argc, char** argv)
     std::printf("%s", plan.report(program).c_str());
 
     if (run) {
-        // Compile-once session; the audit is opt-in per run.
+        // Compile-once session; a RunLog records the assignment
+        // trace the audit checks.
         sim::SessionOptions session_options;
         if (plan.ok)
             session_options.labels = plan.normalizedLabels;
         sim::SimSession session(program, machine, session_options);
+        sim::RunLog log(program);
         sim::RunRequest request;
         request.policy = policy;
-        request.collect = sim::Collect::kAudit;
+        request.observer = &log;
         sim::RunResult r = session.run(request);
         std::printf("\nrun (%s): %s in %lld cycles\n",
                     sim::policyKindName(policy), r.statusStr(),
                     static_cast<long long>(r.cycles));
         if (r.status == sim::RunStatus::kDeadlocked)
             std::printf("%s", r.deadlock.render(program).c_str());
-        std::printf("%s\n", r.audit.str(program).c_str());
+        // A run that never started has no trace to check.
+        sim::AuditReport audit;
+        if (r.status != sim::RunStatus::kConfigError &&
+            !session.labels().empty())
+            audit = sim::auditAssignments(
+                program, session.compiled()->competing(), session.labels(),
+                log.events);
+        std::printf("%s\n", audit.str(program).c_str());
     }
     return plan.ok ? 0 : 2;
 }

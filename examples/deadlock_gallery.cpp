@@ -33,10 +33,9 @@ show(const char* title, const Program& p, const Topology& topo,
     else
         std::printf("labels: %s\n", plan.labeling.str(p).c_str());
 
-    // Stats-only run: the gallery wants the status and the deadlock
-    // snapshot, which a session produces without any Collect flags.
-    // Labels resolve lazily, only for the runs whose policy needs
-    // them.
+    // Unobserved run: the gallery wants only the status and the
+    // deadlock snapshot, which every run returns. Labels resolve
+    // lazily, only for the runs whose policy needs them.
     sim::SessionOptions options;
     options.precomputeLabels = false;
     sim::RunRequest request;

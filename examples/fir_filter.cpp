@@ -13,6 +13,7 @@
 #include "algos/fir.h"
 #include "core/compile.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -46,8 +47,9 @@ main(int argc, char** argv)
     sim::SessionOptions options;
     options.labels = plan.normalizedLabels;
     sim::SimSession session(program, machine, options);
+    sim::RunLog log(program); // records the y-stream values
     sim::RunRequest request;
-    request.collect = sim::Collect::kReceived; // the y-stream values
+    request.observer = &log;
     sim::RunResult result = session.run(request);
     std::printf("status: %s in %lld cycles (%lld words delivered)\n\n",
                 result.statusStr(), static_cast<long long>(result.cycles),
@@ -55,13 +57,15 @@ main(int argc, char** argv)
 
     auto y = *program.messageByName(algos::firHostOutputMessage());
     std::vector<double> expected = algos::firReference(spec);
+    if (log.received[y].size() != expected.size())
+        return 1;
     double max_err = 0.0;
     for (std::size_t j = 0; j < expected.size(); ++j) {
-        double err = std::abs(result.received[y][j] - expected[j]);
+        double err = std::abs(log.received[y][j] - expected[j]);
         max_err = std::max(max_err, err);
         if (j < 8) {
             std::printf("y[%zu] = %10.4f   (reference %10.4f)\n", j,
-                        result.received[y][j], expected[j]);
+                        log.received[y][j], expected[j]);
         }
     }
     std::printf("...\nmax |error| = %g\n", max_err);

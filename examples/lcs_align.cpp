@@ -50,11 +50,11 @@ main(int argc, char** argv)
     sim::SessionOptions options;
     options.labels = plan.normalizedLabels;
     sim::SimSession session(program, machine, options);
+    // The timeline rendering consumes the log's assignment/release
+    // events; the result value arrives as a received word.
+    sim::RunLog log(program);
     sim::RunRequest request;
-    // The timeline rendering consumes assignment/release events; the
-    // result value arrives via kReceived.
-    request.collect = sim::Collect::kReceived | sim::Collect::kEvents |
-                      sim::Collect::kReleases | sim::Collect::kMsgTiming;
+    request.observer = &log;
     sim::RunResult result = session.run(request);
     if (result.status != sim::RunStatus::kCompleted) {
         std::printf("simulation failed: %s\n", result.statusStr());
@@ -62,12 +62,13 @@ main(int argc, char** argv)
     }
 
     auto res = *program.messageByName("RES");
-    int got = static_cast<int>(result.received[res][0]);
+    int got = static_cast<int>(log.received[res][0]);
     int want = algos::lcsReference(spec);
     std::printf("LCS length: %d (DP reference: %d) in %lld cycles\n\n",
                 got, want, static_cast<long long>(result.cycles));
     std::printf("%s",
-                sim::renderQueueTimeline(result, program, machine, 60)
+                sim::renderQueueTimeline(log, result.cycles, program,
+                                         machine, 60)
                     .c_str());
     return got == want ? 0 : 1;
 }

@@ -14,6 +14,7 @@
 #include "algos/mesh_matmul.h"
 #include "core/compile.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 
 using namespace syscomm;
 
@@ -45,8 +46,9 @@ main(int argc, char** argv)
     sim::SessionOptions options;
     options.labels = plan.normalizedLabels;
     sim::SimSession session(program, machine, options);
+    sim::RunLog log(program); // records the C-matrix values
     sim::RunRequest request;
-    request.collect = sim::Collect::kReceived; // the C-matrix values
+    request.observer = &log;
     sim::RunResult result = session.run(request);
     std::printf("status: %s in %lld cycles\n\n", result.statusStr(),
                 static_cast<long long>(result.cycles));
@@ -54,7 +56,7 @@ main(int argc, char** argv)
         return 1;
 
     std::vector<double> got =
-        algos::extractMatMulResult(program, result.received, spec);
+        algos::extractMatMulResult(program, log.received, spec);
     std::vector<double> want = algos::matmulReference(spec);
     double max_err = 0.0;
     for (int i = 0; i < n && i < 4; ++i) {

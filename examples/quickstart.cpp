@@ -12,6 +12,7 @@
 
 #include "core/compile.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 #include "text/printer.h"
 
 using namespace syscomm;
@@ -76,26 +77,36 @@ main()
     sessionOptions.labels = plan.normalizedLabels;
     sim::SimSession session(program, machine, sessionOptions);
 
-    // 5. Run under the compatible queue-assignment policy. Results
-    //    are opt-in: ask for the received values and the section 7
-    //    audit; status, cycle count and stats always come back.
+    // 5. Run under the compatible queue-assignment policy. A run
+    //    returns its status, cycle count and stats; a RunLog attached
+    //    as the request's observer records what happened on the way —
+    //    here the received values and the assignment trace the
+    //    section 7 audit checks.
+    sim::RunLog log(program);
     sim::RunRequest request;
-    request.collect = sim::Collect::kReceived | sim::Collect::kAudit;
+    request.observer = &log;
     sim::RunResult result = session.run(request);
 
     std::printf("status: %s in %lld cycles\n", result.statusStr(),
                 static_cast<long long>(result.cycles));
+    if (!result.completed())
+        return 1;
+    const double expectedReply = 2.0 * (1 + 2 + 3 + 4);
+    const double gotReply = log.received[reply][0];
     std::printf("cell 0 received reply = %.1f (expected %.1f)\n",
-                result.received[reply][0], 2.0 * (1 + 2 + 3 + 4));
+                gotReply, expectedReply);
+    const sim::AuditReport audit = sim::auditAssignments(
+        program, session.compiled()->competing(), session.labels(),
+        log.events);
     std::printf("assignment trace: %s\n",
-                result.audit.compatible ? "compatible" : "VIOLATIONS");
+                audit.compatible ? "compatible" : "VIOLATIONS");
 
     // 6. The compiled session runs any number of requests — here the
-    //    unsafe FCFS baseline, no recompilation, stats-only.
+    //    unsafe FCFS baseline, no recompilation, no observer.
     sim::RunRequest baseline;
     baseline.policy = sim::PolicyKind::kFcfs;
     sim::RunResult fcfs = session.run(baseline);
     std::printf("fcfs baseline: %s in %lld cycles\n", fcfs.statusStr(),
                 static_cast<long long>(fcfs.cycles));
-    return 0;
+    return gotReply == expectedReply && audit.compatible ? 0 : 1;
 }

@@ -251,9 +251,9 @@ parseRequest(const JsonValue& spec, sim::RunRequest& out,
         return false;
     }
     out.maxCycles = maxCycles;
-    // Everything else (collect, observers, faults, pauseAt) is
-    // daemon-owned: stats-only runs are the journalable, resumable
-    // class, and pauseAt is how the daemon slices budgets in.
+    // Everything else (observers, faults, pauseAt) is daemon-owned:
+    // unobserved runs are the journalable, resumable class, and
+    // pauseAt is how the daemon slices budgets in.
     return true;
 }
 

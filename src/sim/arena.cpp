@@ -142,26 +142,6 @@ SimArena::buildSingleQueue(int capacity, int ext_capacity, int ext_penalty)
 }
 
 void
-SimArena::copyMachineStateFrom(const SimArena& other)
-{
-    assert(words_.size() == other.words_.size() &&
-           queues_.size() == other.queues_.size() &&
-           crossings_.size() == other.crossings_.size() &&
-           cells_.size() == other.cells_.size() &&
-           "arenas must be built from the same program and spec");
-    // Bulk pool copies first (std::copy into the existing storage —
-    // vector assignment could reallocate and would invalidate every
-    // span), then the per-object scalar state.
-    std::copy(other.words_.begin(), other.words_.end(), words_.begin());
-    std::copy(other.crossings_.begin(), other.crossings_.end(),
-              crossings_.begin());
-    for (std::size_t i = 0; i < queues_.size(); ++i)
-        queues_[i].copyStateFrom(other.queues_[i]);
-    for (std::size_t i = 0; i < cells_.size(); ++i)
-        cells_[i].copyStateFrom(other.cells_[i]);
-}
-
-void
 SimArena::serializeMachineState(std::vector<std::uint8_t>& out) const
 {
     ByteWriter w(out);

@@ -33,12 +33,13 @@
  * reset-in-place path just rewinds counters.
  *
  * Because the pools *are* the machine state, two more operations
- * become trivial, and the sampled-oracle equivalence harness is built
- * on them: copyMachineStateFrom() clones a mid-run machine out of
- * another session's arena (bulk pool copies plus per-object scalars),
- * and machineDigest() folds the whole machine into one hash for
- * cheap bit-identity checks at 100k-cell sizes where materializing
- * full results for comparison would dominate the test budget.
+ * become trivial: serializeMachineState() writes a mid-run machine
+ * out as bulk pool dumps plus per-object scalars (the checkpoint
+ * format, which the sampled-oracle equivalence harness also uses to
+ * move a run between kernels), and machineDigest() folds the whole
+ * machine into one hash for cheap bit-identity checks at 100k-cell
+ * sizes where materializing full results for comparison would
+ * dominate the test budget.
  */
 
 #include <cstdint>
@@ -85,18 +86,9 @@ class SimArena
     }
 
     /**
-     * Adopt the full mid-run machine state (queue contents and
-     * scalars, crossing phases, cell runtimes) of @p other, an arena
-     * built from the same program and machine spec. Static
-     * registration (crossing sets, the sorted lookup index) is
-     * already identical by construction and is not touched.
-     */
-    void copyMachineStateFrom(const SimArena& other);
-
-    /**
-     * Append the complete mid-run machine state — the same state
-     * copyMachineStateFrom moves between live arenas — to @p out as a
-     * flat byte stream: word and crossing pools wholesale, then the
+     * Append the complete mid-run machine state (queue contents and
+     * scalars, crossing phases, cell runtimes) to @p out as a flat
+     * byte stream: word and crossing pools wholesale, then the
      * per-queue and per-cell scalars. The stream is consumed by
      * deserializeMachineState on an arena built from the same program
      * and machine spec; it is the storage format behind ShapeSweep's

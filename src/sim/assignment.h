@@ -44,15 +44,6 @@ class AssignmentPolicy
     virtual std::string name() const = 0;
 
     /**
-     * An independent copy carrying the full mid-run decision state
-     * (for the counted-stream random policy: its per-link decision
-     * counters). SimSession::adoptState clones the donor's policy so
-     * a session resumed from a checkpoint makes exactly the decisions
-     * the donor would have made.
-     */
-    virtual std::unique_ptr<AssignmentPolicy> clone() const = 0;
-
-    /**
      * Reset internal state for a fresh run over the same machine.
      * After this call the policy must behave exactly like a newly
      * constructed instance seeded with @p seed — SimSession reuses
@@ -61,11 +52,11 @@ class AssignmentPolicy
     virtual void resetRun(std::uint64_t seed) { (void)seed; }
 
     /**
-     * Append the mid-run decision state clone() would carry — for the
-     * counted-stream random policy, its per-link decision counters —
-     * as plain words. The checkpoint machinery persists this next to
-     * the machine pools so a run restored from disk makes exactly the
-     * decisions the interrupted one would have made. The compatible,
+     * Append the mid-run decision state — for the counted-stream
+     * random policy, its per-link decision counters — as plain words.
+     * The checkpoint machinery persists this next to the machine
+     * pools so a run restored from disk makes exactly the decisions
+     * the interrupted one would have made. The compatible,
      * static and FCFS policies are pure functions of the link state
      * and save nothing.
      */
@@ -107,10 +98,6 @@ class StaticPolicy : public AssignmentPolicy
 {
   public:
     std::string name() const override { return "static"; }
-    std::unique_ptr<AssignmentPolicy> clone() const override
-    {
-        return std::make_unique<StaticPolicy>(*this);
-    }
     bool initLink(LinkState& link,
                   std::vector<AssignmentDecision>& decisions) override;
     void tick(LinkState&, Cycle, std::vector<AssignmentDecision>&) override
@@ -141,10 +128,6 @@ class CompatiblePolicy : public AssignmentPolicy
     {
         return eager_ ? "compatible-eager" : "compatible";
     }
-    std::unique_ptr<AssignmentPolicy> clone() const override
-    {
-        return std::make_unique<CompatiblePolicy>(*this);
-    }
     void tick(LinkState& link, Cycle now,
               std::vector<AssignmentDecision>& decisions) override;
 
@@ -161,10 +144,6 @@ class FcfsPolicy : public AssignmentPolicy
 {
   public:
     std::string name() const override { return "fcfs"; }
-    std::unique_ptr<AssignmentPolicy> clone() const override
-    {
-        return std::make_unique<FcfsPolicy>(*this);
-    }
     void tick(LinkState& link, Cycle now,
               std::vector<AssignmentDecision>& decisions) override;
 
@@ -193,12 +172,6 @@ class RandomPolicy : public AssignmentPolicy
     explicit RandomPolicy(std::uint64_t seed) : seed_(seed) {}
 
     std::string name() const override { return "random"; }
-    std::unique_ptr<AssignmentPolicy> clone() const override
-    {
-        // The copy carries seed_ and the per-link decision counters:
-        // the clone's future shuffles are exactly this policy's.
-        return std::make_unique<RandomPolicy>(*this);
-    }
     /** Restart every per-link stream as if freshly constructed. */
     void resetRun(std::uint64_t seed) override
     {

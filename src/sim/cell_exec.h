@@ -99,28 +99,8 @@ class CellRuntime : public CellContext
     }
 
     /**
-     * Adopt the mid-run state of @p other, a cell running the same
-     * program position in another session. Part of the machine-state
-     * copy behind SimSession::adoptState (the sampled-oracle
-     * harness); the op list and cell id are construction-time and
-     * must already match.
-     */
-    void copyStateFrom(const CellRuntime& other)
-    {
-        pc_ = other.pc_;
-        now_ = other.now_;
-        last_read_ = other.last_read_;
-        next_write_ = other.next_write_;
-        has_staged_write_ = other.has_staged_write_;
-        locals_ = other.locals_;
-        stall_remaining_ = other.stall_remaining_;
-        read_completed_ = other.read_completed_;
-        lastBlock = other.lastBlock;
-        lastVisitCycle = other.lastVisitCycle;
-    }
-
-    /**
-     * Serialize / restore the same mid-run state copyStateFrom moves.
+     * Serialize / restore the cell's mid-run state (the op list and
+     * cell id are construction-time and must already match).
      * SimArena wraps both with pool-shape checks and a whole-machine
      * digest; on a short stream loadState returns false and the cell
      * must be discarded.

@@ -84,7 +84,7 @@ struct FaultEvent
  * same-cycle events apply in insertion order). Plans are plain data —
  * share one plan across runs, kernels and sweep rows freely; the run
  * only reads it. Like RunRequest::observer, a plan passed to a run
- * must outlive the run (and any adoptState/restoreCheckpoint chains
+ * must outlive the run (and any resume/restoreCheckpoint chains
  * derived from it).
  */
 class FaultPlan

@@ -69,36 +69,6 @@ HwQueue::reset()
 }
 
 void
-HwQueue::copyStateFrom(const HwQueue& other)
-{
-    assert(capacity_ == other.capacity_ &&
-           ext_capacity_ == other.ext_capacity_ &&
-           ext_penalty_ == other.ext_penalty_ && mask_ == other.mask_ &&
-           spill_mask_ == other.spill_mask_ && "queue shapes must match");
-    // The ring/spill *contents* travel with the arena's word pool
-    // (SimArena::copyMachineStateFrom copies it wholesale before the
-    // per-queue scalar pass), so only the scalars move here.
-    assigned_ = other.assigned_;
-    dir_ = other.dir_;
-    final_hop_ = other.final_hop_;
-    words_remaining_ = other.words_remaining_;
-    cap_limit_ = other.cap_limit_;
-    head_ = other.head_;
-    ring_count_ = other.ring_count_;
-    spill_head_ = other.spill_head_;
-    spill_count_ = other.spill_count_;
-    front_ready_at_ = other.front_ready_at_;
-    last_push_cycle_ = other.last_push_cycle_;
-    last_pop_cycle_ = other.last_pop_cycle_;
-    settled_ = other.settled_;
-    busy_cycles_ = other.busy_cycles_;
-    occupancy_sum_ = other.occupancy_sum_;
-    words_pushed_ = other.words_pushed_;
-    extended_words_ = other.extended_words_;
-    assignments_ = other.assignments_;
-}
-
-void
 HwQueue::saveState(ByteWriter& out) const
 {
     out.put(assigned_);

@@ -69,19 +69,10 @@ class HwQueue
     void reset();
 
     /**
-     * Adopt the dynamic state (assignment, ring/spill contents and
-     * positions, interlock stamps, statistics) of @p other, a queue
-     * of identical shape from another session over the same machine.
-     * Together with SimArena::copyMachineStateFrom this is what lets
-     * the sampled-oracle harness restart the dense reference kernel
-     * from an event-kernel checkpoint.
-     */
-    void copyStateFrom(const HwQueue& other);
-
-    /**
-     * Serialize / restore the same dynamic state copyStateFrom moves
-     * (the ring/spill *contents* travel with the arena word pool, so
-     * only the scalars live here). loadState fails — leaving the
+     * Serialize / restore the dynamic state (assignment, ring/spill
+     * positions, interlock stamps, statistics) — the ring/spill
+     * *contents* travel with the arena word pool, so only the scalars
+     * live here. loadState fails — leaving the
      * queue in a partially-written state the caller must discard —
      * when the byte stream runs short; SimArena wraps both with shape
      * checks and a whole-machine digest, so a torn or mismatched

@@ -44,7 +44,6 @@ RecoveryDriver::run(const RecoveryOptions& options)
 
     // ---- Phase 1: the fault-injected primary run, checkpointed. ----
     RunRequest req = options.request;
-    req.collect = Collect::kNone; // checkpoints require stats-only
     req.labels.clear();
     req.observer = nullptr;
     req.faults = options.faults;
@@ -184,7 +183,6 @@ RecoveryDriver::run(const RecoveryOptions& options)
                                              rep.degradedTopo);
     SimSession recovery(compiled, degradedSpec, options.session);
     RunRequest rreq = options.request;
-    rreq.collect = Collect::kNone;
     rreq.labels.clear();
     rreq.observer = nullptr;
     rreq.pauseAt = 0;

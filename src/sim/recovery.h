@@ -58,7 +58,7 @@ namespace syscomm::sim {
 struct RecoveryOptions
 {
     /** Policy/seed/budget used for both the primary and the recovery
-     *  run. collect is forced to kNone (checkpoints require it) and
+     *  run. The observer is dropped (neither run reports events) and
      *  labels must be empty (the degraded machine computes its own
      *  section 6 labeling — the original labels do not fit the
      *  residual program). pauseAt is driven by the checkpointer. */

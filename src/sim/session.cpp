@@ -373,8 +373,7 @@ CompiledProgram::buildCount()
 /**
  * The simulation engine. Everything allocated here is sized once at
  * construction and reset in place by resetRun(); run() must not
- * allocate proportionally to machine size, only to what it is asked
- * to collect.
+ * allocate proportionally to machine size.
  */
 struct SimSession::Impl
 {
@@ -458,15 +457,14 @@ struct SimSession::Impl
     // -----------------------------------------------------------------
 
     AssignmentPolicy* policy = nullptr;
+    /**
+     * Labels resolved for the run being set up. Valid only inside
+     * run() and restoreCheckpoint() — it may point into the caller's
+     * request; the policy keeps its own copy for the rest of the run.
+     */
     const std::vector<std::int64_t>* runLabels = &kNoLabels;
     RunObserver* observer = nullptr;
     Cycle maxCycles = 0;
-    bool collectEvents = false;
-    bool needEvents = false; ///< events vector feeds the audit too
-    bool collectReleases = false;
-    bool collectTiming = false;
-    bool collectReceived = false;
-    bool doAudit = false;
 
     /**
      * One cached policy instance per PolicyKind, rebuilt only when
@@ -491,19 +489,6 @@ struct SimSession::Impl
     Cycle pauseTarget = 0;
     /** First cycle the next run segment executes. */
     Cycle resumeFrom = 1;
-    /**
-     * Owned copy of the run labels, filled at pause (the RunRequest
-     * that lent runLabels its storage may die before resume) and by
-     * adoptState (the donor's labels must survive the donor).
-     */
-    std::vector<std::int64_t> ownedLabels;
-    /**
-     * Policy cloned from an adoptState donor mid-run; lives outside
-     * the per-kind cache because its internal state (e.g. the random
-     * policy's per-link decision counters) belongs to the adopted
-     * run, not to a fresh seed.
-     */
-    std::unique_ptr<AssignmentPolicy> adoptedPolicy;
 
     // -----------------------------------------------------------------
     // Fault-injection state (RunRequest::faults). Both kernels apply
@@ -512,8 +497,8 @@ struct SimSession::Impl
     // runs stay bit-identical across kernels. Everything here is a
     // pure function of (plan, current cycle): checkpoints persist only
     // the machine pools (plus each queue's capacity clamp, which lives
-    // in HwQueue), and restore/adopt rebuild the flags by replaying
-    // the plan's already-due events.
+    // in HwQueue), and a restore rebuilds the flags by replaying the
+    // plan's already-due events.
     // -----------------------------------------------------------------
 
     /** The active run's plan (borrowed, like the observer). */
@@ -633,16 +618,6 @@ struct SimSession::Impl
     /** Per-tick scratch; tickLink runs on the per-cycle hot path. */
     std::vector<AssignmentDecision> decisionScratch;
 
-    /**
-     * High-water marks of the opt-in result vectors across this
-     * session's runs: each run's vectors are moved out to the caller,
-     * so without a reserve every collecting run would regrow them
-     * from scratch. Reserving the largest size seen makes the reuse
-     * path allocation-free in steady state.
-     */
-    std::size_t hwEvents = 0;
-    std::size_t hwReleases = 0;
-
     Impl(std::shared_ptr<const CompiledProgram> c, const MachineSpec& s,
          SessionOptions o)
         : compiled(std::move(c)),
@@ -726,7 +701,7 @@ struct SimSession::Impl
     /**
      * Labels this run sees: an explicit request override is always
      * honored; otherwise the session defaults, resolved only when the
-     * run actually needs labels (compatible policies or the audit).
+     * run actually needs labels (the compatible policies).
      * A label-free run reports no labels — regardless of what earlier
      * runs resolved — so identical requests always produce identical
      * results (and match a fresh session's).
@@ -777,32 +752,7 @@ struct SimSession::Impl
         result.error.clear();
         result.stats.resetRun(cells.size());
         result.deadlock = DeadlockReport{};
-        result.events.clear();
-        result.releases.clear();
-        result.audit = AuditReport{};
         result.labelsUsed = *runLabels;
-        // The result vectors were moved out to the previous caller;
-        // reserve this session's high-water marks so collecting runs
-        // stop reallocating on the reuse path.
-        if (needEvents)
-            result.events.reserve(hwEvents);
-        if (collectReleases)
-            result.releases.reserve(hwReleases);
-        if (collectTiming)
-            result.msgTiming.assign(program.numMessages(), {-1, -1});
-        else
-            result.msgTiming.clear();
-        if (collectReceived) {
-            result.received.resize(program.numMessages());
-            for (MessageId m = 0; m < program.numMessages(); ++m) {
-                result.received[m].clear();
-                // A message delivers exactly messageLength words.
-                result.received[m].reserve(
-                    static_cast<std::size_t>(program.messageLength(m)));
-            }
-        } else {
-            result.received.clear();
-        }
 
         if (eventMode) {
             activeCells.clear();
@@ -1099,8 +1049,9 @@ struct SimSession::Impl
     /**
      * Rebuild the fault-derived flags for a run paused at
      * @p pauseCycle by replaying the plan's due events — the
-     * restore/adopt path. Event-kernel side effects (wakes, active-set
-     * erases) land on state rebuildEventState() redoes afterwards.
+     * checkpoint-restore path. Event-kernel side effects (wakes,
+     * active-set erases) land on state rebuildEventState() redoes
+     * afterwards.
      */
     void
     reapplyFaultsThrough(Cycle pauseCycle)
@@ -1300,7 +1251,7 @@ struct SimSession::Impl
     // Shared phase pieces
     // -----------------------------------------------------------------
 
-    /** Record a policy decision batch as events + stats. */
+    /** Record a policy decision batch as observer events + stats. */
     std::int64_t
     applyDecisions(LinkState& link,
                    const std::vector<AssignmentDecision>& decisions,
@@ -1308,17 +1259,14 @@ struct SimSession::Impl
     {
         for (const AssignmentDecision& d : decisions) {
             const Crossing& c = link.crossing(d.msg);
-            if (needEvents || observer != nullptr) {
+            if (observer != nullptr) {
                 AssignmentEvent ev;
                 ev.cycle = now;
                 ev.link = link.index();
                 ev.msg = d.msg;
                 ev.queueId = d.queueId;
                 ev.dir = c.dir;
-                if (needEvents)
-                    result.events.push_back(ev);
-                if (observer != nullptr)
-                    observer->onAssign(ev);
+                observer->onAssign(ev);
             }
             ++result.stats.assignments;
             if (c.requestedAt >= 0)
@@ -1328,21 +1276,18 @@ struct SimSession::Impl
         return static_cast<std::int64_t>(decisions.size());
     }
 
-    /** Release a finished message's queue, keeping the event log. */
+    /** Release a finished message's queue, telling the observer. */
     void
     releaseMsg(LinkState& link, MessageId msg, Cycle now)
     {
-        if (collectReleases || observer != nullptr) {
+        if (observer != nullptr) {
             AssignmentEvent ev;
             ev.cycle = now;
             ev.link = link.index();
             ev.msg = msg;
             ev.queueId = link.crossing(msg).queueId;
             ev.dir = link.crossing(msg).dir;
-            if (collectReleases)
-                result.releases.push_back(ev);
-            if (observer != nullptr)
-                observer->onRelease(ev);
+            observer->onRelease(ev);
         }
         link.finishMsg(msg, now);
         ++result.stats.releases;
@@ -1465,8 +1410,8 @@ struct SimSession::Impl
         w.msg = op.msg;
         w.seq = writeSeq[op.msg]++;
         w.value = cell.takeWriteValue();
-        if (collectTiming && w.seq == 0)
-            result.msgTiming[op.msg].first = now;
+        if (observer != nullptr)
+            observer->onSend(op.msg, w.seq, w.value, now);
         q.push(w, now);
         onPush(link, q);
         ++result.stats.opsExecuted;
@@ -1526,14 +1471,9 @@ struct SimSession::Impl
         assert(w.seq == readSeq[op.msg] && "words arrive in order");
         int seq = readSeq[op.msg]++;
         cell.recordRead(w.value);
-        if (collectReceived)
-            result.received[op.msg].push_back(w.value);
         if (observer != nullptr)
             observer->onDeliver(op.msg, seq, w.value, now);
         ++result.stats.wordsDelivered;
-        if (collectTiming &&
-            readSeq[op.msg] == program.messageLength(op.msg))
-            result.msgTiming[op.msg].second = now;
         std::int64_t progress = 1;
         if (q.wordsRemaining() == 0) {
             releaseMsg(link, op.msg, now);
@@ -2078,8 +2018,8 @@ struct SimSession::Impl
      * since its last visit — [lastVisitCycle+1, through] — into
      * @p into, exactly what the dense kernel accumulates one cycle
      * at a time. Visit cursors are left untouched: the end-of-run
-     * and pause-snapshot callers keep accumulating lazily, and
-     * adoptFrom moves the cursors itself after charging.
+     * and pause-snapshot callers keep accumulating lazily, and a
+     * checkpoint restore moves the cursors itself after charging.
      */
     void
     chargeLazyBlockedSpans(Cycle through, SimStats& into)
@@ -2121,18 +2061,11 @@ struct SimSession::Impl
             }
         }
 
-        doAudit = collects(request.collect, Collect::kAudit);
         runLabels = &resolveLabels(request, runNeedsLabels(request));
         policy = &getPolicy(request.policy, *runLabels, request.seed);
-        adoptedPolicy.reset();
         observer = request.observer;
         maxCycles = request.maxCycles;
         pauseTarget = request.pauseAt;
-        collectEvents = collects(request.collect, Collect::kEvents);
-        needEvents = collectEvents || doAudit;
-        collectReleases = collects(request.collect, Collect::kReleases);
-        collectTiming = collects(request.collect, Collect::kMsgTiming);
-        collectReceived = collects(request.collect, Collect::kReceived);
         faults = request.faults;
         faultsActive = faults != nullptr && !faults->empty();
 
@@ -2163,11 +2096,6 @@ struct SimSession::Impl
                                "' cannot set up link " +
                                std::to_string(link.index()) +
                                " (not enough queues?)";
-                // Earlier links may have logged cycle-0 assignment
-                // events for the audit; honor the opt-in contract on
-                // this exit too.
-                if (!collectEvents)
-                    result.events.clear();
                 return std::move(result);
             }
             applyDecisions(link, decisionScratch, 0);
@@ -2191,21 +2119,13 @@ struct SimSession::Impl
         return finish();
     }
 
-    /** Terminal-status tail: settle, audit, move the result out. */
+    /** Terminal-status tail: settle, move the result out. */
     RunResult
     finish()
     {
         isPaused = false;
         result.stats.cycles = result.cycles;
         accumulateQueueStats(result.stats);
-        hwEvents = std::max(hwEvents, result.events.size());
-        hwReleases = std::max(hwReleases, result.releases.size());
-        if (doAudit && !runLabels->empty()) {
-            result.audit = auditAssignments(program, competing, *runLabels,
-                                            result.events);
-        }
-        if (!collectEvents)
-            result.events.clear();
         return std::move(result);
     }
 
@@ -2222,25 +2142,7 @@ struct SimSession::Impl
     {
         isPaused = true;
         resumeFrom = result.cycles + 1;
-        // The labels may be borrowed from the caller's RunRequest,
-        // which can die before resume(); own them now. (The audit at
-        // finish() and adoptState both read them later.)
-        if (runLabels != &ownedLabels) {
-            ownedLabels = *runLabels;
-            runLabels = &ownedLabels;
-        }
-
-        // Audit-only runs accumulate the full event log internally
-        // (needEvents) but must not hand it out: stash it across the
-        // copy instead of deep-copying it into the snapshot only to
-        // clear it — on large runs with many pause windows that copy
-        // would dominate the pause cost.
-        std::vector<AssignmentEvent> stash;
-        if (!collectEvents)
-            result.events.swap(stash);
         RunResult snap = result;
-        if (!collectEvents)
-            result.events.swap(stash);
         snap.stats.cycles = snap.cycles;
         accumulateQueueStats(snap.stats);
         if (eventMode)
@@ -2263,7 +2165,7 @@ struct SimSession::Impl
     }
 
     /**
-     * Rebuild the event kernel's auxiliary sets from adopted machine
+     * Rebuild the event kernel's auxiliary sets from restored machine
      * state. Conservative where exactness costs nothing: every
      * non-done cell wakes (a spurious visit blocks again and accounts
      * identically to the dense kernel) and every routed link gets a
@@ -2326,82 +2228,6 @@ struct SimSession::Impl
         }
     }
 
-    bool
-    adoptFrom(const Impl& o)
-    {
-        if (!o.isPaused || !configOk || !o.configOk)
-            return false;
-        // Same machine, same semantics; only the kernel may differ.
-        if (&program != &o.program || &spec != &o.spec)
-            return false;
-        if (options.memoryToMemory != o.options.memoryToMemory ||
-            options.memAccessCost != o.options.memAccessCost)
-            return false;
-
-        arena.copyMachineStateFrom(o.arena);
-        writeSeq = o.writeSeq;
-        readSeq = o.readSeq;
-        result = o.result; // the accumulated partial result, deep copy
-
-        // Adopt the donor's fault state wholesale. The plan pointer is
-        // shared (the caller owns its lifetime); the derived flags are
-        // copied sparsely via the donor's touched lists. Queue clamps
-        // travelled with the arena copy above.
-        clearFaultState();
-        faults = o.faults;
-        faultsActive = o.faultsActive;
-        faultCursor = o.faultCursor;
-        faultTouchedLinks = o.faultTouchedLinks;
-        faultTouchedCells = o.faultTouchedCells;
-        degradedQueues = o.degradedQueues;
-        activeStalls = o.activeStalls;
-        for (LinkIndex l : faultTouchedLinks) {
-            linkDead[l] = o.linkDead[l];
-            linkStallUntil[l] = o.linkStallUntil[l];
-        }
-        for (CellId c : faultTouchedCells)
-            cellDead[c] = o.cellDead[c];
-
-        ownedLabels = *o.runLabels;
-        runLabels = &ownedLabels;
-        adoptedPolicy = o.policy->clone();
-        policy = adoptedPolicy.get();
-        observer = o.observer;
-        maxCycles = o.maxCycles;
-        doAudit = o.doAudit;
-        collectEvents = o.collectEvents;
-        needEvents = o.needEvents;
-        collectReleases = o.collectReleases;
-        collectTiming = o.collectTiming;
-        collectReceived = o.collectReceived;
-
-        resumeFrom = o.resumeFrom;
-        pauseTarget = 0;
-        isPaused = true;
-
-        // Dense-normalize the blocked-cycle accounting. An
-        // event-driven donor charges sleeping cells lazily at their
-        // next visit, so its internal stats are short the spans
-        // [lastVisitCycle+1, pause]; charge those now. A dense donor
-        // already charged every cycle (and never moves the visit
-        // cursor), so only the cursor is brought up to date. Either
-        // way, every live cell leaves here with its cursor at the
-        // pause cycle and stats exactly as the dense kernel would
-        // report them — the common baseline both kernels accumulate
-        // identically from.
-        const Cycle pauseCycle = resumeFrom - 1;
-        if (o.eventMode)
-            chargeLazyBlockedSpans(pauseCycle, result.stats);
-        for (CellId c : programCells) {
-            if (!cells[c].done())
-                cells[c].lastVisitCycle = pauseCycle;
-        }
-
-        if (eventMode)
-            rebuildEventState();
-        return true;
-    }
-
     std::uint64_t
     machineDigest() const
     {
@@ -2414,29 +2240,40 @@ struct SimSession::Impl
     }
 
     // -----------------------------------------------------------------
-    // Checkpoint persistence (crash resume across processes)
+    // Checkpoint persistence (crash resume across processes, and the
+    // hand-off of a paused run to another session or kernel)
     // -----------------------------------------------------------------
+
+    /**
+     * The digest a checkpoint records: the machine digest, plus the
+     * memory model when it is on. Memory-to-memory runs stall cells
+     * for a model-dependent number of cycles, so a run restored under
+     * another model would silently diverge; folding the model in only
+     * when it is on keeps every systolic checkpoint's bytes as they
+     * were.
+     */
+    std::uint64_t
+    checkpointDigest() const
+    {
+        std::uint64_t h = machineDigest();
+        if (options.memoryToMemory)
+            h = fnv(fnv(h, 1),
+                    static_cast<std::uint64_t>(options.memAccessCost));
+        return h;
+    }
 
     bool
     saveCheckpointTo(std::vector<std::uint8_t>& out) const
     {
         if (!isPaused)
             return false;
-        // Only stats-level runs are persistable: the opt-in result
-        // vectors (events, releases, timing, received, audit input)
-        // are not serialized, and silently resuming without them
-        // would break the bit-identity contract.
-        if (needEvents || collectReleases || collectTiming ||
-            collectReceived || doAudit)
-            return false;
         ByteWriter w(out);
         w.put(kCheckpointMagic);
         w.put(kCheckpointVersion);
-        w.put(machineDigest());
+        w.put(checkpointDigest());
         // The restoring session needs to know whether these stats
         // were accumulated lazily (event kernel: sleeping cells are
-        // charged at their next visit) to dense-normalize them — the
-        // same boundary adjustment adoptFrom makes.
+        // charged at their next visit) to dense-normalize them.
         w.put(static_cast<std::uint8_t>(eventMode ? 1 : 0));
         // The fault plan itself is not serialized — the restoring
         // caller must supply the identical plan in its RunRequest and
@@ -2467,7 +2304,7 @@ struct SimSession::Impl
                           const std::uint8_t* data, std::size_t size)
     {
         isPaused = false; // failure must not leave a bogus paused run
-        if (!configOk || request.collect != Collect::kNone)
+        if (!configOk)
             return false;
         ByteReader r(data, size);
         if (r.get<std::uint32_t>() != kCheckpointMagic ||
@@ -2501,24 +2338,17 @@ struct SimSession::Impl
         writeSeq = std::move(wseq);
         readSeq = std::move(rseq);
         // The digest recorded at save time covers everything restored
-        // above; recomputing it is the end-to-end torn/mismatched-
-        // checkpoint check (a failed restore leaves machine state
-        // unspecified — the next run() resets it all anyway).
-        if (machineDigest() != digest)
+        // above and the memory model; recomputing it is the end-to-end
+        // torn/mismatched-checkpoint check (a failed restore leaves
+        // machine state unspecified — the next run() resets it all
+        // anyway).
+        if (checkpointDigest() != digest)
             return false;
 
         ++runs;
-        doAudit = false;
-        collectEvents = false;
-        needEvents = false;
-        collectReleases = false;
-        collectTiming = false;
-        collectReceived = false;
         observer = request.observer;
         maxCycles = request.maxCycles;
-        ownedLabels = resolveLabels(request, runNeedsLabels(request));
-        runLabels = &ownedLabels;
-        adoptedPolicy.reset();
+        runLabels = &resolveLabels(request, runNeedsLabels(request));
         policy = &getPolicy(request.policy, *runLabels, request.seed);
         if (!policy->loadState(policyState))
             return false;
@@ -2528,11 +2358,6 @@ struct SimSession::Impl
         result.error.clear();
         result.stats = std::move(stats);
         result.deadlock = DeadlockReport{};
-        result.events.clear();
-        result.releases.clear();
-        result.audit = AuditReport{};
-        result.msgTiming.clear();
-        result.received.clear();
         result.labelsUsed = *runLabels;
 
         resumeFrom = resume_from;
@@ -2549,13 +2374,14 @@ struct SimSession::Impl
         if (faultsActive)
             reapplyFaultsThrough(resumeFrom - 1);
 
-        // Dense-normalize the blocked-cycle accounting exactly as
-        // adoptFrom does: an event-kernel writer's stats are short
-        // the spans its sleeping cells had not yet been charged
-        // (their visit cursors travelled with the cell pool); a dense
-        // writer's are already complete. Either way every live cell
-        // leaves here with its cursor at the pause cycle — the common
-        // baseline both kernels continue identically from.
+        // Dense-normalize the blocked-cycle accounting: an
+        // event-kernel writer's stats are short the spans its
+        // sleeping cells had not yet been charged (their visit
+        // cursors travelled with the cell pool); a dense writer's are
+        // already complete (it never moves the cursors). Either way
+        // every live cell leaves here with its cursor at the pause
+        // cycle — the common baseline both kernels continue
+        // identically from.
         const Cycle pauseCycle = resumeFrom - 1;
         if (writerWasEventKernel)
             chargeLazyBlockedSpans(pauseCycle, result.stats);
@@ -2605,12 +2431,6 @@ bool
 SimSession::paused() const
 {
     return impl_->isPaused;
-}
-
-bool
-SimSession::adoptState(const SimSession& other)
-{
-    return impl_->adoptFrom(*other.impl_);
 }
 
 std::uint64_t

@@ -15,13 +15,14 @@
  * reallocating it, so sweeps over seeds, policies and cycle budgets
  * pay the compile cost once.
  *
- * Result materialization is opt-in: a RunRequest carries a Collect
- * bitmask, and by default a run produces only its status, cycle count
- * and SimStats counters. The heavy RunResult vectors (assignment
- * events, releases, per-message timing, received values) and the
- * compatibility audit are filled only when asked for; a RunObserver
- * can stream assignment/release/delivery events instead of
- * materializing them.
+ * A run returns only its status, cycle count, SimStats counters and
+ * (on deadlock) the frozen state; the session itself holds nothing
+ * but machine state and counters. Everything that happened along the
+ * way — queue assignments and releases, words sent and delivered —
+ * reaches the caller through one channel, a RunObserver attached to
+ * the request. RunLog (sim/trace.h) is the library observer that
+ * records all of it, and the section 7 audit (sim/audit.h) runs over
+ * its assignment events.
  *
  * A one-off run is SimSession(program, spec, options).run(request);
  * sweeps over requests and machine shapes go through ShapeSweep
@@ -199,9 +200,10 @@ enum class RunStatus : std::uint8_t
     /**
      * RunRequest::pauseAt reached: the run stopped mid-flight with
      * full machine state retained. Continue it with
-     * SimSession::resume(), or hand the state to another session
-     * (possibly running the other kernel) via adoptState() — the
-     * mechanism behind the sampled-oracle equivalence harness.
+     * SimSession::resume(), or move it to another session (possibly
+     * running the other kernel) with saveCheckpoint() and
+     * restoreCheckpoint() — the mechanism behind crash resume and the
+     * sampled-oracle equivalence harness.
      */
     kPaused,
     /**
@@ -255,55 +257,13 @@ enum class KernelKind : std::uint8_t
 const char* kernelKindName(KernelKind kind);
 
 /**
- * Opt-in result materialization. By default a run fills only status,
- * cycle count, SimStats, the labels used, and (on deadlock) the
- * deadlock snapshot; everything else costs memory proportional to the
- * run and must be requested.
- */
-enum class Collect : std::uint8_t
-{
-    kNone = 0,
-    kEvents = 1u << 0,    ///< RunResult::events (one per assignment).
-    kReleases = 1u << 1,  ///< RunResult::releases.
-    kMsgTiming = 1u << 2, ///< RunResult::msgTiming.
-    kReceived = 1u << 3,  ///< RunResult::received (every word value).
-    kAudit = 1u << 4,     ///< Run the section 7 compatibility audit.
-    kAll = 0x1f,
-};
-
-constexpr Collect
-operator|(Collect a, Collect b)
-{
-    return static_cast<Collect>(static_cast<std::uint8_t>(a) |
-                                static_cast<std::uint8_t>(b));
-}
-
-constexpr Collect
-operator&(Collect a, Collect b)
-{
-    return static_cast<Collect>(static_cast<std::uint8_t>(a) &
-                                static_cast<std::uint8_t>(b));
-}
-
-inline Collect&
-operator|=(Collect& a, Collect b)
-{
-    a = a | b;
-    return a;
-}
-
-/** Does @p set include @p flag? */
-constexpr bool
-collects(Collect set, Collect flag)
-{
-    return (set & flag) != Collect::kNone;
-}
-
-/**
- * Streaming sink for run events: an alternative to materializing the
- * event vectors when a consumer only wants to observe the assignment
- * trace (or tail deliveries) as they happen. Hooks fire regardless of
- * the Collect flags; the default implementations do nothing.
+ * Streaming sink for run events: the one way a run reports what
+ * happened beyond its counters. RunLog (sim/trace.h) records every
+ * hook; a consumer that wants less overrides only the hooks it needs
+ * (the defaults do nothing). Hooks fire in execution order, so a
+ * paused and resumed run — in one session, or restored from a
+ * checkpoint into another with the same observer state — calls them
+ * exactly as an unpaused run would.
  *
  * The observer is invoked from whichever thread executes the run (a
  * ShapeSweep worker, for sweeps), never concurrently for one run.
@@ -320,6 +280,15 @@ class RunObserver
     virtual void onAssign(const AssignmentEvent& event) { (void)event; }
     /** A queue was released (queueId = the queue freed). */
     virtual void onRelease(const AssignmentEvent& event) { (void)event; }
+    /** A sender pushed word @p seq of @p msg into the network. */
+    virtual void
+    onSend(MessageId msg, int seq, double value, Cycle now)
+    {
+        (void)msg;
+        (void)seq;
+        (void)value;
+        (void)now;
+    }
     /** A receiver consumed word @p seq of @p msg. */
     virtual void
     onDeliver(MessageId msg, int seq, double value, Cycle now)
@@ -339,9 +308,10 @@ struct SessionOptions
 {
     KernelKind kernel = KernelKind::kEventDriven;
     /**
-     * Default labels per MessageId for the compatible policies and
-     * the audit. Left empty, the session computes them with the
-     * section 6 scheme (trivial fallback) — once, not per run.
+     * Default labels per MessageId for the compatible policies (and
+     * what SimSession::labels() hands an auditing caller). Left
+     * empty, the session computes them with the section 6 scheme
+     * (trivial fallback) — once, not per run.
      */
     std::vector<std::int64_t> labels;
     /**
@@ -362,32 +332,33 @@ struct RunRequest
     PolicyKind policy = PolicyKind::kCompatible;
     std::uint64_t seed = 1;
     Cycle maxCycles = 1'000'000;
-    /** What to materialize in the RunResult (default: stats only). */
-    Collect collect = Collect::kNone;
     /** Labels override for this run; empty = the session's labels. */
     std::vector<std::int64_t> labels;
-    /** Optional streaming sink; must outlive the run. */
+    /**
+     * Optional streaming sink (a RunLog records everything); must
+     * outlive the run and any resume of it.
+     */
     RunObserver* observer = nullptr;
     /**
      * 0 = run to a terminal status. Otherwise pause at the first
      * executed cycle >= pauseAt (termination wins a tie): run()
-     * returns a snapshot result with status kPaused — counters,
-     * collected vectors and queue statistics settled through the
-     * pause cycle exactly as the reference kernel would report them —
-     * and the session keeps the mid-run machine state for resume()
-     * or another session's adoptState(). Pausing never perturbs the
-     * run: resuming to the end produces the bit-identical result an
-     * unpaused run would have. Sweeps should leave this 0 — a paused
-     * worker result is just a truncated run (the pool reuses the
-     * session safely; the paused state dies at its next run()).
+     * returns a snapshot result with status kPaused — counters and
+     * queue statistics settled through the pause cycle exactly as the
+     * reference kernel would report them — and the session keeps the
+     * mid-run machine state for resume() or saveCheckpoint(). Pausing
+     * never perturbs the run: resuming to the end produces the
+     * bit-identical result an unpaused run would have. Sweeps should
+     * leave this 0 — a paused worker result is just a truncated run
+     * (the pool reuses the session safely; the paused state dies at
+     * its next run()).
      */
     Cycle pauseAt = 0;
     /**
      * Deterministic fault schedule, or nullptr for healthy hardware.
-     * Must outlive the run (and any resume/adoptState/
-     * restoreCheckpoint chain continuing it — a restore replays the
-     * plan's already-due events to rebuild the dead-link/dead-cell
-     * state the checkpoint's machine pools do not carry). Both kernels
+     * Must outlive the run (and any resume/restoreCheckpoint chain
+     * continuing it — a restore replays the plan's already-due events
+     * to rebuild the dead-link/dead-cell state the checkpoint's
+     * machine pools do not carry). Both kernels
      * apply the plan identically, so faulted runs stay bit-identical
      * across kernels and pause boundaries. An invalid plan (targets
      * outside the machine) is a kConfigError.
@@ -396,17 +367,16 @@ struct RunRequest
 };
 
 /**
- * Does this request need a labeling (compatible policies consume
- * labels; the audit checks against them)? SimSession's label
- * resolution consults it: a run that needs none and overrides none
- * never invokes the labeler and reports empty RunResult::labelsUsed.
+ * Does this request need a labeling (the compatible policies consume
+ * labels)? SimSession's label resolution consults it: a run that
+ * needs none and overrides none never invokes the labeler and reports
+ * empty RunResult::labelsUsed.
  */
 inline bool
 runNeedsLabels(const RunRequest& request)
 {
     return request.policy == PolicyKind::kCompatible ||
-           request.policy == PolicyKind::kCompatibleEager ||
-           collects(request.collect, Collect::kAudit);
+           request.policy == PolicyKind::kCompatibleEager;
 }
 
 /**
@@ -424,9 +394,8 @@ runsEquivalent(const RunRequest& a, const RunRequest& b)
     return a.observer == nullptr && b.observer == nullptr &&
            a.policy == b.policy &&
            (a.seed == b.seed || !policyReadsSeed(a.policy)) &&
-           a.maxCycles == b.maxCycles && a.collect == b.collect &&
-           a.labels == b.labels && a.pauseAt == b.pauseAt &&
-           a.faults == b.faults;
+           a.maxCycles == b.maxCycles && a.labels == b.labels &&
+           a.pauseAt == b.pauseAt && a.faults == b.faults;
 }
 
 /** Outcome of one run. */
@@ -437,38 +406,23 @@ struct RunResult
     std::string error; ///< set for kConfigError
     SimStats stats;
     DeadlockReport deadlock;
-    /** Collect::kEvents — queue assignments, in order. */
-    std::vector<AssignmentEvent> events;
-    /** Collect::kReleases — queue releases (queueId = queue freed). */
-    std::vector<AssignmentEvent> releases;
-    /** Collect::kAudit. */
-    AuditReport audit;
-    /**
-     * Collect::kMsgTiming — per message: cycle its first word entered
-     * the network and cycle its last word was read (-1 when never).
-     */
-    std::vector<std::pair<Cycle, Cycle>> msgTiming;
     /**
      * Labels the run used (as given or as computed). Empty when the
-     * run needed none (label-free policy, no audit, no override) —
-     * identical requests always report identical labels, regardless
-     * of what earlier runs of the session resolved.
+     * run needed none (label-free policy, no override) — identical
+     * requests always report identical labels, regardless of what
+     * earlier runs of the session resolved.
      */
     std::vector<std::int64_t> labelsUsed;
-    /** Collect::kReceived — values received per message, in order. */
-    std::vector<std::vector<double>> received;
 
     bool completed() const { return status == RunStatus::kCompleted; }
     const char* statusStr() const { return runStatusName(status); }
 };
 
 /**
- * Serialize the stats-level portion of a RunResult — status, cycles,
- * error, SimStats, labels used, and the deadlock report; NOT the
- * opt-in Collect vectors (events, releases, timing, received values)
- * or the audit. A stats-only run (Collect::kNone) round-trips
- * losslessly, which is what ShapeSweep's crash-resume journal relies
- * on to replay finished rows bit-identically.
+ * Serialize a RunResult — status, cycles, error, SimStats, labels
+ * used, and the deadlock report. It round-trips losslessly, which is
+ * what ShapeSweep's crash-resume journal relies on to replay finished
+ * rows bit-identically.
  */
 void saveRunResult(ByteWriter& out, const RunResult& result);
 
@@ -558,27 +512,12 @@ class SimSession
     bool paused() const;
 
     /**
-     * Adopt the complete mid-run state of @p other — machine state
-     * (queues, crossings, cells), accumulated results and statistics,
-     * policy state, and the original run configuration — leaving this
-     * session paused at the same cycle, ready to resume(). Both
-     * sessions must be built over the same Program and MachineSpec
-     * objects with the same memory model; the *kernels may differ*,
-     * which is the point: the sampled-oracle harness checkpoints the
-     * fast event-driven kernel and replays sampled cycle windows
-     * under the dense reference kernel from the same state. Returns
-     * false (leaving this session untouched) when @p other is not
-     * paused or the sessions are incompatible.
-     */
-    bool adoptState(const SimSession& other);
-
-    /**
      * FNV digest of the kernel-independent machine state (crossing
      * phases, queue contents and counters, cell runtimes, stream
      * positions). Two sessions that executed the same machine history
      * digest identically regardless of kernel — compare at matching
      * pause cycles for an O(machine) bit-identity check that needs no
-     * result materialization.
+     * observer.
      */
     std::uint64_t machineDigest() const;
 
@@ -586,12 +525,14 @@ class SimSession
      * Serialize the paused run — machine pools, run progress and
      * statistics, policy decision state — into @p out for crash
      * resume across process invocations (ShapeSweep's journal is the
-     * production consumer). Returns false, appending nothing, unless
-     * the session is paused on a stats-only run (RunRequest::collect
-     * was kNone; the opt-in result vectors are not serialized).
-     * Restore with restoreCheckpoint() on a session built over the
-     * same program, topology and machine spec — resuming then yields
-     * results bit-identical to the uninterrupted run.
+     * production consumer) or for a hand-off to another session,
+     * whose kernel may differ. Returns false, appending nothing,
+     * unless the session is paused. Restore with restoreCheckpoint()
+     * on a session built over the same program, topology, machine
+     * spec and memory model — resuming then yields results
+     * bit-identical to the uninterrupted run. An observer's state is
+     * the caller's: to continue its record, restore with an observer
+     * holding what the original had seen through the pause.
      */
     bool saveCheckpoint(std::vector<std::uint8_t>& out) const;
 
@@ -599,10 +540,12 @@ class SimSession
      * Rebuild a paused run from saveCheckpoint() bytes, leaving the
      * session paused at the checkpoint cycle ready for resume().
      * @p request must be the interrupted run's original RunRequest
-     * (policy, seed, budget, labels; collect must be kNone) — the
-     * checkpoint stores machine state, not run configuration. Returns
-     * false, abandoning any restored fragments, when the stream is
-     * torn, was produced by a differently-shaped machine, or the
+     * (policy, seed, budget, labels, fault plan) — the checkpoint
+     * stores machine state, not run configuration; its observer
+     * receives the resumed run's events. Returns false, abandoning
+     * any restored fragments, when the stream is torn, was produced
+     * by a differently-shaped machine or under another memory model
+     * (SessionOptions::memoryToMemory / memAccessCost), or the
      * restored state fails its recorded machine digest.
      */
     bool restoreCheckpoint(const RunRequest& request,

@@ -276,7 +276,9 @@ configDigest(const Program& program, const Topology& topo,
         h = fnv(h, static_cast<std::uint64_t>(r.policy));
         h = fnv(h, r.seed);
         h = fnv(h, static_cast<std::uint64_t>(r.maxCycles));
-        h = fnv(h, static_cast<std::uint64_t>(r.collect));
+        // A retired per-request field, hashed as the value every
+        // journaled request had, so existing journals still resume.
+        h = fnv(h, std::uint64_t{0});
         h = fnv(h, static_cast<std::uint64_t>(r.pauseAt));
         // A fault plan is part of what the row computes; its digest
         // covers every event (cycle, kind, target, argument).
@@ -751,14 +753,13 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                (externalStop != nullptr &&
                 externalStop->load(std::memory_order_relaxed));
     };
-    // Only stats-only rows are journaled/checkpointed; rows
-    // materializing result vectors simply re-run on resume (equally
-    // bit-identical, just not incremental). An attached RunObserver
-    // disqualifies a row the same way: a journal-replayed row
-    // executes nothing, so its callbacks would silently never fire.
+    // An attached RunObserver keeps a row out of the journal: a
+    // journal-replayed row executes nothing, so its callbacks would
+    // silently never fire. Such rows simply re-run on resume (equally
+    // bit-identical, just not incremental).
     auto journaled = [&](const RunRequest& request) {
-        return journal != nullptr && request.collect == Collect::kNone &&
-               request.observer == nullptr && request.pauseAt == 0;
+        return journal != nullptr && request.observer == nullptr &&
+               request.pauseAt == 0;
     };
 
     // One grid cell, start to finish, on whatever worker stole it. A

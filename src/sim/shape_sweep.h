@@ -133,9 +133,10 @@ struct ShapeSweepOptions
      * Crash-resume journal file; "" disables journaling. When the
      * file already holds a matching sweep (same program shape,
      * shapes, requests), run() resumes it; otherwise the file is
-     * restarted. Only stats-only rows (Collect::kNone) are journaled
-     * — rows that materialize result vectors are recomputed on
-     * resume, which is equally bit-identical, just not incremental.
+     * restarted. Rows whose request carries a RunObserver are not
+     * journaled — they are recomputed on resume, so the observer sees
+     * every callback; that is equally bit-identical, just not
+     * incremental.
      */
     std::string journalPath;
     /**
@@ -161,9 +162,9 @@ struct ShapeSweepOptions
      * sweep parks in a resumable state within ~checkpointEvery cycles
      * of the request. The returned result is partial (complete ==
      * false); rerunning with the same journal resumes bit-identically.
-     * Non-journaled rows (Collect vectors, observers) finish their
-     * current run before honoring the flag — they have no checkpoint
-     * to park in. The flag must outlive run().
+     * Non-journaled rows (observed requests) finish their current run
+     * before honoring the flag — they have no checkpoint to park in.
+     * The flag must outlive run().
      */
     const std::atomic<bool>* stopFlag = nullptr;
     /**

@@ -9,11 +9,69 @@
 
 namespace syscomm::sim {
 
+RunLog::RunLog(const Program& program)
+    : msgTiming(program.numMessages(), {-1, -1}),
+      received(program.numMessages()),
+      program_(&program)
+{
+    // A message delivers exactly messageLength words, so a reused log
+    // records its values without allocating.
+    for (MessageId m = 0; m < program.numMessages(); ++m)
+        received[m].reserve(
+            static_cast<std::size_t>(program.messageLength(m)));
+}
+
+void
+RunLog::clear()
+{
+    events.clear();
+    releases.clear();
+    std::fill(msgTiming.begin(), msgTiming.end(),
+              std::pair<Cycle, Cycle>{-1, -1});
+    for (std::vector<double>& values : received)
+        values.clear();
+}
+
+void
+RunLog::onAssign(const AssignmentEvent& event)
+{
+    events.push_back(event);
+}
+
+void
+RunLog::onRelease(const AssignmentEvent& event)
+{
+    releases.push_back(event);
+}
+
+void
+RunLog::onSend(MessageId msg, int seq, double value, Cycle now)
+{
+    (void)value;
+    if (seq == 0)
+        msgTiming[msg].first = now;
+}
+
+void
+RunLog::onDeliver(MessageId msg, int seq, double value, Cycle now)
+{
+    received[msg].push_back(value);
+    if (seq + 1 == program_->messageLength(msg))
+        msgTiming[msg].second = now;
+}
+
+bool
+RunLog::operator==(const RunLog& other) const
+{
+    return events == other.events && releases == other.releases &&
+           msgTiming == other.msgTiming && received == other.received;
+}
+
 std::string
-renderQueueTimeline(const RunResult& result, const Program& program,
+renderQueueTimeline(const RunLog& log, Cycle cycles, const Program& program,
                     const MachineSpec& spec, int max_width)
 {
-    Cycle span = std::max<Cycle>(result.cycles, 1);
+    Cycle span = std::max<Cycle>(cycles, 1);
     Cycle step = std::max<Cycle>(1, (span + max_width - 1) / max_width);
     int columns = static_cast<int>((span + step - 1) / step);
 
@@ -26,9 +84,9 @@ renderQueueTimeline(const RunResult& result, const Program& program,
     // Match assignments with releases per (link, queue) in time order.
     std::map<std::pair<LinkIndex, int>, std::vector<const AssignmentEvent*>>
         assigns, releases;
-    for (const AssignmentEvent& ev : result.events)
+    for (const AssignmentEvent& ev : log.events)
         assigns[{ev.link, ev.queueId}].push_back(&ev);
-    for (const AssignmentEvent& ev : result.releases)
+    for (const AssignmentEvent& ev : log.releases)
         releases[{ev.link, ev.queueId}].push_back(&ev);
 
     for (auto& [key, list] : assigns) {
@@ -58,12 +116,12 @@ renderQueueTimeline(const RunResult& result, const Program& program,
 }
 
 std::string
-renderMessageLatencies(const RunResult& result, const Program& program)
+renderMessageLatencies(const RunLog& log, const Program& program)
 {
     std::ostringstream os;
     os << "message   first-sent  last-recv   span\n";
     for (MessageId m = 0; m < program.numMessages(); ++m) {
-        auto [sent, received] = result.msgTiming[m];
+        auto [sent, received] = log.msgTiming[m];
         os << program.message(m).name;
         for (std::size_t pad = program.message(m).name.size(); pad < 10;
              ++pad) {
@@ -93,7 +151,7 @@ idealCycles(const Program& program, const Topology& topo)
     spec.queueCapacity =
         std::max<int>(1, static_cast<int>(std::min<std::int64_t>(
                              total_words, 1 << 20)));
-    // Stats-only session run: idealCycles only needs the cycle count,
+    // Unobserved run: idealCycles only needs the cycle count,
     // and the static policy never needs labels — skip the labeler.
     SessionOptions options;
     options.precomputeLabels = false;

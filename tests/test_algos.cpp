@@ -51,13 +51,14 @@ TEST_P(ConvSweep, MatchesReference)
     CompilePlan plan = compileProgram(p, machine);
     ASSERT_TRUE(plan.ok) << plan.error;
 
-    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r = sim::SimSession(p, machine).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     std::vector<double> expected = algos::convReference(spec);
     for (int i = 1; i <= outputs; ++i) {
         auto id = *p.messageByName("R" + std::to_string(i));
-        ASSERT_EQ(r.received[id].size(), 1u);
-        EXPECT_NEAR(r.received[id][0], expected[i - 1], 1e-9);
+        ASSERT_EQ(log.received[id].size(), 1u);
+        EXPECT_NEAR(log.received[id][0], expected[i - 1], 1e-9);
     }
 }
 
@@ -87,14 +88,15 @@ TEST_P(MatVecSweep, MatchesReference)
     EXPECT_TRUE(isDeadlockFree(p));
 
     MachineSpec machine = machineFor(algos::matvecTopology(spec));
-    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r = sim::SimSession(p, machine).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
     std::vector<double> expected = algos::matvecReference(spec);
     auto pn = *p.messageByName("P" + std::to_string(cols));
-    ASSERT_EQ(r.received[pn].size(), expected.size());
+    ASSERT_EQ(log.received[pn].size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_NEAR(r.received[pn][i], expected[i], 1e-9);
+        EXPECT_NEAR(log.received[pn][i], expected[i], 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -122,10 +124,11 @@ TEST_P(SortSweep, SortsRandomInputs)
     EXPECT_TRUE(isDeadlockFree(p));
 
     MachineSpec machine = machineFor(algos::sortTopology(spec));
-    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r = sim::SimSession(p, machine).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
-    std::vector<double> got = algos::extractSorted(p, r.received, n);
+    std::vector<double> got = algos::extractSorted(p, log.received, n);
     std::vector<double> expected = spec.values;
     std::sort(expected.begin(), expected.end());
     ASSERT_EQ(got.size(), expected.size());
@@ -143,11 +146,12 @@ TEST(Sort, AlreadySortedAndReversed)
         for (int i = 0; i < 6; ++i)
             spec.values.push_back(reversed ? 6.0 - i : 1.0 + i);
         Program p = algos::makeSortProgram(spec);
+        sim::RunLog log(p);
         sim::RunResult r =
             sim::SimSession(p, machineFor(algos::sortTopology(spec)))
-                .run(kVectorsRequest);
+                .run(observedBy(log));
         ASSERT_EQ(r.status, RunStatus::kCompleted);
-        std::vector<double> got = algos::extractSorted(p, r.received, 6);
+        std::vector<double> got = algos::extractSorted(p, log.received, 6);
         for (int i = 0; i < 6; ++i)
             EXPECT_DOUBLE_EQ(got[i], 1.0 + i);
     }

@@ -27,11 +27,12 @@ runLcs(const algos::AlignSpec& spec)
     MachineSpec machine;
     machine.topo = algos::alignTopology(spec);
     machine.queuesPerLink = 2;
-    sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r = sim::SimSession(p, machine).run(observedBy(log));
     if (r.status != RunStatus::kCompleted)
         return -1;
     auto res = *p.messageByName("RES");
-    return static_cast<int>(r.received[res][0]);
+    return static_cast<int>(log.received[res][0]);
 }
 
 class LcsSweep : public ::testing::TestWithParam<std::tuple<int, int>>

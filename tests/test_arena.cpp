@@ -8,15 +8,16 @@
  *
  *  - results are bit-identical to a freshly built session no matter
  *    how many build/run/reset cycles an arena-backed session has been
- *    through (randomized sequences of seeds, policies, collect masks
- *    and kernels against a fresh-session oracle),
+ *    through (randomized sequences of seeds, policies, observed and
+ *    unobserved runs, and kernels against a fresh-session oracle),
  *  - no pool ever moves after build (the reset-in-place guarantee the
  *    kernels' cached spans rely on),
- *  - pause/resume never perturbs a run, and adoptState transplants a
- *    mid-run machine bit-exactly across sessions and across kernels
- *    (machineDigest agreement plus full result agreement),
- *  - the opt-in result vectors keep their high-water reserve behavior
- *    across collecting and non-collecting runs.
+ *  - pause/resume never perturbs a run, and a checkpoint
+ *    (saveCheckpoint + restoreCheckpoint) transplants a mid-run
+ *    machine bit-exactly across sessions and across kernels
+ *    (machineDigest agreement plus full result and RunLog agreement),
+ *  - a RunLog cleared and reused across runs records each one exactly
+ *    as a fresh log would.
  */
 
 #include <gtest/gtest.h>
@@ -34,11 +35,11 @@
 namespace syscomm {
 namespace {
 
-using sim::Collect;
 using sim::HwQueue;
 using sim::KernelKind;
 using sim::LinkState;
 using sim::PolicyKind;
+using sim::RunLog;
 using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
@@ -122,7 +123,9 @@ TEST(SimArena, DigestTracksMachineStateAndCopyRestoresIt)
     // Divergence -> different digest; copy -> equal again.
     lb.request(1, 4);
     EXPECT_NE(a.machineDigest(), b.machineDigest());
-    a.copyMachineStateFrom(b);
+    std::vector<std::uint8_t> bytes;
+    b.serializeMachineState(bytes);
+    ASSERT_TRUE(a.deserializeMachineState(bytes.data(), bytes.size()));
     EXPECT_EQ(a.machineDigest(), b.machineDigest());
     EXPECT_EQ(la.crossing(1).phase, sim::CrossingPhase::kRequested);
     EXPECT_EQ(la.crossing(1).requestedAt, 4);
@@ -135,10 +138,11 @@ TEST(SimArena, DigestTracksMachineStateAndCopyRestoresIt)
 /**
  * Randomized build/run/reset sequences: one arena-backed session per
  * (kernel, program) endures a shuffled stream of requests — seeds,
- * policies, collect masks interleaved — and every result must be
- * bit-identical to a session built fresh for that one request (the
- * heap-layout-equivalent oracle: a first run on a fresh build never
- * touches the reset or reserve paths).
+ * policies, observed and unobserved runs interleaved — and every
+ * result must be bit-identical to a session built fresh for that one
+ * request (the heap-layout-equivalent oracle: a first run on a fresh
+ * build never touches the reset paths). Observed runs share one
+ * reused RunLog, checked against a fresh log each time.
  */
 TEST(ArenaStress, RandomizedRunResetSequencesMatchFreshBuilds)
 {
@@ -146,9 +150,6 @@ TEST(ArenaStress, RandomizedRunResetSequencesMatchFreshBuilds)
     const PolicyKind policies[] = {PolicyKind::kCompatible,
                                    PolicyKind::kCompatibleEager,
                                    PolicyKind::kFcfs, PolicyKind::kRandom};
-    const Collect collects[] = {Collect::kNone, Collect::kAll,
-                                Collect::kEvents | Collect::kMsgTiming,
-                                Collect::kReceived | Collect::kAudit};
 
     for (int shape = 0; shape < 3; ++shape) {
         Topology topo = shape == 0 ? Topology::linearArray(6)
@@ -169,34 +170,44 @@ TEST(ArenaStress, RandomizedRunResetSequencesMatchFreshBuilds)
             options.kernel = kernel;
             SimSession reused(program, s, options);
             ASSERT_TRUE(reused.valid());
+            RunLog reusedLog(program);
 
             for (int step = 0; step < 10; ++step) {
                 RunRequest request;
                 request.policy = policies[rng() % 4];
                 request.seed = 1 + rng() % 5;
                 request.maxCycles = 20'000;
-                request.collect = collects[rng() % 4];
+                const bool observed = rng() % 2 == 0;
 
-                RunResult r = reused.run(request);
+                const std::string ctx =
+                    "shape " + std::to_string(shape) + " kernel " +
+                    std::string(kernelKindName(kernel)) + " step " +
+                    std::to_string(step);
                 SimSession fresh(program, s, options);
-                RunResult f = fresh.run(request);
-                expectSameRunResult(f, r,
-                                 "shape " + std::to_string(shape) +
-                                     " kernel " +
-                                     std::string(kernelKindName(kernel)) +
-                                     " step " + std::to_string(step));
+                if (observed) {
+                    reusedLog.clear();
+                    RunLog freshLog(program);
+                    RunResult r = reused.run(observedBy(reusedLog, request));
+                    RunResult f = fresh.run(observedBy(freshLog, request));
+                    expectSameRunResult(f, r, ctx);
+                    expectSameLog(freshLog, reusedLog, ctx);
+                } else {
+                    expectSameRunResult(fresh.run(request),
+                                        reused.run(request), ctx);
+                }
             }
         }
     }
 }
 
 /**
- * High-water reserve behavior: a collecting run, a stats-only run and
- * another collecting run through one session must reproduce the fresh
- * session's vectors exactly — the reused (reserved) vectors must not
- * leak stale entries or change sizes.
+ * RunLog reuse: an observed run, an unobserved run and another
+ * observed run into the same cleared log through one session must
+ * reproduce a fresh session's log exactly — the reused vectors must
+ * not leak stale entries or change sizes, and an unobserved run must
+ * leave the log alone.
  */
-TEST(ArenaStress, HighWaterReservesStayInvisible)
+TEST(ArenaStress, ReusedRunLogStaysInvisible)
 {
     Topology topo = Topology::linearArray(5);
     GenOptions gen;
@@ -208,27 +219,52 @@ TEST(ArenaStress, HighWaterReservesStayInvisible)
     MachineSpec s = spec(topo, 2, 2);
 
     SimSession session(program, s);
-    RunRequest collecting;
-    collecting.collect = Collect::kAll;
-    RunRequest statsOnly;
+    RunLog log(program);
 
-    RunResult first = session.run(collecting);
+    RunResult first = session.run(observedBy(log));
     ASSERT_EQ(first.status, RunStatus::kCompleted);
-    EXPECT_FALSE(first.events.empty());
-    RunResult lean = session.run(statsOnly);
-    EXPECT_TRUE(lean.events.empty());
-    EXPECT_TRUE(lean.received.empty());
-    RunResult again = session.run(collecting);
-    expectSameRunResult(first, again, "collect after stats-only reuse");
+    EXPECT_FALSE(log.events.empty());
+    const RunLog firstLog = log;
+    RunResult lean = session.run({});
+    expectSameRunResult(first, lean, "unobserved after observed");
+    expectSameLog(firstLog, log, "unobserved run leaves the log alone");
+
+    log.clear();
+    EXPECT_TRUE(log.events.empty());
+    EXPECT_TRUE(log.releases.empty());
+    for (MessageId m = 0; m < program.numMessages(); ++m) {
+        EXPECT_TRUE(log.received[m].empty());
+        EXPECT_EQ(log.msgTiming[m], (std::pair<Cycle, Cycle>{-1, -1}));
+    }
+    RunResult again = session.run(observedBy(log));
+    expectSameRunResult(first, again, "observed after unobserved reuse");
+    expectSameLog(firstLog, log, "observed after unobserved reuse");
 
     SimSession fresh(program, s);
-    expectSameRunResult(fresh.run(collecting), first, "fresh oracle");
+    RunLog freshLog(program);
+    expectSameRunResult(fresh.run(observedBy(freshLog)), first,
+                        "fresh oracle");
+    expectSameLog(freshLog, firstLog, "fresh oracle");
 }
 
 // ---------------------------------------------------------------------
-// Pause / resume / adoptState (the checkpoint machinery the sampled
+// Pause / resume / checkpoint hand-off (the machinery the sampled
 // oracle is built on)
 // ---------------------------------------------------------------------
+
+/**
+ * Move @p from's paused run into @p to through a checkpoint, as the
+ * original @p request with @p log (a copy of the paused run's log)
+ * observing the rest.
+ */
+bool
+handOff(const SimSession& from, SimSession& to, const RunRequest& request,
+        RunLog& log)
+{
+    std::vector<std::uint8_t> bytes;
+    return from.saveCheckpoint(bytes) &&
+           to.restoreCheckpoint(observedBy(log, request), bytes);
+}
 
 TEST(ArenaCheckpoint, PauseResumeNeverPerturbsARun)
 {
@@ -246,15 +282,15 @@ TEST(ArenaCheckpoint, PauseResumeNeverPerturbsARun)
         SessionOptions options;
         options.kernel = kernel;
         SimSession plain(program, s, options);
-        RunRequest request;
-        request.collect = Collect::kAll;
-        RunResult whole = plain.run(request);
+        RunLog wholeLog(program);
+        RunResult whole = plain.run(observedBy(wholeLog));
         ASSERT_EQ(whole.status, RunStatus::kCompleted);
 
         // Chop the same run into pause windows at every stride.
         for (Cycle stride : {1, 3, 7}) {
             SimSession chopped(program, s, options);
-            RunRequest paused = request;
+            RunLog log(program);
+            RunRequest paused = observedBy(log);
             paused.pauseAt = stride;
             RunResult part = chopped.run(paused);
             int guard = 0;
@@ -264,9 +300,10 @@ TEST(ArenaCheckpoint, PauseResumeNeverPerturbsARun)
                 ASSERT_LT(++guard, 10'000);
             }
             EXPECT_FALSE(chopped.paused());
-            expectSameRunResult(whole, part,
-                             "stride " + std::to_string(stride) +
-                                 " kernel " + kernelKindName(kernel));
+            const std::string ctx = "stride " + std::to_string(stride) +
+                                    " kernel " + kernelKindName(kernel);
+            expectSameRunResult(whole, part, ctx);
+            expectSameLog(wholeLog, log, ctx);
         }
     }
 }
@@ -275,7 +312,8 @@ TEST(ArenaCheckpoint, PausedSnapshotMatchesFreshRunOfSameLength)
 {
     // A pause snapshot must report exactly what a fresh run with
     // maxCycles-sized visibility would: compare its stats against the
-    // dense kernel's snapshot at the same cycle via adoptState.
+    // dense kernel's snapshot at the same cycle, reached through a
+    // checkpoint of the event run.
     Topology topo = Topology::linearArray(6);
     GenOptions gen;
     gen.numMessages = 6;
@@ -294,32 +332,36 @@ TEST(ArenaCheckpoint, PausedSnapshotMatchesFreshRunOfSameLength)
     SimSession ref(program, s, refOptions);
 
     RunRequest request;
-    request.collect = Collect::kAll;
     RunResult full = evt.run(request);
     ASSERT_EQ(full.status, RunStatus::kCompleted);
 
+    RunLog evtLog(program);
     for (Cycle at = 2; at + 2 < full.cycles; at += 3) {
-        RunRequest untilAt = request;
+        evtLog.clear();
+        RunRequest untilAt = observedBy(evtLog, request);
         untilAt.pauseAt = at;
         RunResult evtSnap = evt.run(untilAt);
         ASSERT_EQ(evtSnap.status, RunStatus::kPaused);
         ASSERT_EQ(evtSnap.cycles, at);
 
-        ASSERT_TRUE(ref.adoptState(evt));
+        RunLog refLog = evtLog;
+        ASSERT_TRUE(handOff(evt, ref, request, refLog));
         EXPECT_EQ(ref.machineDigest(), evt.machineDigest())
-            << "digest after adopt at " << at;
+            << "digest after restore at " << at;
 
-        // Both continue one window; snapshots and digests must agree.
+        // Both continue one window; snapshots, logs and digests must
+        // agree.
         RunResult evtNext = evt.resume(at + 2);
         RunResult refNext = ref.resume(at + 2);
-        expectSameRunResult(evtNext, refNext,
-                         "window from " + std::to_string(at));
+        const std::string ctx = "window from " + std::to_string(at);
+        expectSameRunResult(evtNext, refNext, ctx);
+        expectSameLog(evtLog, refLog, ctx);
         EXPECT_EQ(ref.machineDigest(), evt.machineDigest())
             << "digest after window from " << at;
     }
 }
 
-TEST(ArenaCheckpoint, AdoptStateRejectsIncompatibleSessions)
+TEST(ArenaCheckpoint, CheckpointRejectsIncompatibleSessions)
 {
     Topology topo = Topology::linearArray(4);
     GenOptions gen;
@@ -335,27 +377,34 @@ TEST(ArenaCheckpoint, AdoptStateRejectsIncompatibleSessions)
     SimSession twin(a, s);
     SimSession stranger(b, s);
 
-    // Not paused yet: nothing to adopt.
-    EXPECT_FALSE(twin.adoptState(donor));
+    // Not paused yet: nothing to hand off.
+    RunLog donorLog(a);
+    RunLog twinLog(a);
+    EXPECT_FALSE(handOff(donor, twin, {}, twinLog));
+    EXPECT_FALSE(twin.paused());
 
-    RunRequest request;
+    RunRequest request = observedBy(donorLog);
     request.pauseAt = 3;
     RunResult r = donor.run(request);
     ASSERT_EQ(r.status, RunStatus::kPaused);
-    EXPECT_FALSE(stranger.adoptState(donor)); // different program
-    EXPECT_TRUE(twin.adoptState(donor));
+    RunLog strangerLog(b);
+    EXPECT_FALSE(handOff(donor, stranger, {}, strangerLog)); // other program
+    EXPECT_FALSE(stranger.paused());
+    twinLog = donorLog;
+    EXPECT_TRUE(handOff(donor, twin, {}, twinLog));
     EXPECT_TRUE(twin.paused());
 
     // Both finish identically from the shared checkpoint.
     RunResult fromDonor = donor.resume();
     RunResult fromTwin = twin.resume();
     expectSameRunResult(fromDonor, fromTwin, "donor vs twin");
+    expectSameLog(donorLog, twinLog, "donor vs twin");
 }
 
-TEST(ArenaCheckpoint, RandomPolicyStateTravelsWithAdopt)
+TEST(ArenaCheckpoint, RandomPolicyStateTravelsWithCheckpoint)
 {
     // The counted-stream random policy's per-link decision counters
-    // are run state: an adopted session must reproduce the donor's
+    // are run state: a restored session must reproduce the donor's
     // future shuffles exactly. Deadlocking programs included.
     Topology topo = Topology::linearArray(5);
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -371,19 +420,22 @@ TEST(ArenaCheckpoint, RandomPolicyStateTravelsWithAdopt)
         SessionOptions options; // event kernel
         SimSession donor(program, s, options);
         SimSession twin(program, s, options);
+        RunLog donorLog(program);
         RunRequest request;
         request.policy = PolicyKind::kRandom;
         request.seed = seed;
         request.maxCycles = 20'000;
-        request.collect = Collect::kEvents | Collect::kReleases;
-        request.pauseAt = 5;
+        RunRequest paused = observedBy(donorLog, request);
+        paused.pauseAt = 5;
 
-        RunResult r = donor.run(request);
+        RunResult r = donor.run(paused);
         if (r.status != RunStatus::kPaused)
             continue; // run ended before the checkpoint; nothing to test
-        ASSERT_TRUE(twin.adoptState(donor));
-        expectSameRunResult(donor.resume(), twin.resume(),
-                         "random policy seed " + std::to_string(seed));
+        RunLog twinLog = donorLog;
+        ASSERT_TRUE(handOff(donor, twin, request, twinLog));
+        const std::string ctx = "random policy seed " + std::to_string(seed);
+        expectSameRunResult(donor.resume(), twin.resume(), ctx);
+        expectSameLog(donorLog, twinLog, ctx);
     }
 }
 

@@ -233,25 +233,28 @@ TEST(PolicyReadsSeed, AgreesWithRunsThatDifferOnlyInSeed)
             SimSession session(program, spec);
             RunRequest base;
             base.policy = kind;
-            base.collect = Collect::kAll;
-            const RunResult first = session.run(base);
+            RunLog firstLog(program);
+            const RunResult first = session.run(observedBy(firstLog, base));
             const std::uint64_t firstDigest = session.machineDigest();
             for (std::uint64_t seed = 2; seed <= 8; ++seed) {
                 RunRequest other = base;
                 other.seed = seed;
                 EXPECT_EQ(runsEquivalent(base, other), !policyReadsSeed(kind))
                     << name;
-                const RunResult again = session.run(other);
+                RunLog againLog(program);
+                const RunResult again =
+                    session.run(observedBy(againLog, other));
                 const std::string ctx = name + " queues " +
                                         std::to_string(queues) + " seed " +
                                         std::to_string(seed);
                 if (!policyReadsSeed(kind)) {
                     expectSameRunResult(again, first, ctx);
+                    expectSameLog(firstLog, againLog, ctx);
                     EXPECT_EQ(session.machineDigest(), firstDigest) << ctx;
                 }
                 seedChangedARun |= again.status != first.status ||
                                    again.cycles != first.cycles ||
-                                   again.events != first.events ||
+                                   againLog != firstLog ||
                                    session.machineDigest() != firstDigest;
             }
         }

@@ -102,16 +102,18 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
     spec.topo = topo;
     spec.queuesPerLink = 2;
 
-    sim::RunResult a = sim::SimSession(p, spec).run(kVectorsRequest);
-    sim::RunResult b = sim::SimSession(p, spec).run(kVectorsRequest);
+    sim::RunLog aLog(p);
+    sim::RunLog bLog(p);
+    sim::RunResult a = sim::SimSession(p, spec).run(observedBy(aLog));
+    sim::RunResult b = sim::SimSession(p, spec).run(observedBy(bLog));
     ASSERT_EQ(a.status, b.status);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.stats.wordsForwarded, b.stats.wordsForwarded);
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].cycle, b.events[i].cycle);
-        EXPECT_EQ(a.events[i].msg, b.events[i].msg);
-        EXPECT_EQ(a.events[i].queueId, b.events[i].queueId);
+    ASSERT_EQ(aLog.events.size(), bLog.events.size());
+    for (std::size_t i = 0; i < aLog.events.size(); ++i) {
+        EXPECT_EQ(aLog.events[i].cycle, bLog.events[i].cycle);
+        EXPECT_EQ(aLog.events[i].msg, bLog.events[i].msg);
+        EXPECT_EQ(aLog.events[i].queueId, bLog.events[i].queueId);
     }
 }
 
@@ -129,13 +131,16 @@ TEST(Determinism, RandomPolicyDeterministicUnderSeed)
     MachineSpec spec;
     spec.topo = Topology::linearArray(2);
     spec.queuesPerLink = 2;
-    sim::RunRequest request = kVectorsRequest;
+    sim::RunRequest request;
     request.policy = sim::PolicyKind::kRandom;
     request.seed = 99;
-    sim::RunResult r1 = sim::SimSession(p, spec).run(request);
-    sim::RunResult r2 = sim::SimSession(p, spec).run(request);
+    sim::RunLog log1(p);
+    sim::RunLog log2(p);
+    sim::RunResult r1 = sim::SimSession(p, spec).run(observedBy(log1, request));
+    sim::RunResult r2 = sim::SimSession(p, spec).run(observedBy(log2, request));
     EXPECT_EQ(r1.status, r2.status);
     EXPECT_EQ(r1.cycles, r2.cycles);
+    expectSameLog(log1, log2, "random policy, seed 99");
 }
 
 } // namespace

@@ -76,7 +76,7 @@ TEST_P(Equivalence, LookaheadBoundMatchesQueueCapacity)
         spec.topo = Topology::linearArray(2);
         spec.queuesPerLink = p.numMessages(); // dedicated queues
         spec.queueCapacity = capacity;
-        sim::RunRequest request = kVectorsRequest;
+        sim::RunRequest request;
         request.policy = sim::PolicyKind::kStatic;
         sim::RunResult r = sim::SimSession(p, spec).run(request);
         bool completed = r.status == sim::RunStatus::kCompleted;
@@ -161,7 +161,7 @@ TEST(Equivalence, MultiHopRouteCapacityBoundMatchesRuntime)
             spec.topo = topo;
             spec.queuesPerLink = std::max(1, analysis.maxOnLink());
             spec.queueCapacity = capacity;
-            sim::RunRequest request = kVectorsRequest;
+            sim::RunRequest request;
             request.policy = sim::PolicyKind::kStatic;
             sim::RunResult r = sim::SimSession(p, spec).run(request);
             bool completed = r.status == sim::RunStatus::kCompleted;
@@ -205,7 +205,7 @@ TEST(Equivalence, BasicAcceptanceImpliesEveryCapacityCompletes)
         spec.topo = Topology::linearArray(2);
         spec.queuesPerLink = p.numMessages();
         spec.queueCapacity = 1;
-        sim::RunRequest request = kVectorsRequest;
+        sim::RunRequest request;
         request.policy = sim::PolicyKind::kStatic;
         sim::RunResult r = sim::SimSession(p, spec).run(request);
         EXPECT_EQ(r.status, sim::RunStatus::kCompleted) << seed;

@@ -41,18 +41,22 @@ TEST_P(FirSweep, EndToEnd)
     ASSERT_TRUE(plan.ok) << plan.error;
     EXPECT_FALSE(plan.usedTrivialFallback);
 
+    sim::SimSession session(p, machine);
+    sim::RunLog log(p);
     sim::RunRequest request;
     request.labels = plan.normalizedLabels;
-    request.collect = sim::Collect::kAll;
-    sim::RunResult r = sim::SimSession(p, machine).run(request);
+    request.observer = &log;
+    sim::RunResult r = session.run(request);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
-    EXPECT_TRUE(r.audit.compatible);
+    EXPECT_TRUE(sim::auditAssignments(p, session.compiled()->competing(),
+                                      request.labels, log.events)
+                    .compatible);
 
     auto y = *p.messageByName(algos::firHostOutputMessage());
     std::vector<double> expected = firReference(spec);
-    ASSERT_EQ(r.received[y].size(), expected.size());
+    ASSERT_EQ(log.received[y].size(), expected.size());
     for (std::size_t j = 0; j < expected.size(); ++j)
-        EXPECT_NEAR(r.received[y][j], expected[j], 1e-9) << "y" << j;
+        EXPECT_NEAR(log.received[y][j], expected[j], 1e-9) << "y" << j;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,11 +100,12 @@ TEST(Fir, HigherBufferDoesNotChangeResults)
     std::vector<double> expected = firReference(spec);
     for (int capacity : {1, 2, 8}) {
         machine.queueCapacity = capacity;
-        sim::RunResult r = sim::SimSession(p, machine).run(kVectorsRequest);
+        sim::RunLog log(p);
+        sim::RunResult r = sim::SimSession(p, machine).run(observedBy(log));
         ASSERT_EQ(r.status, RunStatus::kCompleted) << capacity;
         auto y = *p.messageByName("Y1");
         for (std::size_t j = 0; j < expected.size(); ++j)
-            EXPECT_NEAR(r.received[y][j], expected[j], 1e-9);
+            EXPECT_NEAR(log.received[y][j], expected[j], 1e-9);
     }
 }
 

@@ -24,9 +24,9 @@
 namespace syscomm {
 namespace {
 
-using sim::Collect;
 using sim::KernelKind;
 using sim::PolicyKind;
+using sim::RunLog;
 using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
@@ -48,19 +48,21 @@ describe(const RunRequest& request, const SessionOptions& session,
 
 /**
  * Run under both kernels and assert identical observable outcomes.
- * Every result vector is collected (plus the audit when @p request
- * asks for it), so no comparison below passes on two vectors that
- * were simply never collected.
+ * Each run records into its own RunLog, so every assignment, release,
+ * timing and delivered value is compared too.
  */
 void
 expectKernelsAgree(const Program& program, const MachineSpec& spec,
-                   RunRequest request, SessionOptions session = {})
+                   const RunRequest& request, SessionOptions session = {})
 {
-    request.collect |= kVectorsRequest.collect;
+    RunLog refLog(program);
+    RunLog evtLog(program);
     session.kernel = KernelKind::kReference;
-    RunResult ref = SimSession(program, spec, session).run(request);
+    RunResult ref =
+        SimSession(program, spec, session).run(observedBy(refLog, request));
     session.kernel = KernelKind::kEventDriven;
-    RunResult evt = SimSession(program, spec, session).run(request);
+    RunResult evt =
+        SimSession(program, spec, session).run(observedBy(evtLog, request));
 
     std::string ctx = describe(request, session, spec);
     ASSERT_EQ(evt.status, ref.status)
@@ -72,16 +74,12 @@ expectKernelsAgree(const Program& program, const MachineSpec& spec,
         << ref.stats.summary() << "evt:\n"
         << evt.stats.summary() << "ref blocked=" << ref.stats.cellBlockedCycles
         << " evt blocked=" << evt.stats.cellBlockedCycles;
-    EXPECT_EQ(evt.events, ref.events) << ctx;
-    EXPECT_EQ(evt.releases, ref.releases) << ctx;
-    EXPECT_EQ(evt.received, ref.received) << ctx;
-    EXPECT_EQ(evt.msgTiming, ref.msgTiming) << ctx;
+    expectSameLog(refLog, evtLog, ctx);
     EXPECT_EQ(evt.labelsUsed, ref.labelsUsed) << ctx;
     EXPECT_TRUE(evt.deadlock == ref.deadlock)
         << ctx << "\nref:\n"
         << ref.deadlock.render(program) << "evt:\n"
         << evt.deadlock.render(program);
-    EXPECT_EQ(evt.audit.compatible, ref.audit.compatible) << ctx;
 }
 
 MachineSpec
@@ -114,7 +112,6 @@ TEST(KernelEquivalence, RandomizedLinearArrayAllPolicies)
             RunRequest request;
             request.policy = policy;
             request.seed = seed;
-            request.collect = Collect::kAudit;
             expectKernelsAgree(p, spec(topo, 2 + seed % 2, 1 + seed % 3),
                                request);
         }
@@ -184,7 +181,6 @@ TEST(KernelEquivalence, PaperFigureGallery)
     for (PolicyKind policy : {PolicyKind::kCompatible, PolicyKind::kFcfs}) {
         RunRequest request;
         request.policy = policy;
-        request.collect = Collect::kAudit;
         expectKernelsAgree(algos::fig7Program(), spec(algos::fig7Topology(), 1, 1),
                            request);
         expectKernelsAgree(algos::fig8Program(), spec(algos::fig8Topology(), 1, 1),
@@ -258,9 +254,9 @@ TEST(KernelEquivalence, MaxCyclesBudgetExhaustion)
 TEST(KernelEquivalence, OneShapeSweepAgreesAcrossKernels)
 {
     // The sweep driver as equivalence harness: the same request batch
-    // (policies x seeds, full collection) through a one-shape
-    // ShapeSweep per kernel must agree run by run — and the threaded
-    // fan-out must not perturb any result.
+    // (policies x seeds, each recorded by its own RunLog) through a
+    // one-shape ShapeSweep per kernel must agree run by run — and the
+    // threaded fan-out must not perturb any result.
     Topology topo = Topology::linearArray(5);
     GenOptions gen;
     gen.numMessages = 6;
@@ -277,11 +273,7 @@ TEST(KernelEquivalence, OneShapeSweepAgreesAcrossKernels)
             sim::RunRequest request;
             request.policy = policy;
             request.seed = seed;
-            // The seed also moves the (never reached) cycle budget, so
-            // no request is equivalent to another and the sweep runs
-            // every cell instead of copying seed-blind rows.
-            request.maxCycles = 20'000 + seed;
-            request.collect = sim::Collect::kAll;
+            request.maxCycles = 20'000;
             requests.push_back(request);
         }
     }
@@ -291,10 +283,16 @@ TEST(KernelEquivalence, OneShapeSweepAgreesAcrossKernels)
     ref.numWorkers = 3;
     sim::ShapeSweepOptions evt = ref;
     evt.session.kernel = KernelKind::kEventDriven;
+    // Observed requests never stand in for one another, so each sweep
+    // runs every cell instead of copying seed-blind rows.
+    std::vector<RunLog> refLogs;
+    std::vector<RunLog> evtLogs;
     sim::ShapeSweepResult refResult =
-        sim::ShapeSweep(mutated, topo, {{"", 2, 1}}, ref).run(requests);
+        sim::ShapeSweep(mutated, topo, {{"", 2, 1}}, ref)
+            .run(observeEach(requests, refLogs, mutated));
     sim::ShapeSweepResult evtResult =
-        sim::ShapeSweep(mutated, topo, {{"", 2, 1}}, evt).run(requests);
+        sim::ShapeSweep(mutated, topo, {{"", 2, 1}}, evt)
+            .run(observeEach(requests, evtLogs, mutated));
     EXPECT_EQ(refResult.rowsShared, 0u);
     EXPECT_EQ(evtResult.rowsShared, 0u);
     sim::SweepSummary refSweep = refResult.shapeSummary(0);
@@ -309,12 +307,8 @@ TEST(KernelEquivalence, OneShapeSweepAgreesAcrossKernels)
         ASSERT_EQ(b.status, a.status) << ctx;
         EXPECT_EQ(b.cycles, a.cycles) << ctx;
         EXPECT_TRUE(b.stats == a.stats) << ctx;
-        EXPECT_EQ(b.events, a.events) << ctx;
-        EXPECT_EQ(b.releases, a.releases) << ctx;
-        EXPECT_EQ(b.received, a.received) << ctx;
-        EXPECT_EQ(b.msgTiming, a.msgTiming) << ctx;
+        expectSameLog(refLogs[i], evtLogs[i], ctx);
         EXPECT_TRUE(b.deadlock == a.deadlock) << ctx;
-        EXPECT_EQ(b.audit.compatible, a.audit.compatible) << ctx;
     }
     for (int k = 0; k < sim::kNumRunStatuses; ++k)
         EXPECT_EQ(evtSweep.statusCounts[k], refSweep.statusCounts[k]);
@@ -403,13 +397,15 @@ TEST(KernelEquivalence, RandomPolicyMultiPendingFastForward)
 // full-run equivalence coverage at ~16k cells. The sampled harness
 // runs the *event* kernel end to end (cheap), pauses it at randomly
 // sampled cycles, hands each checkpoint to a reference-kernel session
-// via SimSession::adoptState, and replays only the sampled window
-// under the dense oracle — so the dense cost is windows x window
-// length, not the whole run, and 64k-100k cells fit the budget. At
-// each window edge the two sessions must agree on the full result
-// accumulated so far AND on the machine-state digest; afterwards the
-// event run is driven to its end and must be bit-identical to an
-// unpaused run (pausing may never perturb a run).
+// through saveCheckpoint/restoreCheckpoint — the cross-kernel path
+// crash resume uses — together with a copy of the run's RunLog, and
+// replays only the sampled window under the dense oracle. The dense
+// cost is therefore windows x window length, not the whole run, and
+// 64k-100k cells fit the budget. At each window edge the two sessions
+// must agree on the full result and log accumulated so far AND on the
+// machine-state digest; afterwards the event run is driven to its end
+// and must be bit-identical to an unpaused run (pausing may never
+// perturb a run).
 // ---------------------------------------------------------------------
 
 struct OracleWindows
@@ -433,8 +429,10 @@ expectSampledOracleAgrees(const Program& program, const MachineSpec& s,
     ASSERT_TRUE(evt.valid()) << ctx << ": " << evt.error();
 
     // Full event run: the window sampler's cycle range, and the
-    // result the windowed journey below must reproduce exactly.
-    RunResult whole = evt.run(base);
+    // result and log the windowed journey below must reproduce
+    // exactly.
+    RunLog wholeLog(program);
+    RunResult whole = evt.run(observedBy(wholeLog, base));
     ASSERT_NE(whole.status, RunStatus::kConfigError) << ctx;
     const Cycle total = whole.cycles;
     if (total < 4)
@@ -462,21 +460,28 @@ expectSampledOracleAgrees(const Program& program, const MachineSpec& s,
     ASSERT_FALSE(starts.empty()) << ctx;
     std::sort(starts.begin(), starts.end());
 
-    RunRequest untilFirst = base;
+    RunLog log(program);
+    RunRequest untilFirst = observedBy(log, base);
     untilFirst.pauseAt = starts.front();
     RunResult part = evt.run(untilFirst);
     int replayed = 0;
     for (std::size_t i = 0;
          i < starts.size() && part.status == RunStatus::kPaused; ++i) {
-        ASSERT_TRUE(ref.adoptState(evt)) << ctx;
+        std::vector<std::uint8_t> bytes;
+        ASSERT_TRUE(evt.saveCheckpoint(bytes)) << ctx;
+        RunLog refLog = log;
+        ASSERT_TRUE(ref.restoreCheckpoint(observedBy(refLog, base), bytes))
+            << ctx;
         EXPECT_EQ(ref.machineDigest(), evt.machineDigest())
-            << ctx << " adopt at " << starts[i];
+            << ctx << " restore at " << starts[i];
         Cycle end = starts[i] + w.length;
         RunResult evtWin = evt.resume(end);
         RunResult refWin = ref.resume(end);
-        expectSameRunResult(evtWin, refWin,
-                           ctx + " window " + std::to_string(starts[i]) +
-                               ".." + std::to_string(end));
+        const std::string window = ctx + " window " +
+                                   std::to_string(starts[i]) + ".." +
+                                   std::to_string(end);
+        expectSameRunResult(evtWin, refWin, window);
+        expectSameLog(log, refLog, window);
         EXPECT_EQ(ref.machineDigest(), evt.machineDigest())
             << ctx << " window end " << end;
         ++replayed;
@@ -488,6 +493,7 @@ expectSampledOracleAgrees(const Program& program, const MachineSpec& s,
     if (part.status == RunStatus::kPaused)
         part = evt.resume();
     expectSameRunResult(whole, part, ctx + " windowed journey vs whole");
+    expectSameLog(wholeLog, log, ctx + " windowed journey vs whole");
 }
 
 TEST(SampledOracle, HarnessAgreesOnSmallRandomPrograms)
@@ -513,7 +519,6 @@ TEST(SampledOracle, HarnessAgreesOnSmallRandomPrograms)
             base.policy = policy;
             base.seed = seed;
             base.maxCycles = 20'000;
-            base.collect = Collect::kAll;
             OracleWindows w;
             w.count = 4;
             w.length = 5;

@@ -36,13 +36,14 @@ TEST_P(MatMulSweep, MatchesReference)
     CompilePlan plan = compileProgram(p, machine);
     ASSERT_TRUE(plan.ok) << plan.error;
 
-    sim::RunRequest request = kVectorsRequest;
+    sim::RunLog log(p);
+    sim::RunRequest request = observedBy(log);
     request.labels = plan.normalizedLabels;
     sim::RunResult r = sim::SimSession(p, machine).run(request);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
     std::vector<double> got =
-        algos::extractMatMulResult(p, r.received, spec);
+        algos::extractMatMulResult(p, log.received, spec);
     std::vector<double> expected = algos::matmulReference(spec);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)

@@ -5,7 +5,8 @@
  * statistics vectors and, for a deadlocked run, the deadlock report.
  * The report lists only the implicated cells and links by id, so a
  * deadlocked run allocates O(implicated links), not O(machine) and
- * one string per queue.
+ * one string per queue. A warm run observed by a reused RunLog
+ * allocates no more: the log keeps its capacity across clear().
  *
  * This suite is its own binary so that the counting global operator
  * new below counts nothing but it.
@@ -22,6 +23,7 @@
 
 #include "core/program_gen.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 
 // ASan and TSan replace operator new, so the count below sees nothing.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -66,21 +68,27 @@ using sim::RunResult;
 using sim::RunStatus;
 using sim::SimSession;
 
-TEST(RunAllocations, WarmRunsAllocateOnlyTheirResult)
+struct AllocationTally
 {
-#ifdef SYSCOMM_TEST_MALLOC_REPLACED
-    GTEST_SKIP() << "the sanitizer replaces operator new";
-#else
-    // 16 random deadlock-free programs (64 messages) on an 8x8 mesh,
-    // each over the q1-4 x c1-4 ladder under three policies. Small
-    // queues deadlock most fcfs and random runs, and some compatible
-    // ones where the program needs more queues than the rung has.
-    const Topology mesh = Topology::mesh(8, 8);
     std::int64_t completedRuns = 0;
     std::int64_t completedAllocs = 0;
     std::int64_t deadlockedRuns = 0;
     std::int64_t deadlockedAllocs = 0;
     std::int64_t listedLinks = 0;
+};
+
+/**
+ * Count the allocations of every warm run over the corpus: 16 random
+ * deadlock-free programs (64 messages) on an 8x8 mesh, each over the
+ * q1-4 x c1-4 ladder under three policies. Small queues deadlock most
+ * fcfs and random runs, and some compatible ones where the program
+ * needs more queues than the rung has. With @p observed, every run
+ * records into one RunLog per program, cleared before each run.
+ */
+void
+countWarmRuns(bool observed, AllocationTally& tally)
+{
+    const Topology mesh = Topology::mesh(8, 8);
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
         GenOptions gen;
         gen.numMessages = 64;
@@ -88,6 +96,7 @@ TEST(RunAllocations, WarmRunsAllocateOnlyTheirResult)
         gen.seed = seed;
         const Program program = randomDeadlockFreeProgram(mesh, gen);
         const auto compiled = sim::CompiledProgram::compile(program, mesh);
+        sim::RunLog log(program);
         for (int queues = 1; queues <= 4; ++queues) {
             for (int capacity = 1; capacity <= 4; ++capacity) {
                 MachineSpec spec;
@@ -101,39 +110,81 @@ TEST(RunAllocations, WarmRunsAllocateOnlyTheirResult)
                     RunRequest request;
                     request.policy = policy;
                     request.seed = seed;
+                    if (observed)
+                        request.observer = &log;
+                    log.clear();
                     (void)session.run(request); // warm-up
+                    log.clear();
                     const std::int64_t before = allocations.load();
                     const RunResult r = session.run(request);
                     const std::int64_t used = allocations.load() - before;
                     if (r.status == RunStatus::kCompleted) {
-                        ++completedRuns;
-                        completedAllocs += used;
+                        ++tally.completedRuns;
+                        tally.completedAllocs += used;
                     } else {
                         ASSERT_EQ(r.status, RunStatus::kDeadlocked)
                             << r.statusStr();
-                        ++deadlockedRuns;
-                        deadlockedAllocs += used;
-                        listedLinks += static_cast<std::int64_t>(
+                        ++tally.deadlockedRuns;
+                        tally.deadlockedAllocs += used;
+                        tally.listedLinks += static_cast<std::int64_t>(
                             r.deadlock.links.size());
                     }
                 }
             }
         }
     }
-    ASSERT_GT(completedRuns, 0);
-    ASSERT_GT(deadlockedRuns, 0);
-    const double perCompleted =
-        static_cast<double>(completedAllocs) / completedRuns;
-    const double perDeadlocked =
-        static_cast<double>(deadlockedAllocs) / deadlockedRuns;
-    std::printf("completed: %lld runs, %.2f allocations per run\n"
-                "deadlocked: %lld runs, %.2f allocations per run, "
+    ASSERT_GT(tally.completedRuns, 0);
+    ASSERT_GT(tally.deadlockedRuns, 0);
+    std::printf("%s completed: %lld runs, %.2f allocations per run\n"
+                "%s deadlocked: %lld runs, %.2f allocations per run, "
                 "%.1f links per report\n",
-                static_cast<long long>(completedRuns), perCompleted,
-                static_cast<long long>(deadlockedRuns), perDeadlocked,
-                static_cast<double>(listedLinks) / deadlockedRuns);
-    EXPECT_LE(perCompleted, 2.0);
-    EXPECT_LE(perDeadlocked, 120.0);
+                observed ? "observed" : "unobserved",
+                static_cast<long long>(tally.completedRuns),
+                static_cast<double>(tally.completedAllocs) /
+                    tally.completedRuns,
+                observed ? "observed" : "unobserved",
+                static_cast<long long>(tally.deadlockedRuns),
+                static_cast<double>(tally.deadlockedAllocs) /
+                    tally.deadlockedRuns,
+                static_cast<double>(tally.listedLinks) /
+                    tally.deadlockedRuns);
+}
+
+TEST(RunAllocations, WarmRunsAllocateOnlyTheirResult)
+{
+#ifdef SYSCOMM_TEST_MALLOC_REPLACED
+    GTEST_SKIP() << "the sanitizer replaces operator new";
+#else
+    AllocationTally tally;
+    countWarmRuns(false, tally);
+    if (HasFatalFailure())
+        return;
+    EXPECT_LE(static_cast<double>(tally.completedAllocs) /
+                  tally.completedRuns,
+              2.0);
+    EXPECT_LE(static_cast<double>(tally.deadlockedAllocs) /
+                  tally.deadlockedRuns,
+              120.0);
+#endif
+}
+
+TEST(RunAllocations, WarmObservedRunsReuseTheirLog)
+{
+    // A RunLog cleared between runs keeps its capacity, so recording a
+    // warm run costs no allocation beyond the unobserved run's.
+#ifdef SYSCOMM_TEST_MALLOC_REPLACED
+    GTEST_SKIP() << "the sanitizer replaces operator new";
+#else
+    AllocationTally tally;
+    countWarmRuns(true, tally);
+    if (HasFatalFailure())
+        return;
+    EXPECT_LE(static_cast<double>(tally.completedAllocs) /
+                  tally.completedRuns,
+              2.0);
+    EXPECT_LE(static_cast<double>(tally.deadlockedAllocs) /
+                  tally.deadlockedRuns,
+              120.0);
 #endif
 }
 

@@ -4,12 +4,13 @@
  * run-many entry point must be indistinguishable from a fresh session
  * on every run, across interleaved seeds and policies; a threaded
  * one-shape sweep must equal a serial loop over the same requests; and
- * the Collect flags must gate exactly the vectors they name without
- * perturbing any counter.
+ * an attached observer must see every event without perturbing any
+ * counter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -25,11 +26,10 @@
 namespace syscomm {
 namespace {
 
-using sim::Collect;
-using sim::collects;
 using sim::KernelKind;
 using sim::PolicyKind;
 using sim::RunRequest;
+using sim::RunLog;
 using sim::RunResult;
 using sim::RunStatus;
 using sim::SessionOptions;
@@ -97,20 +97,26 @@ TEST(SimSession, RerunIsBitIdenticalToFreshSimulator)
             request.policy = policy;
             request.seed = 7;
             request.maxCycles = 20'000;
-            request.collect = Collect::kAll;
 
-            RunResult first = reused.run(request);
-            RunResult second = reused.run(request);
-            RunResult third = reused.run(request);
-            RunResult fresh =
-                SimSession(p, spec, lazyLabels(session)).run(request);
+            RunLog firstLog(p);
+            RunLog secondLog(p);
+            RunLog thirdLog(p);
+            RunLog freshLog(p);
+            RunResult first = reused.run(observedBy(firstLog, request));
+            RunResult second = reused.run(observedBy(secondLog, request));
+            RunResult third = reused.run(observedBy(thirdLog, request));
+            RunResult fresh = SimSession(p, spec, lazyLabels(session))
+                                  .run(observedBy(freshLog, request));
 
             std::string ctx =
                 std::string("kernel=") + sim::kernelKindName(kernel) +
                 " policy=" + sim::policyKindName(policy);
             expectSameRunResult(second, first, ctx + " (2nd vs 1st)");
+            expectSameLog(secondLog, firstLog, ctx + " (2nd vs 1st)");
             expectSameRunResult(third, first, ctx + " (3rd vs 1st)");
+            expectSameLog(thirdLog, firstLog, ctx + " (3rd vs 1st)");
             expectSameRunResult(first, fresh, ctx + " (session vs fresh)");
+            expectSameLog(firstLog, freshLog, ctx + " (session vs fresh)");
         }
     }
     EXPECT_NE(perturbedProgram(3).numMessages(), 0);
@@ -130,26 +136,30 @@ TEST(SimSession, InterleavedSeedsDoNotLeakState)
 
     // Fresh baselines per seed.
     std::vector<RunResult> fresh;
-    for (std::uint64_t seed : seeds) {
-        RunRequest request;
-        request.policy = PolicyKind::kRandom;
-        request.seed = seed;
-        request.maxCycles = 20'000;
-        request.collect = Collect::kAll;
-        fresh.push_back(SimSession(p, spec, lazyLabels()).run(request));
-    }
-
-    // The same seeds interleaved through one session.
+    std::vector<RunLog> freshLogs(std::size(seeds), RunLog(p));
     for (std::size_t i = 0; i < std::size(seeds); ++i) {
         RunRequest request;
         request.policy = PolicyKind::kRandom;
         request.seed = seeds[i];
         request.maxCycles = 20'000;
-        request.collect = Collect::kAll;
-        RunResult r = session.run(request);
-        expectSameRunResult(r, fresh[i],
-                         "seed=" + std::to_string(seeds[i]) + " pos=" +
-                             std::to_string(i));
+        fresh.push_back(SimSession(p, spec, lazyLabels())
+                            .run(observedBy(freshLogs[i], request)));
+    }
+
+    // The same seeds interleaved through one session, recorded by one
+    // reused log.
+    RunLog log(p);
+    for (std::size_t i = 0; i < std::size(seeds); ++i) {
+        RunRequest request;
+        request.policy = PolicyKind::kRandom;
+        request.seed = seeds[i];
+        request.maxCycles = 20'000;
+        log.clear();
+        RunResult r = session.run(observedBy(log, request));
+        const std::string ctx = "seed=" + std::to_string(seeds[i]) +
+                                " pos=" + std::to_string(i);
+        expectSameRunResult(r, fresh[i], ctx);
+        expectSameLog(log, freshLogs[i], ctx);
     }
     EXPECT_EQ(session.runCount(), static_cast<int>(std::size(seeds)));
 }
@@ -169,12 +179,15 @@ TEST(SimSession, InterleavedPoliciesDoNotLeakState)
         request.policy = policy;
         request.seed = 11;
         request.maxCycles = 20'000;
-        request.collect = Collect::kAll;
-        RunResult r = session.run(request);
-        RunResult fresh = SimSession(p, spec, lazyLabels()).run(request);
-        expectSameRunResult(r, fresh,
-                         std::string("policy=") +
-                             sim::policyKindName(policy));
+        RunLog log(p);
+        RunLog freshLog(p);
+        RunResult r = session.run(observedBy(log, request));
+        RunResult fresh = SimSession(p, spec, lazyLabels())
+                              .run(observedBy(freshLog, request));
+        const std::string ctx =
+            std::string("policy=") + sim::policyKindName(policy);
+        expectSameRunResult(r, fresh, ctx);
+        expectSameLog(log, freshLog, ctx);
     }
 }
 
@@ -183,8 +196,9 @@ TEST(SimSession, InterleavedPoliciesDoNotLeakState)
 // ---------------------------------------------------------------------
 
 /** Policies x seeds, every request distinct: the seed also moves the
- *  (never reached) cycle budget, so ShapeSweep cannot copy the rows of
- *  seed-blind policies and simulates every cell on the workers. */
+ *  (never reached) cycle budget, so even unobserved, ShapeSweep could
+ *  not copy the rows of seed-blind policies and simulates every cell
+ *  on the workers. */
 std::vector<RunRequest>
 mixedRequests()
 {
@@ -197,7 +211,6 @@ mixedRequests()
             request.policy = policy;
             request.seed = seed;
             request.maxCycles = 20'000 + seed;
-            request.collect = Collect::kEvents | Collect::kReceived;
             requests.push_back(request);
         }
     }
@@ -212,24 +225,27 @@ TEST(OneShapeSweep, MatchesSerialLoop)
 
     // Serial loop through one session.
     SimSession serial(p, spec);
+    std::vector<RunLog> serialLogs;
     std::vector<RunResult> serialResults;
-    for (const RunRequest& request : requests)
+    for (const RunRequest& request : observeEach(requests, serialLogs, p))
         serialResults.push_back(serial.run(request));
 
     for (int workers : {1, 2, 4}) {
         ShapeSweepOptions sweepOptions;
         sweepOptions.numWorkers = workers;
         ShapeSweep sweep(p, spec.topo, {{"", 2, 1}}, sweepOptions);
-        ShapeSweepResult result = sweep.run(requests);
+        std::vector<RunLog> logs;
+        ShapeSweepResult result = sweep.run(observeEach(requests, logs, p));
         SweepSummary summary = result.shapeSummary(0);
 
         ASSERT_EQ(summary.results.size(), requests.size());
         EXPECT_EQ(result.workersUsed, workers);
         EXPECT_EQ(result.rowsShared, 0u);
         for (std::size_t i = 0; i < requests.size(); ++i) {
-            expectSameRunResult(summary.results[i], serialResults[i],
-                             "workers=" + std::to_string(workers) +
-                                 " request=" + std::to_string(i));
+            const std::string ctx = "workers=" + std::to_string(workers) +
+                                    " request=" + std::to_string(i);
+            expectSameRunResult(summary.results[i], serialResults[i], ctx);
+            expectSameLog(logs[i], serialLogs[i], ctx);
         }
 
         // Aggregates equal the serial aggregation too.
@@ -274,8 +290,9 @@ TEST(OneShapeSweep, PersistentPoolKeepsBatchesDeterministic)
     std::vector<RunRequest> requests = mixedRequests();
 
     SimSession serial(p, spec);
+    std::vector<RunLog> serialLogs;
     std::vector<RunResult> serialResults;
-    for (const RunRequest& request : requests)
+    for (const RunRequest& request : observeEach(requests, serialLogs, p))
         serialResults.push_back(serial.run(request));
 
     ShapeSweepOptions sweepOptions;
@@ -284,23 +301,29 @@ TEST(OneShapeSweep, PersistentPoolKeepsBatchesDeterministic)
     EXPECT_EQ(sweep.pooledWorkers(), 0); // lazily spawned
 
     for (int batch = 0; batch < 4; ++batch) {
-        ShapeSweepResult result = sweep.run(requests);
+        std::vector<RunLog> logs;
+        ShapeSweepResult result = sweep.run(observeEach(requests, logs, p));
         EXPECT_EQ(sweep.pooledWorkers(), 2); // workers - 1, persistent
         ASSERT_EQ(result.rows.size(), requests.size());
         EXPECT_EQ(result.rowsShared, 0u);
         for (std::size_t i = 0; i < requests.size(); ++i) {
+            const std::string ctx = "batch=" + std::to_string(batch) +
+                                    " request=" + std::to_string(i);
             expectSameRunResult(result.rows[i].result, serialResults[i],
-                             "batch=" + std::to_string(batch) +
-                                 " request=" + std::to_string(i));
+                                ctx);
+            expectSameLog(logs[i], serialLogs[i], ctx);
         }
 
         // An inline single-request batch between threaded ones.
-        std::vector<RunRequest> one{requests[batch]};
+        RunLog oneLog(p);
+        std::vector<RunRequest> one{observedBy(oneLog, requests[batch])};
         ShapeSweepResult single = sweep.run(one);
         ASSERT_EQ(single.rows.size(), 1u);
         EXPECT_EQ(single.workersUsed, 1);
+        const std::string ctx = "inline batch=" + std::to_string(batch);
         expectSameRunResult(single.rows.front().result, serialResults[batch],
-                         "inline batch=" + std::to_string(batch));
+                            ctx);
+        expectSameLog(oneLog, serialLogs[batch], ctx);
         EXPECT_EQ(sweep.pooledWorkers(), 2); // pool never shed
     }
 }
@@ -380,75 +403,58 @@ TEST(SweepSummary, AllErrorBatchHasNoFabricatedCycleDistribution)
 }
 
 // ---------------------------------------------------------------------
-// (d) Collect flags off => vectors empty, stats unchanged
+// (d) an observer records the run without changing it
 // ---------------------------------------------------------------------
 
-TEST(SimSession, CollectFlagsGateVectorsWithoutChangingStats)
+TEST(SimSession, ObserverDoesNotChangeTheRun)
 {
     Program p = perturbedProgram(4);
     MachineSpec spec = smallSpec(5, 2, 2);
     SimSession session(p, spec);
 
-    RunRequest all;
-    all.seed = 3;
-    all.maxCycles = 20'000;
-    all.collect = Collect::kAll;
-    RunResult full = session.run(all);
+    RunRequest bare;
+    bare.seed = 3;
+    bare.maxCycles = 20'000;
+    RunLog log(p);
+    RunResult observed = session.run(observedBy(log, bare));
+    RunResult unobserved = session.run(bare);
+    expectSameRunResult(unobserved, observed, "observed vs bare");
 
-    RunRequest none = all;
-    none.collect = Collect::kNone;
-    RunResult bare = session.run(none);
-
-    // Identical simulation...
-    EXPECT_EQ(bare.status, full.status);
-    EXPECT_EQ(bare.cycles, full.cycles);
-    EXPECT_TRUE(bare.stats == full.stats)
-        << "full:\n"
-        << full.stats.summary() << "bare:\n"
-        << bare.stats.summary();
-    EXPECT_EQ(bare.labelsUsed, full.labelsUsed);
-
-    // ...with nothing materialized.
-    EXPECT_TRUE(bare.events.empty());
-    EXPECT_TRUE(bare.releases.empty());
-    EXPECT_TRUE(bare.msgTiming.empty());
-    EXPECT_TRUE(bare.received.empty());
-    EXPECT_TRUE(bare.audit.compatible);
-    EXPECT_TRUE(bare.audit.violations.empty());
-
-    // And the full run actually collected things to gate.
-    EXPECT_FALSE(full.events.empty());
-    EXPECT_FALSE(full.releases.empty());
-    EXPECT_FALSE(full.msgTiming.empty());
-    EXPECT_FALSE(full.received.empty());
-
-    // Each flag gates exactly its vector.
-    RunRequest timingOnly = all;
-    timingOnly.collect = Collect::kMsgTiming;
-    RunResult timed = session.run(timingOnly);
-    EXPECT_TRUE(timed.events.empty());
-    EXPECT_TRUE(timed.received.empty());
-    EXPECT_EQ(timed.msgTiming, full.msgTiming);
-    EXPECT_TRUE(timed.stats == full.stats);
-
-    RunRequest auditOnly = all;
-    auditOnly.collect = Collect::kAudit;
-    RunResult audited = session.run(auditOnly);
-    // The audit consumed the event log internally but did not
-    // materialize it.
-    EXPECT_TRUE(audited.events.empty());
-    EXPECT_EQ(audited.audit.compatible, full.audit.compatible);
-    EXPECT_EQ(audited.audit.violations.size(),
-              full.audit.violations.size());
+    // The log holds exactly what the counters count.
+    EXPECT_FALSE(log.events.empty());
+    EXPECT_FALSE(log.releases.empty());
+    EXPECT_EQ(static_cast<std::int64_t>(log.events.size()),
+              observed.stats.assignments);
+    EXPECT_EQ(static_cast<std::int64_t>(log.releases.size()),
+              observed.stats.releases);
+    std::int64_t received = 0;
+    for (const std::vector<double>& values : log.received)
+        received += static_cast<std::int64_t>(values.size());
+    EXPECT_EQ(received, observed.stats.wordsDelivered);
+    ASSERT_EQ(log.msgTiming.size(),
+              static_cast<std::size_t>(p.numMessages()));
+    EXPECT_TRUE(std::any_of(log.msgTiming.begin(), log.msgTiming.end(),
+                            [](const std::pair<Cycle, Cycle>& t) {
+                                return t.first >= 0;
+                            }));
 }
 
 // ---------------------------------------------------------------------
 // Observer streaming
 // ---------------------------------------------------------------------
 
+/** An observer that keeps its own record of every hook. */
 class RecordingObserver : public sim::RunObserver
 {
   public:
+    struct Word
+    {
+        MessageId msg;
+        int seq;
+        double value;
+        Cycle now;
+    };
+
     void onAssign(const sim::AssignmentEvent& e) override
     {
         assigns.push_back(e);
@@ -457,43 +463,63 @@ class RecordingObserver : public sim::RunObserver
     {
         releases.push_back(e);
     }
+    void onSend(MessageId msg, int seq, double value, Cycle now) override
+    {
+        sends.push_back({msg, seq, value, now});
+    }
     void onDeliver(MessageId msg, int seq, double value, Cycle now) override
     {
-        (void)value;
-        (void)now;
-        deliveries.emplace_back(msg, seq);
+        deliveries.push_back({msg, seq, value, now});
     }
 
     std::vector<sim::AssignmentEvent> assigns;
     std::vector<sim::AssignmentEvent> releases;
-    std::vector<std::pair<MessageId, int>> deliveries;
+    std::vector<Word> sends;
+    std::vector<Word> deliveries;
 };
 
-TEST(SimSession, ObserverStreamsWhatCollectWouldMaterialize)
+TEST(SimSession, CustomObserverSeesWhatRunLogRecords)
 {
     Program p = perturbedProgram(1);
     MachineSpec spec = smallSpec(5, 2, 1);
     SimSession session(p, spec);
 
-    RunRequest collected;
-    collected.seed = 2;
-    collected.maxCycles = 20'000;
-    collected.collect = Collect::kEvents | Collect::kReleases;
-    RunResult full = session.run(collected);
+    RunRequest request;
+    request.seed = 2;
+    request.maxCycles = 20'000;
+    RunLog log(p);
+    RunResult logged = session.run(observedBy(log, request));
 
     RecordingObserver observer;
-    RunRequest streamed;
-    streamed.seed = 2;
-    streamed.maxCycles = 20'000;
-    streamed.observer = &observer;
-    RunResult bare = session.run(streamed);
+    request.observer = &observer;
+    RunResult streamed = session.run(request);
+    expectSameRunResult(streamed, logged, "custom observer vs RunLog");
 
-    EXPECT_EQ(bare.status, full.status);
-    EXPECT_TRUE(bare.events.empty());
-    EXPECT_EQ(observer.assigns, full.events);
-    EXPECT_EQ(observer.releases, full.releases);
+    EXPECT_EQ(observer.assigns, log.events);
+    EXPECT_EQ(observer.releases, log.releases);
+
+    // Each message's words are sent in sequence; word 0's send cycle
+    // is the log's first-sent cycle.
+    std::vector<int> nextSeq(p.numMessages(), 0);
+    std::vector<Cycle> firstSent(p.numMessages(), -1);
+    for (const RecordingObserver::Word& w : observer.sends) {
+        EXPECT_EQ(w.seq, nextSeq[w.msg]++);
+        if (w.seq == 0)
+            firstSent[w.msg] = w.now;
+    }
+    // Deliveries arrive in sequence, with the values the log kept.
+    std::vector<std::vector<double>> received(p.numMessages());
+    for (const RecordingObserver::Word& w : observer.deliveries) {
+        EXPECT_EQ(w.seq, static_cast<int>(received[w.msg].size()));
+        received[w.msg].push_back(w.value);
+    }
+    EXPECT_EQ(received, log.received);
     EXPECT_EQ(static_cast<std::int64_t>(observer.deliveries.size()),
-              full.stats.wordsDelivered);
+              logged.stats.wordsDelivered);
+    for (MessageId m = 0; m < p.numMessages(); ++m) {
+        EXPECT_EQ(firstSent[m], log.msgTiming[m].first) << "message " << m;
+        EXPECT_GE(nextSeq[m], static_cast<int>(received[m].size()));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -519,10 +545,13 @@ TEST(SimSession, RecoversAfterPolicyConfigError)
     RunRequest good;
     good.policy = PolicyKind::kCompatible;
     good.maxCycles = 20'000;
-    good.collect = Collect::kAll;
-    RunResult after = session.run(good);
-    RunResult fresh = SimSession(p, spec, lazyLabels()).run(good);
+    RunLog afterLog(p);
+    RunLog freshLog(p);
+    RunResult after = session.run(observedBy(afterLog, good));
+    RunResult fresh =
+        SimSession(p, spec, lazyLabels()).run(observedBy(freshLog, good));
     expectSameRunResult(after, fresh, "run after config error");
+    expectSameLog(afterLog, freshLog, "run after config error");
 }
 
 TEST(SimSession, StaticCycleZeroEventsKeepAscendingLinkOrder)
@@ -539,22 +568,22 @@ TEST(SimSession, StaticCycleZeroEventsKeepAscendingLinkOrder)
     SimSession session(p, spec);
     RunRequest request;
     request.policy = PolicyKind::kStatic;
-    request.collect = Collect::kEvents;
-    RunResult r = session.run(request);
+    RunLog log(p);
+    RunResult r = session.run(observedBy(log, request));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    ASSERT_EQ(r.events.size(), 3u);
-    for (std::size_t i = 0; i < r.events.size(); ++i) {
-        EXPECT_EQ(r.events[i].cycle, 0);
-        EXPECT_EQ(r.events[i].link, static_cast<LinkIndex>(i));
+    ASSERT_EQ(log.events.size(), 3u);
+    for (std::size_t i = 0; i < log.events.size(); ++i) {
+        EXPECT_EQ(log.events[i].cycle, 0);
+        EXPECT_EQ(log.events[i].link, static_cast<LinkIndex>(i));
     }
 }
 
-TEST(SimSession, ConfigErrorResultHonorsCollectFlags)
+TEST(SimSession, ObserverSeesSetupBeforeAConfigError)
 {
     // Static setup fully succeeds on link 0 (one crossing, one
     // queue) and then fails on link 1 (two competing crossings): the
-    // partial cycle-0 assignment event from link 0 must not leak into
-    // a result that never asked for events.
+    // observer has already seen link 0's cycle-0 assignment, and only
+    // that one.
     Program p(3);
     MessageId a = p.declareMessage("A", 0, 1);
     MessageId b = p.declareMessage("B", 1, 2);
@@ -570,16 +599,14 @@ TEST(SimSession, ConfigErrorResultHonorsCollectFlags)
     SimSession session(p, spec);
     RunRequest bad;
     bad.policy = PolicyKind::kStatic;
-    bad.collect = Collect::kAudit; // audit tracks events internally
-    RunResult r = session.run(bad);
+    RunLog log(p);
+    RunResult r = session.run(observedBy(log, bad));
     ASSERT_EQ(r.status, RunStatus::kConfigError);
-    EXPECT_TRUE(r.events.empty());
-
-    // Asking for events does expose the partial cycle-0 log.
-    bad.collect = Collect::kAudit | Collect::kEvents;
-    RunResult collected = session.run(bad);
-    ASSERT_EQ(collected.status, RunStatus::kConfigError);
-    EXPECT_FALSE(collected.events.empty());
+    ASSERT_EQ(log.events.size(), 1u);
+    EXPECT_EQ(log.events[0].cycle, 0);
+    EXPECT_EQ(log.events[0].link, 0);
+    EXPECT_EQ(log.events[0].msg, a);
+    EXPECT_TRUE(log.releases.empty());
 }
 
 TEST(SimSession, InvalidProgramReportsConfigErrorEveryRun)
@@ -610,8 +637,8 @@ TEST(SimSession, RunLabelOverridesDoNotStickToTheSession)
 
     RunRequest plain;
     plain.maxCycles = 20'000;
-    plain.collect = Collect::kAll;
-    RunResult before = session.run(plain);
+    RunLog beforeLog(p);
+    RunResult before = session.run(observedBy(beforeLog, plain));
 
     // Trivial all-equal labels for one run only.
     RunRequest trivial = plain;
@@ -619,8 +646,10 @@ TEST(SimSession, RunLabelOverridesDoNotStickToTheSession)
     RunResult overridden = session.run(trivial);
     EXPECT_EQ(overridden.labelsUsed, trivial.labels);
 
-    RunResult after = session.run(plain);
+    RunLog afterLog(p);
+    RunResult after = session.run(observedBy(afterLog, plain));
     expectSameRunResult(after, before, "after label override");
+    expectSameLog(afterLog, beforeLog, "after label override");
 }
 
 TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
@@ -632,8 +661,8 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
     RunRequest fcfs;
     fcfs.policy = PolicyKind::kFcfs;
     fcfs.maxCycles = 20'000;
-    fcfs.collect = Collect::kEvents; // events but no audit: no labels
-    RunResult before = session.run(fcfs);
+    RunLog beforeLog(p);
+    RunResult before = session.run(observedBy(beforeLog, fcfs));
     EXPECT_TRUE(before.labelsUsed.empty());
 
     // A compatible run resolves the session labels...
@@ -643,19 +672,21 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
 
     // ...but an identical label-free request still reports none, and
     // matches both its own first run and a fresh session.
-    RunResult after = session.run(fcfs);
+    RunLog afterLog(p);
+    RunResult after = session.run(observedBy(afterLog, fcfs));
     expectSameRunResult(after, before, "fcfs after compatible");
+    expectSameLog(afterLog, beforeLog, "fcfs after compatible");
 
-    RunRequest vectors = fcfs;
-    vectors.collect = kVectorsRequest.collect;
-    RunResult fresh = SimSession(p, spec, lazyLabels()).run(vectors);
+    RunLog freshLog(p);
+    RunResult fresh =
+        SimSession(p, spec, lazyLabels()).run(observedBy(freshLog, fcfs));
     EXPECT_TRUE(fresh.labelsUsed.empty());
     EXPECT_EQ(after.labelsUsed, fresh.labelsUsed);
-    EXPECT_EQ(after.events, fresh.events);
+    EXPECT_EQ(afterLog.events, freshLog.events);
 
     // A per-run label override handed to a label-free policy is still
     // echoed in labelsUsed.
-    RunRequest withLabels = vectors;
+    RunRequest withLabels = fcfs;
     withLabels.labels.assign(p.numMessages(), 0);
     EXPECT_EQ(SimSession(p, spec, lazyLabels()).run(withLabels).labelsUsed,
               withLabels.labels);
@@ -704,21 +735,23 @@ TEST(OneShapeSweep, InterleavedMultiShapeBatchesMatchSerial)
             request.policy = policies[(round + seed) % 3];
             request.seed = 100 * (round + 1) + seed;
             request.maxCycles = 20'000;
-            request.collect =
-                seed % 2 ? Collect::kAll
-                         : Collect::kEvents | Collect::kMsgTiming;
             batch.push_back(request);
         }
         for (std::size_t shape = 0; shape < sweeps.size(); ++shape) {
-            ShapeSweepResult sweep = sweeps[shape]->run(batch);
+            std::vector<RunLog> logs;
+            ShapeSweepResult sweep =
+                sweeps[shape]->run(observeEach(batch, logs, p));
             ASSERT_EQ(sweep.rows.size(), batch.size());
             EXPECT_EQ(sweep.rowsShared, 0u);
             for (std::size_t i = 0; i < batch.size(); ++i) {
-                expectSameRunResult(serials[shape]->run(batch[i]),
-                                 sweep.rows[i].result,
-                                 "round " + std::to_string(round) +
-                                     " shape " + std::to_string(shape) +
-                                     " request " + std::to_string(i));
+                const std::string ctx =
+                    "round " + std::to_string(round) + " shape " +
+                    std::to_string(shape) + " request " + std::to_string(i);
+                RunLog serialLog(p);
+                expectSameRunResult(
+                    serials[shape]->run(observedBy(serialLog, batch[i])),
+                    sweep.rows[i].result, ctx);
+                expectSameLog(serialLog, logs[i], ctx);
             }
         }
     }

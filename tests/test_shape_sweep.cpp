@@ -40,10 +40,10 @@
 namespace syscomm {
 namespace {
 
-using sim::Collect;
 using sim::CompiledProgram;
 using sim::KernelKind;
 using sim::PolicyKind;
+using sim::RunLog;
 using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
@@ -370,19 +370,24 @@ TEST(SimSession, CheckpointRejectsMisuseAndCorruption)
     ASSERT_EQ(session.run(paused).status, RunStatus::kPaused);
     ASSERT_TRUE(session.saveCheckpoint(bytes));
 
-    // A collecting run cannot be checkpointed (vectors are not
-    // serialized) …
-    SimSession collector(p, spec);
-    RunRequest collecting = paused;
-    collecting.collect = Collect::kEvents;
-    ASSERT_EQ(collector.run(collecting).status, RunStatus::kPaused);
-    std::vector<std::uint8_t> unused;
-    EXPECT_FALSE(collector.saveCheckpoint(unused));
-    // … nor restored into one.
+    // An observed run checkpoints to the same bytes: its record is
+    // the caller's, and a restore continues it with a copy of the log.
+    SimSession observed(p, spec);
+    RunLog log(p);
+    ASSERT_EQ(observed.run(observedBy(log, paused)).status,
+              RunStatus::kPaused);
+    std::vector<std::uint8_t> observedBytes;
+    ASSERT_TRUE(observed.saveCheckpoint(observedBytes));
+    EXPECT_EQ(observedBytes, bytes);
+    SimSession observedHeir(p, spec);
+    RunLog heirLog = log;
+    ASSERT_TRUE(
+        observedHeir.restoreCheckpoint(observedBy(heirLog), observedBytes));
+    expectSameRunResult(observed.resume(), observedHeir.resume(),
+                        "observed checkpoint");
+    expectSameLog(log, heirLog, "observed checkpoint");
+
     SimSession heir(p, spec);
-    RunRequest collectingRestore;
-    collectingRestore.collect = Collect::kEvents;
-    EXPECT_FALSE(heir.restoreCheckpoint(collectingRestore, bytes));
 
     // Truncated and bit-flipped streams are rejected.
     std::vector<std::uint8_t> truncated(bytes.begin(),
@@ -400,6 +405,29 @@ TEST(SimSession, CheckpointRejectsMisuseAndCorruption)
     other.queuesPerLink = 3;
     SimSession mismatched(p, other);
     EXPECT_FALSE(mismatched.restoreCheckpoint({}, bytes));
+
+    // So does another memory model, in both directions and on a cost
+    // mismatch: a memory-to-memory run stalls its cells for a
+    // model-dependent number of cycles, so resuming it under another
+    // model would silently diverge.
+    SessionOptions m2m;
+    m2m.memoryToMemory = true;
+    m2m.memAccessCost = 2;
+    SimSession m2mSession(p, spec, m2m);
+    EXPECT_FALSE(m2mSession.restoreCheckpoint({}, bytes));
+    ASSERT_EQ(m2mSession.run(paused).status, RunStatus::kPaused);
+    std::vector<std::uint8_t> m2mBytes;
+    ASSERT_TRUE(m2mSession.saveCheckpoint(m2mBytes));
+    EXPECT_FALSE(heir.restoreCheckpoint({}, m2mBytes));
+    SessionOptions cheaper = m2m;
+    cheaper.memAccessCost = 1;
+    SimSession cheaperSession(p, spec, cheaper);
+    EXPECT_FALSE(cheaperSession.restoreCheckpoint({}, m2mBytes));
+    SimSession m2mHeir(p, spec, m2m);
+    ASSERT_TRUE(m2mHeir.restoreCheckpoint({}, m2mBytes));
+    SimSession m2mOracle(p, spec, m2m);
+    expectSameRunResult(m2mHeir.resume(), m2mOracle.run({}),
+                        "memory-to-memory restore");
 
     // And the intact stream still restores fine afterwards.
     ASSERT_TRUE(heir.restoreCheckpoint({}, bytes));

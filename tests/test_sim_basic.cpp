@@ -14,6 +14,7 @@
 namespace syscomm {
 namespace {
 
+using sim::RunLog;
 using sim::RunResult;
 using sim::RunStatus;
 using sim::SimSession;
@@ -35,11 +36,12 @@ TEST(SimBasic, SingleWordAdjacent)
     p.compute(0, [](CellContext& ctx) { ctx.setNextWrite(42.0); });
     p.write(0, a);
     p.read(1, a);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(2))).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(2))).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.error;
-    ASSERT_EQ(r.received[a].size(), 1u);
-    EXPECT_DOUBLE_EQ(r.received[a][0], 42.0);
+    ASSERT_EQ(log.received[a].size(), 1u);
+    EXPECT_DOUBLE_EQ(log.received[a][0], 42.0);
     EXPECT_EQ(r.stats.wordsDelivered, 1);
     EXPECT_EQ(r.stats.assignments, 1);
     EXPECT_EQ(r.stats.releases, 1);
@@ -56,10 +58,11 @@ TEST(SimBasic, MultiHopForwarding)
     }
     for (int i = 0; i < 3; ++i)
         p.read(4, a);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(5))).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(5))).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    EXPECT_EQ(r.received[a], (std::vector<double>{10.0, 11.0, 12.0}));
+    EXPECT_EQ(log.received[a], (std::vector<double>{10.0, 11.0, 12.0}));
     // Three words crossed three intermediate hops each.
     EXPECT_EQ(r.stats.wordsForwarded, 9);
     // Four links were assigned once each.
@@ -93,10 +96,11 @@ TEST(SimBasic, PassThroughForwardsLastRead)
     p.read(1, a);
     p.write(1, b);
     p.read(2, b);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(3))).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(3))).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    EXPECT_DOUBLE_EQ(r.received[b][0], 7.5);
+    EXPECT_DOUBLE_EQ(log.received[b][0], 7.5);
 }
 
 TEST(SimBasic, ComputeOpsRunInOrder)
@@ -110,10 +114,11 @@ TEST(SimBasic, ComputeOpsRunInOrder)
     });
     p.write(0, a);
     p.read(1, a);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(2))).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(2))).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    EXPECT_DOUBLE_EQ(r.received[a][0], 13.0);
+    EXPECT_DOUBLE_EQ(log.received[a][0], 13.0);
     EXPECT_EQ(r.stats.computeOps, 3);
 }
 
@@ -192,12 +197,13 @@ TEST(SimBasic, ReceivedValuesInOrder)
     }
     for (int i = 0; i < 8; ++i)
         p.read(1, a);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(2))).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(2))).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    ASSERT_EQ(r.received[a].size(), 8u);
+    ASSERT_EQ(log.received[a].size(), 8u);
     for (int i = 0; i < 8; ++i)
-        EXPECT_DOUBLE_EQ(r.received[a][i], i * 2.0);
+        EXPECT_DOUBLE_EQ(log.received[a][i], i * 2.0);
 }
 
 TEST(SimBasic, QueueReusedAcrossSequentialMessages)
@@ -215,16 +221,17 @@ TEST(SimBasic, QueueReusedAcrossSequentialMessages)
         p.read(1, a);
     p.write(0, b);
     p.read(1, b);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(2), 1)).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(2), 1)).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    ASSERT_EQ(r.events.size(), 2u);
-    EXPECT_EQ(r.events[0].msg, a);
-    EXPECT_EQ(r.events[1].msg, b);
-    EXPECT_EQ(r.events[0].queueId, r.events[1].queueId);
+    ASSERT_EQ(log.events.size(), 2u);
+    EXPECT_EQ(log.events[0].msg, a);
+    EXPECT_EQ(log.events[1].msg, b);
+    EXPECT_EQ(log.events[0].queueId, log.events[1].queueId);
     // B's assignment comes only after A's release.
-    ASSERT_EQ(r.releases.size(), 2u);
-    EXPECT_GE(r.events[1].cycle, r.releases[0].cycle);
+    ASSERT_EQ(log.releases.size(), 2u);
+    EXPECT_GE(log.events[1].cycle, log.releases[0].cycle);
 }
 
 TEST(SimBasic, QueueDirectionResetOnReassignment)
@@ -239,12 +246,13 @@ TEST(SimBasic, QueueDirectionResetOnReassignment)
     p.read(0, rep);
     p.read(1, req);
     p.write(1, rep);
+    RunLog log(p);
     RunResult r =
-        SimSession(p, spec(Topology::linearArray(2), 1)).run(kVectorsRequest);
+        SimSession(p, spec(Topology::linearArray(2), 1)).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    ASSERT_EQ(r.events.size(), 2u);
-    EXPECT_EQ(r.events[0].queueId, r.events[1].queueId);
-    EXPECT_NE(r.events[0].dir, r.events[1].dir);
+    ASSERT_EQ(log.events.size(), 2u);
+    EXPECT_EQ(log.events[0].queueId, log.events[1].queueId);
+    EXPECT_NE(log.events[0].dir, log.events[1].dir);
 }
 
 TEST(SimBasic, RunsOnTorusTopology)
@@ -259,9 +267,10 @@ TEST(SimBasic, RunsOnTorusTopology)
     MachineSpec s;
     s.topo = topo;
     s.queuesPerLink = 1;
-    RunResult r = SimSession(p, s).run(kVectorsRequest);
+    RunLog log(p);
+    RunResult r = SimSession(p, s).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    EXPECT_EQ(r.received[m].size(), 4u);
+    EXPECT_EQ(log.received[m].size(), 4u);
 }
 
 TEST(SimBasic, LabelsAutoComputedWhenEmpty)

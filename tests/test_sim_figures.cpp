@@ -16,7 +16,6 @@
 namespace syscomm {
 namespace {
 
-using sim::Collect;
 using sim::PolicyKind;
 using sim::RunRequest;
 using sim::RunResult;
@@ -36,7 +35,7 @@ spec(Topology topo, int queues, int capacity = 1)
 RunRequest
 withPolicy(PolicyKind kind)
 {
-    RunRequest request = kVectorsRequest;
+    RunRequest request;
     request.policy = kind;
     request.maxCycles = 100000;
     return request;
@@ -96,24 +95,39 @@ TEST(Fig7, CompatibleCompletesWithOneQueue)
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 }
 
+/** The section 7 audit of @p log against the session's labels. */
+sim::AuditReport
+auditRun(SimSession& session, const sim::RunLog& log)
+{
+    return sim::auditAssignments(session.compiled()->program(),
+                                 session.compiled()->competing(),
+                                 session.labels(), log.events);
+}
+
 TEST(Fig7, CompatibleTraceIsAuditClean)
 {
     Program p = algos::fig7Program();
-    RunRequest request = withPolicy(PolicyKind::kCompatible);
-    request.collect = Collect::kAll;
-    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run(request);
+    const MachineSpec machine = spec(algos::fig7Topology(), 1);
+    SimSession session(p, machine);
+    sim::RunLog log(p);
+    RunResult r =
+        session.run(observedBy(log, withPolicy(PolicyKind::kCompatible)));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    EXPECT_TRUE(r.audit.compatible) << r.audit.str(p);
+    const sim::AuditReport audit = auditRun(session, log);
+    EXPECT_TRUE(audit.compatible) << audit.str(p);
 }
 
 TEST(Fig7, FcfsTraceViolatesCompatibility)
 {
+    // FCFS reads no labels; its trace is audited against the
+    // session's section 6 labeling all the same.
     Program p = algos::fig7Program();
-    RunRequest request = withPolicy(PolicyKind::kFcfs);
-    request.collect = Collect::kAll;
-    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run(request);
+    const MachineSpec machine = spec(algos::fig7Topology(), 1);
+    SimSession session(p, machine);
+    sim::RunLog log(p);
+    RunResult r = session.run(observedBy(log, withPolicy(PolicyKind::kFcfs)));
     ASSERT_EQ(r.status, RunStatus::kDeadlocked);
-    EXPECT_FALSE(r.audit.compatible);
+    EXPECT_FALSE(auditRun(session, log).compatible);
 }
 
 TEST(Fig7, GraphLabelingAlsoAvoidsTheDeadlock)
@@ -123,12 +137,16 @@ TEST(Fig7, GraphLabelingAlsoAvoidsTheDeadlock)
     Program p = algos::fig7Program();
     Labeling labeling = graphLabeling(p);
     ASSERT_TRUE(labeling.success);
-    RunRequest request = withPolicy(PolicyKind::kCompatible);
+    const MachineSpec machine = spec(algos::fig7Topology(), 1);
+    SimSession session(p, machine);
+    sim::RunLog log(p);
+    RunRequest request = observedBy(log, withPolicy(PolicyKind::kCompatible));
     request.labels = labeling.normalized();
-    request.collect = Collect::kAll;
-    RunResult r = SimSession(p, spec(algos::fig7Topology(), 1)).run(request);
+    RunResult r = session.run(request);
     EXPECT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
-    EXPECT_TRUE(r.audit.compatible);
+    EXPECT_TRUE(sim::auditAssignments(p, session.compiled()->competing(),
+                                      request.labels, log.events)
+                    .compatible);
 }
 
 TEST(Fig7, StaticNeedsThreeQueuesOnMiddleLinks)
@@ -231,14 +249,15 @@ TEST(Fig9, StaticWithTwoQueuesCompletes)
 TEST(Fig2, ProducesPaperOutputs)
 {
     Program p = algos::fig2FirProgram();
-    RunResult r = SimSession(p, spec(algos::fig2Topology(), 2))
-                      .run(withPolicy(PolicyKind::kCompatible));
+    sim::RunLog log(p);
+    RunRequest request = observedBy(log, withPolicy(PolicyKind::kCompatible));
+    RunResult r = SimSession(p, spec(algos::fig2Topology(), 2)).run(request);
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     // y1 = 3*1 + 5*2 + 7*3 = 34; y2 = 3*2 + 5*3 + 7*4 = 49.
     auto ya = *p.messageByName("YA");
-    ASSERT_EQ(r.received[ya].size(), 2u);
-    EXPECT_DOUBLE_EQ(r.received[ya][0], 34.0);
-    EXPECT_DOUBLE_EQ(r.received[ya][1], 49.0);
+    ASSERT_EQ(log.received[ya].size(), 2u);
+    EXPECT_DOUBLE_EQ(log.received[ya][0], 34.0);
+    EXPECT_DOUBLE_EQ(log.received[ya][1], 49.0);
 }
 
 TEST(Fig2, RunsEvenWithOneQueuePerLink)

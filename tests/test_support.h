@@ -5,30 +5,43 @@
  * Shared test helpers. expectSameRunResult is THE field-by-field
  * RunResult comparator for every bit-identity suite (session reuse,
  * sweep==serial, kernel equivalence, the sampled oracle, arena
- * stress): one copy means a field added to RunResult gets compared
- * everywhere or nowhere — never silently skipped by one suite.
+ * stress), and expectSameLog its RunLog counterpart: one copy each
+ * means a field added to RunResult or RunLog gets compared everywhere
+ * or nowhere — never silently skipped by one suite.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "sim/session.h"
+#include "sim/trace.h"
 
 namespace syscomm {
 
-/**
- * A default RunRequest that materializes every result vector (events,
- * releases, message timing, received values) but not the audit.
- * Tests that read those vectors start from it, so no assertion
- * compares two vectors that were simply never collected.
- */
-inline const sim::RunRequest kVectorsRequest = [] {
-    sim::RunRequest request;
-    request.collect = sim::Collect::kEvents | sim::Collect::kReleases |
-                      sim::Collect::kMsgTiming | sim::Collect::kReceived;
+/** @p request with @p log attached as its observer. */
+inline sim::RunRequest
+observedBy(sim::RunLog& log, sim::RunRequest request = {})
+{
+    request.observer = &log;
     return request;
-}();
+}
+
+/**
+ * @p requests, each observed by its own fresh RunLog in @p logs. The
+ * requests point into @p logs, so it must not be resized while they
+ * are in use.
+ */
+inline std::vector<sim::RunRequest>
+observeEach(std::vector<sim::RunRequest> requests,
+            std::vector<sim::RunLog>& logs, const Program& program)
+{
+    logs.assign(requests.size(), sim::RunLog(program));
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        requests[i].observer = &logs[i];
+    return requests;
+}
 
 /** Field-by-field equality of two results (bit-identical contract). */
 inline void
@@ -43,14 +56,19 @@ expectSameRunResult(const sim::RunResult& a, const sim::RunResult& b,
         << ctx << "\na:\n"
         << a.stats.summary() << "b:\n"
         << b.stats.summary();
+    EXPECT_EQ(b.labelsUsed, a.labelsUsed) << ctx;
+    EXPECT_TRUE(b.deadlock == a.deadlock) << ctx;
+}
+
+/** Vector-by-vector equality of two run records. */
+inline void
+expectSameLog(const sim::RunLog& a, const sim::RunLog& b,
+              const std::string& ctx)
+{
     EXPECT_EQ(b.events, a.events) << ctx;
     EXPECT_EQ(b.releases, a.releases) << ctx;
     EXPECT_EQ(b.received, a.received) << ctx;
     EXPECT_EQ(b.msgTiming, a.msgTiming) << ctx;
-    EXPECT_EQ(b.labelsUsed, a.labelsUsed) << ctx;
-    EXPECT_TRUE(b.deadlock == a.deadlock) << ctx;
-    EXPECT_EQ(b.audit.compatible, a.audit.compatible) << ctx;
-    EXPECT_EQ(b.audit.violations.size(), a.audit.violations.size()) << ctx;
 }
 
 } // namespace syscomm

@@ -14,11 +14,11 @@
 #include "core/label_verify.h"
 #include "core/program_gen.h"
 #include "sim/session.h"
+#include "sim/trace.h"
 
 namespace syscomm {
 namespace {
 
-using sim::Collect;
 using sim::PolicyKind;
 using sim::RunRequest;
 using sim::RunResult;
@@ -91,15 +91,20 @@ TEST_P(Theorem1, CompatibleAlwaysCompletes)
             continue;
         }
 
+        SimSession session(p, machine);
+        sim::RunLog log(p);
         RunRequest request;
         request.labels = plan.normalizedLabels;
-        request.collect = Collect::kAll;
-        RunResult r = SimSession(p, machine).run(request);
+        request.observer = &log;
+        RunResult r = session.run(request);
         ASSERT_EQ(r.status, RunStatus::kCompleted)
             << topology.name() << " queues=" << param.queues
             << " cap=" << param.capacity << " seed=" << seed << "\n"
             << r.deadlock.render(p);
-        EXPECT_TRUE(r.audit.compatible) << r.audit.str(p);
+        const sim::AuditReport audit =
+            sim::auditAssignments(p, session.compiled()->competing(),
+                                  request.labels, log.events);
+        EXPECT_TRUE(audit.compatible) << audit.str(p);
         EXPECT_EQ(r.stats.wordsDelivered, totalWords(p));
         ++completed;
     }

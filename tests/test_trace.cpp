@@ -1,7 +1,7 @@
 /**
  * @file
- * Post-run tracing: queue timelines, message latencies, release
- * events, and the unlimited-resources baseline.
+ * Post-run tracing: the RunLog record, queue timelines, message
+ * latencies, release events, and the unlimited-resources baseline.
  */
 
 #include <gtest/gtest.h>
@@ -28,11 +28,13 @@ fig7Machine(int queues = 1)
 TEST(Trace, ReleasesMatchAssignments)
 {
     Program p = algos::fig7Program();
-    sim::RunResult r = sim::SimSession(p, fig7Machine()).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r =
+        sim::SimSession(p, fig7Machine()).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     // Every assignment is eventually released on completion.
-    EXPECT_EQ(r.events.size(), r.releases.size());
-    for (const auto& rel : r.releases)
+    EXPECT_EQ(log.events.size(), log.releases.size());
+    for (const auto& rel : log.releases)
         EXPECT_GE(rel.cycle, 0);
 }
 
@@ -40,9 +42,10 @@ TEST(Trace, TimelineShowsMessagesAndFreeTime)
 {
     Program p = algos::fig7Program();
     MachineSpec spec = fig7Machine();
-    sim::RunResult r = sim::SimSession(p, spec).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r = sim::SimSession(p, spec).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    std::string timeline = sim::renderQueueTimeline(r, p, spec);
+    std::string timeline = sim::renderQueueTimeline(log, r.cycles, p, spec);
     // All three links appear.
     EXPECT_NE(timeline.find("link 0-1 q0:"), std::string::npos);
     EXPECT_NE(timeline.find("link 2-3 q0:"), std::string::npos);
@@ -60,9 +63,11 @@ TEST(Trace, TimelineWidthIsBounded)
     MachineSpec spec;
     spec.topo = algos::firTopology(3);
     spec.queuesPerLink = 2;
-    sim::RunResult r = sim::SimSession(p, spec).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r = sim::SimSession(p, spec).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
-    std::string timeline = sim::renderQueueTimeline(r, p, spec, 40);
+    std::string timeline =
+        sim::renderQueueTimeline(log, r.cycles, p, spec, 40);
     for (std::size_t pos = timeline.find('\n');
          pos != std::string::npos;) {
         std::size_t next = timeline.find('\n', pos + 1);
@@ -76,18 +81,20 @@ TEST(Trace, TimelineWidthIsBounded)
 TEST(Trace, MessageLatenciesAreOrdered)
 {
     Program p = algos::fig7Program();
-    sim::RunResult r = sim::SimSession(p, fig7Machine()).run(kVectorsRequest);
+    sim::RunLog log(p);
+    sim::RunResult r =
+        sim::SimSession(p, fig7Machine()).run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted);
     for (MessageId m = 0; m < p.numMessages(); ++m) {
-        auto [sent, received] = r.msgTiming[m];
+        auto [sent, received] = log.msgTiming[m];
         EXPECT_GE(sent, 0) << p.message(m).name;
         EXPECT_GE(received, sent) << p.message(m).name;
     }
     // A (C2->C3, consumed first) finishes before B (written after).
     auto a = *p.messageByName("A");
     auto b = *p.messageByName("B");
-    EXPECT_LT(r.msgTiming[a].second, r.msgTiming[b].second);
-    std::string table = sim::renderMessageLatencies(r, p);
+    EXPECT_LT(log.msgTiming[a].second, log.msgTiming[b].second);
+    std::string table = sim::renderMessageLatencies(log, p);
     EXPECT_NE(table.find("A"), std::string::npos);
     EXPECT_NE(table.find("first-sent"), std::string::npos);
 }
@@ -95,14 +102,15 @@ TEST(Trace, MessageLatenciesAreOrdered)
 TEST(Trace, NeverSentMessagesReported)
 {
     Program p = algos::fig7Program();
-    sim::RunRequest request = kVectorsRequest;
+    sim::RunLog log(p);
+    sim::RunRequest request = observedBy(log);
     request.policy = sim::PolicyKind::kFcfs;
     sim::RunResult r = sim::SimSession(p, fig7Machine()).run(request);
     ASSERT_EQ(r.status, RunStatus::kDeadlocked);
     // C never gets its last queue under FCFS; B's words never reach C4.
     auto b = *p.messageByName("B");
-    EXPECT_EQ(r.msgTiming[b].second, -1);
-    std::string table = sim::renderMessageLatencies(r, p);
+    EXPECT_EQ(log.msgTiming[b].second, -1);
+    std::string table = sim::renderMessageLatencies(log, p);
     EXPECT_NE(table.find("\t"), std::string::npos);
 }
 

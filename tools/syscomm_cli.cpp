@@ -38,6 +38,7 @@
 #include "serve/protocol.h"
 #include "sim/session.h"
 #include "sim/shape_sweep.h"
+#include "sim/trace.h"
 #include "text/parser.h"
 
 namespace {
@@ -544,7 +545,6 @@ auditCommand(int argc, char** argv, int argi)
 
     syscomm::sim::SessionOptions options;
     syscomm::sim::RunRequest request;
-    request.collect = syscomm::sim::Collect::kAll;
     request.seed = static_cast<std::uint64_t>(args.seed);
     request.maxCycles = args.maxCycles;
     bool known = false;
@@ -577,11 +577,21 @@ auditCommand(int argc, char** argv, int argi)
     spec.queueCapacity = static_cast<int>(args.capacity);
     spec.extensionCapacity = static_cast<int>(args.extension);
     spec.extensionPenalty = static_cast<int>(args.penalty);
-    const syscomm::sim::RunResult result =
-        syscomm::sim::SimSession(parsed.program, spec, options)
-            .run(request);
+    syscomm::sim::SimSession session(parsed.program, spec, options);
+    syscomm::sim::RunLog log(parsed.program);
+    request.observer = &log;
+    const syscomm::sim::RunResult result = session.run(request);
+    // The trace is checked against the session's labels whatever the
+    // policy; a run that never started has no trace to check.
+    const std::vector<std::int64_t>& labelsUsed = session.labels();
+    syscomm::sim::AuditReport report;
+    if (result.status != syscomm::sim::RunStatus::kConfigError &&
+        !labelsUsed.empty())
+        report = syscomm::sim::auditAssignments(
+            parsed.program, session.compiled()->competing(), labelsUsed,
+            log.events);
 
-    const bool ok = result.completed() && result.audit.compatible;
+    const bool ok = result.completed() && report.compatible;
     JsonValue out = JsonValue::object();
     out.set("ok", JsonValue::boolean(ok));
     out.set("status", JsonValue::str(result.statusStr()));
@@ -589,17 +599,15 @@ auditCommand(int argc, char** argv, int argi)
     if (!result.error.empty())
         out.set("error", JsonValue::str(result.error));
     JsonValue audit = JsonValue::object();
-    audit.set("compatible",
-              JsonValue::boolean(result.audit.compatible));
+    audit.set("compatible", JsonValue::boolean(report.compatible));
     audit.set("violations",
               JsonValue::integer(static_cast<std::int64_t>(
-                  result.audit.violations.size())));
-    if (!result.audit.compatible)
-        audit.set("detail",
-                  JsonValue::str(result.audit.str(parsed.program)));
+                  report.violations.size())));
+    if (!report.compatible)
+        audit.set("detail", JsonValue::str(report.str(parsed.program)));
     out.set("audit", std::move(audit));
     JsonValue labels = JsonValue::array();
-    for (std::int64_t label : result.labelsUsed)
+    for (std::int64_t label : labelsUsed)
         labels.push(JsonValue::integer(label));
     out.set("labels", std::move(labels));
     if (result.deadlock.deadlocked)

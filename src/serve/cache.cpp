@@ -4,6 +4,45 @@
 
 namespace syscomm::serve {
 
+namespace {
+
+/**
+ * Was @p entry built from exactly (@p program, @p topo)? Compute
+ * callbacks are code and cannot be compared; the key's version string
+ * stands in for them. The mesh shape counts: it selects XY routing.
+ */
+bool
+holds(const CachedProgram& entry, const Program& program,
+      const Topology& topo)
+{
+    const Program& p = *entry.program;
+    const Topology& t = entry.compiled->topo();
+    if (p.numCells() != program.numCells() ||
+        p.numMessages() != program.numMessages() ||
+        t.numCells() != topo.numCells() || t.numLinks() != topo.numLinks() ||
+        t.name() != topo.name() || t.meshRows() != topo.meshRows() ||
+        t.meshCols() != topo.meshCols())
+        return false;
+    for (MessageId m = 0; m < p.numMessages(); ++m) {
+        const MessageDecl& x = p.message(m);
+        const MessageDecl& y = program.message(m);
+        if (x.name != y.name || x.sender != y.sender ||
+            x.receiver != y.receiver)
+            return false;
+    }
+    for (CellId c = 0; c < p.numCells(); ++c) {
+        if (p.cellOps(c) != program.cellOps(c))
+            return false;
+    }
+    for (LinkIndex l = 0; l < t.numLinks(); ++l) {
+        if (t.link(l).a != topo.link(l).a || t.link(l).b != topo.link(l).b)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 CompileCache::CompileCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity)
 {
@@ -44,41 +83,45 @@ CachedProgram
 CompileCache::get(std::uint64_t key, Program&& program,
                   SharedTopology topo, bool* wasHit)
 {
-    if (wasHit != nullptr)
-        *wasHit = true;
+    CachedProgram cached;
     std::shared_future<CachedProgram> wait;
     std::promise<CachedProgram> build;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto hit = entries_.find(key);
-        if (hit != entries_.end()) {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, hit->second.lruPos);
-            return hit->second.value;
-        }
         auto pending = inflight_.find(key);
-        if (pending != inflight_.end()) {
-            // Someone is already compiling this very program: a hit
-            // from the sharing perspective — we pay a wait, not a
-            // build.
-            ++hits_;
-            wait = pending->second;
+        if (hit != entries_.end()) {
+            lru_.splice(lru_.begin(), lru_, hit->second.lruPos);
+            cached = hit->second.value;
+        } else if (pending != inflight_.end()) {
+            wait = pending->second; // a wait, not a build
         } else {
-            ++misses_;
-            if (wasHit != nullptr)
-                *wasHit = false;
             inflight_.emplace(key, build.get_future().share());
         }
     }
+    const bool owner = !cached.valid() && !wait.valid();
     if (wait.valid())
-        return wait.get();
+        cached = wait.get();
+    // The key is only a digest: serve the entry only if it was built
+    // from this very program (compared outside the lock).
+    const bool same = cached.valid() && holds(cached, program, topo);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++(same ? hits_ : misses_);
+    }
+    if (wasHit != nullptr)
+        *wasHit = same;
+    if (same)
+        return cached;
 
-    // We own the build (outside the lock: compiles take milliseconds
-    // to seconds and must not serialize the whole daemon).
+    // Compile outside the lock: compiles take milliseconds to seconds
+    // and must not serialize the whole daemon.
     auto pinned = std::make_shared<const Program>(std::move(program));
     CachedProgram value;
     value.program = pinned;
-    value.compiled = sim::CompiledProgram::compile(*pinned, topo);
+    value.compiled = sim::CompiledProgram::compile(*pinned, std::move(topo));
+    if (!owner)
+        return value; // another program holds the key: leave its slot
 
     {
         std::lock_guard<std::mutex> lock(mutex_);

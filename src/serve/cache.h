@@ -19,7 +19,10 @@
  * Program it was built from, and cached entries outlive the
  * submissions that created them, so the cache can never hand out an
  * analysis whose program has been freed. Submissions run against the
- * cache's Program (structurally identical to what they sent).
+ * cache's Program, which equals what they sent: the key is only a
+ * digest (it hashes no message names or endpoints), so a hit is
+ * served only when the cached Program and topology equal the
+ * submitted ones.
  */
 
 #include <cstdint>
@@ -67,7 +70,14 @@ class CompileCache
      * @p topo) on the first miss. Concurrent callers with the same
      * key share one build: exactly one of them compiles, the rest
      * block on its result (a hit on an in-flight build counts as a
-     * hit). @p program is consumed only by the caller that builds.
+     * hit). @p program is consumed only by a caller that compiles.
+     *
+     * A hit requires the cached (or in-flight) entry's Program —
+     * names, endpoints, ops — and topology to equal @p program and
+     * @p topo. When another program holds the key, this call compiles
+     * @p program into an uncached entry and counts a miss; the cached
+     * slot is left as it is (the first program keeps the key until
+     * LRU eviction).
      *
      * An entry whose program failed validation is cached like any
      * other — the failure is deterministic, so re-compiling it for

@@ -1283,8 +1283,7 @@ SyscommDaemon::handleLint(const JsonValue& msg)
     response.set("ok", JsonValue::boolean(true));
     response.set("cached_compile", JsonValue::boolean(wasHit));
     response.set("digest", JsonValue::str(hexDigest(key)));
-    response.set("lint",
-                 lintReportJson(*report, entry.compiled->program()));
+    response.set("lint", lintReportJson(*report, req.program));
     return response;
 }
 

@@ -80,7 +80,6 @@ SimArena::buildPools(int num_links, int queues_per_link, int capacity,
     crossings_.reserve(total_crossings);
     adviseHugePages(crossings_);
     crossings_.assign(total_crossings, Crossing{});
-    crossing_index_.assign(total_crossings, {kInvalidMessage, -1});
     queues_.reserve(num_queues);
     adviseHugePages(queues_);
     links_.reserve(static_cast<std::size_t>(num_links));
@@ -92,7 +91,7 @@ SimArena::buildPools(int num_links, int queues_per_link, int capacity,
         for (int q = 0; q < queues_per_link; ++q) {
             Word* ring = words_.data() + word_at;
             Word* spill = spill_size > 0 ? ring + ring_size : nullptr;
-            queues_.emplace_back(q, l, capacity, ext_capacity, ext_penalty,
+            queues_.emplace_back(q, capacity, ext_capacity, ext_penalty,
                                  ring, ring_size, spill, spill_size);
             word_at += words_per_queue;
         }
@@ -104,10 +103,7 @@ SimArena::buildPools(int num_links, int queues_per_link, int capacity,
                               static_cast<std::size_t>(l) *
                                   static_cast<std::size_t>(queues_per_link),
                           static_cast<std::size_t>(queues_per_link)),
-            Span<Crossing>(crossings_.data() + cross_at, cap),
-            Span<std::pair<MessageId, int>>(crossing_index_.data() +
-                                                cross_at,
-                                            cap));
+            Span<Crossing>(crossings_.data() + cross_at, cap));
         cross_at += cap;
     }
 }
@@ -224,7 +220,21 @@ SimArena::deserializeMachineState(const std::uint8_t* data,
         if (!cell.loadState(r))
             return false;
     }
-    return r.ok() && r.remaining() == 0;
+    if (!r.ok() || r.remaining() != 0)
+        return false;
+    for (LinkState& link : links_) {
+        Span<Crossing> crossings = link.crossings();
+        for (std::size_t s = 0; s < crossings.size(); ++s) {
+            const Crossing& c = crossings[s];
+            if (c.phase != CrossingPhase::kAssigned)
+                continue;
+            if (c.queueId < 0 ||
+                static_cast<std::size_t>(c.queueId) >= link.queues().size())
+                return false;
+            link.queue(c.queueId).setSlot(static_cast<int>(s));
+        }
+    }
+    return true;
 }
 
 std::uint64_t
@@ -251,7 +261,6 @@ SimArena::bytesReserved() const
     return words_.capacity() * sizeof(Word) +
            queues_.capacity() * sizeof(HwQueue) +
            crossings_.capacity() * sizeof(Crossing) +
-           crossing_index_.capacity() * sizeof(crossing_index_[0]) +
            links_.capacity() * sizeof(LinkState) +
            cells_.capacity() * sizeof(CellRuntime);
 }

@@ -6,25 +6,25 @@
  *
  * Before the arena, the hot state of a machine was scattered across
  * the heap — every HwQueue owned two vectors (ring + extension
- * spillover), every LinkState owned three (queues, crossings,
- * crossing index), so a 100k-cell linear array paid ~10^6 small
- * allocations at session build and, worse, a pointer chase into a
+ * spillover), every LinkState owned its queues and crossings, so a
+ * 100k-cell linear array paid ~10^6 small allocations at session
+ * build and, worse, a pointer chase into a
  * cold cache line per queue touched at run time. The dense-active
  * phase of bench_large_array walks essentially all of them every
  * cycle in index order, which is exactly the access pattern a
  * contiguous layout turns into prefetchable streams: the ns/cell-cycle
  * figure drifted ~2x from 4k to 100k cells on the scattered layout.
  *
- * The arena replaces all of that with six pools, each one allocation,
+ * The arena replaces all of that with five pools, each one allocation,
  * indexed by the same ids the kernels already use:
  *
  *   words          every queue's hardware ring + extension ring,
  *                  queue-major (ring then spill per queue)
  *   queues         all HwQueues, link-major (link * queuesPerLink + q)
- *   crossings      all Crossing records, link-major registration order
- *   crossingIndex  the per-link sorted (msg, slot) lookup entries,
- *                  parallel to crossings
- *   links          all LinkStates (views over the three pools above)
+ *   crossings      all Crossing records, link-major in slot
+ *                  (registration) order
+ *   links          all LinkStates (views over the queue and crossing
+ *                  pools)
  *   cells          all CellRuntimes (per-cell runtime pool)
  *
  * LinkState / HwQueue hold spans into the pools instead of owning
@@ -43,7 +43,6 @@
  */
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/machine_spec.h"
@@ -99,9 +98,11 @@ class SimArena
     /**
      * Restore machine state serialized by serializeMachineState.
      * Returns false when the stream is torn or was produced by a
-     * differently-shaped machine (pool sizes disagree); the arena
-     * contents are unspecified after a failure and the caller must
-     * not run on them. Callers wanting a stronger guarantee compare
+     * differently-shaped machine (pool sizes disagree or a crossing
+     * names no queue of its link); the arena contents are unspecified
+     * after a failure and the caller must not run on them. Every
+     * assigned queue's crossing slot (HwQueue::slot, not serialized)
+     * is re-derived from the restored crossings. Callers wanting a stronger guarantee compare
      * machineDigest() against a digest recorded at save time —
      * SimSession::restoreCheckpoint does exactly that.
      */
@@ -156,7 +157,6 @@ class SimArena
     std::vector<Word> words_;
     std::vector<HwQueue> queues_;
     std::vector<Crossing> crossings_;
-    std::vector<std::pair<MessageId, int>> crossing_index_;
     std::vector<LinkState> links_;
     std::vector<CellRuntime> cells_;
 };

@@ -7,6 +7,22 @@
 
 namespace syscomm::sim {
 
+namespace {
+
+/** Slots of @p link's crossings waiting for a queue, in slot order. */
+void
+collectRequested(const LinkState& link, std::vector<int>& out)
+{
+    Span<const Crossing> crossings = link.crossings();
+    out.clear();
+    for (std::size_t s = 0; s < crossings.size(); ++s) {
+        if (crossings[s].phase == CrossingPhase::kRequested)
+            out.push_back(static_cast<int>(s));
+    }
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // StaticPolicy
 // ---------------------------------------------------------------------
@@ -15,12 +31,13 @@ bool
 StaticPolicy::initLink(LinkState& link,
                        std::vector<AssignmentDecision>& decisions)
 {
-    for (Crossing& c : link.crossings()) {
+    const int crossings = static_cast<int>(link.crossings().size());
+    for (int s = 0; s < crossings; ++s) {
         int q = link.findFreeQueue();
         if (q < 0)
             return false; // not enough queues for a static assignment
-        link.assignMsg(c.msg, q, 0);
-        decisions.push_back({c.msg, q});
+        link.assign(s, q, 0);
+        decisions.push_back({s, q});
     }
     return true;
 }
@@ -60,10 +77,12 @@ CompatiblePolicy::tick(LinkState& link, Cycle now,
 
     unserved_.clear();
     bool any_requested = false;
-    for (Crossing& c : link.crossings()) {
+    Span<Crossing> crossings = link.crossings();
+    for (std::size_t s = 0; s < crossings.size(); ++s) {
+        const Crossing& c = crossings[s];
         if (c.assignedAt >= 0 || labels_[c.msg] != lowest)
             continue;
-        unserved_.push_back(&c);
+        unserved_.push_back(static_cast<int>(s));
         if (c.phase == CrossingPhase::kRequested)
             any_requested = true;
     }
@@ -72,11 +91,11 @@ CompatiblePolicy::tick(LinkState& link, Cycle now,
     // queues at once, or none do.
     if ((eager_ || any_requested) &&
         link.numFreeQueues() >= static_cast<int>(unserved_.size())) {
-        for (Crossing* c : unserved_) {
+        for (int s : unserved_) {
             int q = link.findFreeQueue();
             assert(q >= 0);
-            link.assignMsg(c->msg, q, now);
-            decisions.push_back({c->msg, q});
+            link.assign(s, q, now);
+            decisions.push_back({s, q});
         }
     }
 }
@@ -89,23 +108,21 @@ void
 FcfsPolicy::tick(LinkState& link, Cycle now,
                  std::vector<AssignmentDecision>& decisions)
 {
-    pending_.clear();
-    for (Crossing& c : link.crossings()) {
-        if (c.phase == CrossingPhase::kRequested)
-            pending_.push_back(&c);
-    }
-    std::sort(pending_.begin(), pending_.end(),
-              [](const Crossing* a, const Crossing* b) {
-                  if (a->requestedAt != b->requestedAt)
-                      return a->requestedAt < b->requestedAt;
-                  return a->msg < b->msg;
-              });
-    for (Crossing* c : pending_) {
+    Span<Crossing> crossings = link.crossings();
+    collectRequested(link, pending_);
+    std::sort(pending_.begin(), pending_.end(), [&](int a, int b) {
+        const Crossing& ca = crossings[static_cast<std::size_t>(a)];
+        const Crossing& cb = crossings[static_cast<std::size_t>(b)];
+        if (ca.requestedAt != cb.requestedAt)
+            return ca.requestedAt < cb.requestedAt;
+        return ca.msg < cb.msg;
+    });
+    for (int s : pending_) {
         int q = link.findFreeQueue();
         if (q < 0)
             break;
-        link.assignMsg(c->msg, q, now);
-        decisions.push_back({c->msg, q});
+        link.assign(s, q, now);
+        decisions.push_back({s, q});
     }
 }
 
@@ -155,11 +172,7 @@ RandomPolicy::tick(LinkState& link, Cycle now,
     // desynchronizing from the dense kernel.
     if (link.numFreeQueues() == 0)
         return;
-    pending_.clear();
-    for (Crossing& c : link.crossings()) {
-        if (c.phase == CrossingPhase::kRequested)
-            pending_.push_back(&c);
-    }
+    collectRequested(link, pending_);
     if (pending_.empty())
         return;
 
@@ -169,12 +182,12 @@ RandomPolicy::tick(LinkState& link, Cycle now,
     SplitMix64 rng(seed_, static_cast<std::uint64_t>(link.index()),
                    decisions_[idx]);
     std::shuffle(pending_.begin(), pending_.end(), rng);
-    for (Crossing* c : pending_) {
+    for (int s : pending_) {
         int q = link.findFreeQueue();
         if (q < 0)
             break;
-        link.assignMsg(c->msg, q, now);
-        decisions.push_back({c->msg, q});
+        link.assign(s, q, now);
+        decisions.push_back({s, q});
         ++decisions_[idx];
     }
 }

@@ -28,10 +28,13 @@
 
 namespace syscomm::sim {
 
-/** (message, queue id) decisions a policy makes for one link. */
+/**
+ * One assignment a policy made on a link: the crossing (by its slot in
+ * LinkState::crossings()) and the queue it now holds.
+ */
 struct AssignmentDecision
 {
-    MessageId msg = kInvalidMessage;
+    int slot = -1;
     int queueId = -1;
 };
 
@@ -88,7 +91,14 @@ class AssignmentPolicy
         return true;
     }
 
-    /** Called once per link per cycle; append decisions to make. */
+    /**
+     * Called per link per cycle; append the assignments made. A tick
+     * must read nothing but @p link's crossings and free queues (and
+     * the policy's own per-link state, which only its assignments
+     * change): the event kernel ticks a link only after that state
+     * changed, and the dense kernel every cycle, and the two must
+     * decide alike.
+     */
     virtual void tick(LinkState& link, Cycle now,
                       std::vector<AssignmentDecision>& decisions) = 0;
 };
@@ -134,9 +144,10 @@ class CompatiblePolicy : public AssignmentPolicy
   private:
     std::vector<std::int64_t> labels_;
     bool eager_;
-    /** Per-tick scratch (lowest unserved label group); no allocation
-     *  in steady state — tick is on the simulator's hot path. */
-    std::vector<Crossing*> unserved_;
+    /** Per-tick scratch (slots of the lowest unserved label group); no
+     *  allocation in steady state — tick is on the simulator's hot
+     *  path. */
+    std::vector<int> unserved_;
 };
 
 /** Unsafe baseline: serve queue requests in arrival order. */
@@ -148,8 +159,8 @@ class FcfsPolicy : public AssignmentPolicy
               std::vector<AssignmentDecision>& decisions) override;
 
   private:
-    /** Per-tick scratch; tick runs on the simulator's hot path. */
-    std::vector<Crossing*> pending_;
+    /** Per-tick scratch (slots); tick runs on the simulator's hot path. */
+    std::vector<int> pending_;
 };
 
 /**
@@ -197,8 +208,8 @@ class RandomPolicy : public AssignmentPolicy
     std::uint64_t seed_;
     /** Assignment decisions made per link (the stream counters). */
     std::vector<std::uint64_t> decisions_;
-    /** Per-tick shuffle scratch; tick is on the hot path. */
-    std::vector<Crossing*> pending_;
+    /** Per-tick shuffle scratch (slots); tick is on the hot path. */
+    std::vector<int> pending_;
 };
 
 /** Selector used by RunRequest. */

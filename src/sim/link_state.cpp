@@ -1,6 +1,5 @@
 #include "sim/link_state.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -8,16 +7,13 @@
 namespace syscomm::sim {
 
 LinkState::LinkState(LinkIndex index, Span<HwQueue> queues,
-                     Span<Crossing> crossing_storage,
-                     Span<std::pair<MessageId, int>> index_storage)
+                     Span<Crossing> crossing_storage)
     : index_(index),
       queues_(queues),
       crossings_(crossing_storage.data()),
-      crossing_index_(index_storage.data()),
       max_crossings_(static_cast<int>(crossing_storage.size()))
 {
     assert(!queues_.empty());
-    assert(crossing_storage.size() == index_storage.size());
 }
 
 void
@@ -34,22 +30,7 @@ LinkState::resetRun()
     }
 }
 
-namespace {
-
-/** First crossing-index entry with message >= msg. */
-const std::pair<MessageId, int>*
-indexSeek(const std::pair<MessageId, int>* index, int count, MessageId msg)
-{
-    return std::lower_bound(
-        index, index + count, msg,
-        [](const std::pair<MessageId, int>& entry, MessageId m) {
-            return entry.first < m;
-        });
-}
-
-} // namespace
-
-void
+int
 LinkState::addCrossing(MessageId msg, LinkDir dir, int hop_index, int words)
 {
     // Unconditional (not assert): the crossing span is a fixed arena
@@ -65,47 +46,13 @@ LinkState::addCrossing(MessageId msg, LinkDir dir, int hop_index, int words)
                      static_cast<int>(index_), max_crossings_);
         std::abort();
     }
-    const std::pair<MessageId, int>* it =
-        indexSeek(crossing_index_, num_crossings_, msg);
-    assert((it == crossing_index_ + num_crossings_ || it->first != msg) &&
-           "a route crosses each link at most once");
-    // Shift the sorted index tail up one slot to open the insertion
-    // point (the few messages per link make this cheap).
-    auto* slot = const_cast<std::pair<MessageId, int>*>(it);
-    std::move_backward(slot, crossing_index_ + num_crossings_,
-                       crossing_index_ + num_crossings_ + 1);
-    *slot = {msg, num_crossings_};
     Crossing c;
     c.msg = msg;
     c.dir = dir;
     c.hopIndex = hop_index;
     c.words = words;
     crossings_[num_crossings_] = c;
-    ++num_crossings_;
-}
-
-Crossing&
-LinkState::crossing(MessageId msg)
-{
-    assert(hasCrossing(msg));
-    return crossings_[indexSeek(crossing_index_, num_crossings_, msg)
-                          ->second];
-}
-
-const Crossing&
-LinkState::crossing(MessageId msg) const
-{
-    assert(hasCrossing(msg));
-    return crossings_[indexSeek(crossing_index_, num_crossings_, msg)
-                          ->second];
-}
-
-bool
-LinkState::hasCrossing(MessageId msg) const
-{
-    const std::pair<MessageId, int>* it =
-        indexSeek(crossing_index_, num_crossings_, msg);
-    return it != crossing_index_ + num_crossings_ && it->first == msg;
+    return num_crossings_++;
 }
 
 int
@@ -130,32 +77,34 @@ LinkState::findFreeQueue() const
 }
 
 void
-LinkState::request(MessageId msg, Cycle now)
+LinkState::request(int slot, Cycle now)
 {
-    Crossing& c = crossing(msg);
-    assert(c.phase == CrossingPhase::kIdle);
+    Crossing& c = crossings_[slot];
+    assert(slot < num_crossings_ && c.phase == CrossingPhase::kIdle);
     c.phase = CrossingPhase::kRequested;
     c.requestedAt = now;
 }
 
 void
-LinkState::assignMsg(MessageId msg, int queue_id, Cycle now)
+LinkState::assign(int slot, int queue_id, Cycle now)
 {
-    Crossing& c = crossing(msg);
-    assert(c.phase == CrossingPhase::kIdle ||
-           c.phase == CrossingPhase::kRequested);
+    Crossing& c = crossings_[slot];
+    assert(slot < num_crossings_ &&
+           (c.phase == CrossingPhase::kIdle ||
+            c.phase == CrossingPhase::kRequested));
     c.phase = CrossingPhase::kAssigned;
     c.queueId = queue_id;
     c.assignedAt = now;
-    queues_[static_cast<std::size_t>(queue_id)].assign(msg, c.dir, c.words,
-                                                       now, c.finalHop);
+    HwQueue& q = queues_[static_cast<std::size_t>(queue_id)];
+    q.assign(c.msg, c.dir, c.words, now, c.finalHop);
+    q.setSlot(slot);
 }
 
 void
-LinkState::finishMsg(MessageId msg, Cycle now)
+LinkState::finish(int slot, Cycle now)
 {
-    Crossing& c = crossing(msg);
-    assert(c.phase == CrossingPhase::kAssigned);
+    Crossing& c = crossings_[slot];
+    assert(slot < num_crossings_ && c.phase == CrossingPhase::kAssigned);
     queues_[static_cast<std::size_t>(c.queueId)].release(now);
     c.phase = CrossingPhase::kDone;
     c.queueId = -1;

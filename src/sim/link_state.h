@@ -5,18 +5,21 @@
  * Run-time state of one link: its pool of hardware queues and the
  * request/assignment lifecycle of every message crossing it.
  *
- * A LinkState owns nothing. Its queues, crossing records and crossing
- * lookup index are spans over SimArena pools (sim/arena.h) shared by
- * every link of the machine, so the per-link state of a 100k-link
- * array is three contiguous allocations instead of hundreds of
- * thousands — the layout the dense-active scaling curve needs. The
- * spans are fixed at arena build time: the crossing span is sized to
- * the number of routes the session registers (addCrossing fills it,
- * up to capacity), and the queue span to MachineSpec::queuesPerLink.
+ * A LinkState owns nothing. Its queues and crossing records are spans
+ * over SimArena pools (sim/arena.h) shared by every link of the
+ * machine, so the per-link state of a 100k-link array is two
+ * contiguous allocations instead of hundreds of thousands — the layout
+ * the dense-active scaling curve needs. The spans are fixed at arena
+ * build time: the crossing span is sized to the number of routes the
+ * session registers (addCrossing fills it, up to capacity), and the
+ * queue span to MachineSpec::queuesPerLink.
+ *
+ * A crossing is addressed by its *slot*: its registration index on the
+ * link. Sessions register in (message, hop) order, so the slot of every
+ * hop is known at compile time (CompiledProgram::hopSlot) and an
+ * assigned queue records its crossing's slot (HwQueue::slot) — nothing
+ * on the run path searches for a message's crossing.
  */
-
-#include <utility>
-#include <vector>
 
 #include "core/types.h"
 #include "sim/queue.h"
@@ -56,19 +59,22 @@ struct Crossing
     Cycle assignedAt = -1;
 };
 
+// Pinned hot-state size (LP64); the checkpoint stream serializes
+// crossings field by field, so packing never changes its bytes.
+static_assert(sizeof(Crossing) == 40, "Crossing layout changed");
+
 /** Queue pool + crossings of one link (views into the SimArena). */
 class LinkState
 {
   public:
     /**
-     * @p queues / @p crossing_storage / @p index_storage are arena
-     * slices that must outlive the link; crossing/index storage is
-     * capacity — crossings() reports only the registered prefix.
-     * SimArena is the only production caller.
+     * @p queues / @p crossing_storage are arena slices that must
+     * outlive the link; crossing storage is capacity — crossings()
+     * reports only the registered prefix. SimArena is the only
+     * production caller.
      */
     LinkState(LinkIndex index, Span<HwQueue> queues,
-              Span<Crossing> crossing_storage,
-              Span<std::pair<MessageId, int>> index_storage);
+              Span<Crossing> crossing_storage);
 
     LinkIndex index() const { return index_; }
 
@@ -80,8 +86,11 @@ class LinkState
      */
     void resetRun();
 
-    /** Register a message that will cross this link (machine setup). */
-    void addCrossing(MessageId msg, LinkDir dir, int hop_index, int words);
+    /**
+     * Register a message that will cross this link (machine setup);
+     * returns its slot (the registration index).
+     */
+    int addCrossing(MessageId msg, LinkDir dir, int hop_index, int words);
 
     Span<Crossing> crossings()
     {
@@ -91,11 +100,6 @@ class LinkState
     {
         return {crossings_, static_cast<std::size_t>(num_crossings_)};
     }
-
-    /** The crossing record for @p msg (must exist). */
-    Crossing& crossing(MessageId msg);
-    const Crossing& crossing(MessageId msg) const;
-    bool hasCrossing(MessageId msg) const;
 
     Span<HwQueue> queues() { return queues_; }
     Span<const HwQueue> queues() const
@@ -108,17 +112,17 @@ class LinkState
     /** Lowest-id free queue, or -1. */
     int findFreeQueue() const;
 
-    /** Mark @p msg as waiting for a queue here. */
-    void request(MessageId msg, Cycle now);
+    /** Mark the crossing in @p slot as waiting for a queue here. */
+    void request(int slot, Cycle now);
 
-    /** Give @p msg the queue @p queue_id. */
-    void assignMsg(MessageId msg, int queue_id, Cycle now);
+    /** Give the crossing in @p slot the queue @p queue_id. */
+    void assign(int slot, int queue_id, Cycle now);
 
     /**
-     * Pop bookkeeping: called after the last word of @p msg left its
-     * queue; releases the queue back to the pool.
+     * Pop bookkeeping: called after the last word of the crossing in
+     * @p slot left its queue; releases the queue back to the pool.
      */
-    void finishMsg(MessageId msg, Cycle now);
+    void finish(int slot, Cycle now);
 
     /**
      * Settle the lazy per-queue statistics through the start of cycle
@@ -132,15 +136,11 @@ class LinkState
     LinkIndex index_;
     Span<HwQueue> queues_;
     /**
-     * Crossings in registration order (the policies' scan order);
-     * only the lookup index is sorted by message. Both are arena
-     * slices of capacity max_crossings_, filled to num_crossings_.
-     * crossing() is a binary search over the few messages that cross
-     * this link — the dense by-MessageId vector this replaces cost
-     * O(links x messages) memory machine-wide.
+     * Crossings in registration (slot) order, the policies' scan
+     * order: an arena slice of capacity max_crossings_, filled to
+     * num_crossings_.
      */
     Crossing* crossings_;
-    std::pair<MessageId, int>* crossing_index_;
     int num_crossings_ = 0;
     int max_crossings_;
 };

@@ -21,11 +21,10 @@ fnvWord(std::uint64_t h, const Word& w)
 
 } // namespace
 
-HwQueue::HwQueue(int id, LinkIndex link, int capacity, int ext_capacity,
-                 int ext_penalty, Word* ring, std::uint32_t ring_size,
-                 Word* spill, std::uint32_t spill_size)
+HwQueue::HwQueue(int id, int capacity, int ext_capacity, int ext_penalty,
+                 Word* ring, std::uint32_t ring_size, Word* spill,
+                 std::uint32_t spill_size)
     : id_(id),
-      link_(link),
       capacity_(capacity),
       ext_capacity_(ext_capacity),
       ext_penalty_(ext_penalty),
@@ -49,6 +48,7 @@ void
 HwQueue::reset()
 {
     assigned_ = kInvalidMessage;
+    slot_ = -1;
     dir_ = LinkDir::kForward;
     final_hop_ = false;
     words_remaining_ = 0;
@@ -95,6 +95,7 @@ bool
 HwQueue::loadState(ByteReader& in)
 {
     assigned_ = in.get<MessageId>();
+    slot_ = -1; // not serialized; SimArena re-derives it
     dir_ = in.get<LinkDir>();
     final_hop_ = in.get<bool>();
     words_remaining_ = in.get<int>();
@@ -148,6 +149,7 @@ HwQueue::release(Cycle now)
     assert(canRelease());
     settleStats(now);
     assigned_ = kInvalidMessage;
+    slot_ = -1;
     final_hop_ = false;
     words_remaining_ = 0;
 }

@@ -54,12 +54,21 @@ class HwQueue
      * the machine has no extension. Both are arena slices that must
      * outlive the queue; SimArena is the only production caller.
      */
-    HwQueue(int id, LinkIndex link, int capacity, int ext_capacity,
-            int ext_penalty, Word* ring, std::uint32_t ring_size,
-            Word* spill, std::uint32_t spill_size);
+    HwQueue(int id, int capacity, int ext_capacity, int ext_penalty,
+            Word* ring, std::uint32_t ring_size, Word* spill,
+            std::uint32_t spill_size);
 
     int id() const { return id_; }
-    LinkIndex link() const { return link_; }
+
+    /**
+     * The assigned message's crossing slot on this link (its index in
+     * LinkState::crossings()), or -1 when free: forwarding and release
+     * reach the crossing through it instead of searching by message.
+     * Set by LinkState::assign. It is not serialized — a checkpoint
+     * restore re-derives it from the crossings (SimArena).
+     */
+    int slot() const { return slot_; }
+    void setSlot(int slot) { slot_ = slot; }
 
     /**
      * Return to the freshly-constructed state; the arena-backed ring
@@ -208,7 +217,7 @@ class HwQueue
     void refreshFrontReady(Cycle now);
 
     int id_;
-    LinkIndex link_;
+    int slot_ = -1;
     int capacity_;
     int ext_capacity_;
     int ext_penalty_;
@@ -244,5 +253,8 @@ class HwQueue
     std::int64_t extended_words_ = 0;
     std::int64_t assignments_ = 0;
 };
+
+// Pinned hot-state size (LP64), so a layout change shows in its diff.
+static_assert(sizeof(HwQueue) == 160, "HwQueue layout changed");
 
 } // namespace syscomm::sim

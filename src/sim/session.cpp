@@ -283,29 +283,25 @@ CompiledProgram::CompiledProgram(const Program& program,
 
     // One pass over the route set derives every registration table a
     // session needs: crossings per link (arena span sizes), the
-    // first/last-hop endpoints with their crossing indices (the
-    // crossing index is simply the number of crossings registered on
-    // that link so far — sessions register in this same (message,
-    // hop) order), the routed links, and the program-bearing cells.
+    // first/last-hop links, every hop's crossing slot (simply the
+    // number of crossings registered on that link so far — sessions
+    // register in this same (message, hop) order), the routed links,
+    // and the program-bearing cells.
     crossingsPerLink_.assign(topo_.numLinks(), 0);
     firstHopLink_.assign(program.numMessages(), kInvalidLink);
     lastHopLink_.assign(program.numMessages(), kInvalidLink);
-    firstHopCross_.assign(program.numMessages(), -1);
-    lastHopCross_.assign(program.numMessages(), -1);
+    hopSlotBegin_.push_back(0);
     for (MessageId m = 0; m < program.numMessages(); ++m) {
         const Route& route = competing_.route(m);
         for (int h = 0; h < route.numHops(); ++h) {
             const LinkIndex l = route.hops[h].link;
-            const int crossIdx = crossingsPerLink_[l]++;
-            if (h == 0) {
+            hopSlots_.push_back(crossingsPerLink_[l]++);
+            if (h == 0)
                 firstHopLink_[m] = l;
-                firstHopCross_[m] = crossIdx;
-            }
-            if (h + 1 == route.numHops()) {
+            if (h + 1 == route.numHops())
                 lastHopLink_[m] = l;
-                lastHopCross_[m] = crossIdx;
-            }
         }
+        hopSlotBegin_.push_back(static_cast<int>(hopSlots_.size()));
     }
     for (LinkIndex l = 0; l < topo_.numLinks(); ++l) {
         if (crossingsPerLink_[l] > 0)
@@ -417,16 +413,14 @@ struct SimSession::Impl
     const std::vector<CellId>& programCells;
 
     /**
-     * Flat per-message route endpoints: the first/last hop's link and
-     * the crossing's index in that link's crossing list. The sender
-     * and receiver fast paths (executeWrite/executeRead) run once per
-     * word per cell visit; two contiguous array loads replace a Route
-     * pointer chase plus a crossing binary search there.
+     * Flat per-message route endpoints: the first/last hop's link. The
+     * sender and receiver fast paths (executeWrite/executeRead) run
+     * once per word per cell visit; a contiguous array load replaces a
+     * Route pointer chase there, and the crossing is addressed by its
+     * slot (CompiledProgram::hopSlot), never searched for.
      */
     const std::vector<LinkIndex>& firstHopLink;
     const std::vector<LinkIndex>& lastHopLink;
-    const std::vector<int>& firstHopCross;
-    const std::vector<int>& lastHopCross;
 
     bool eventMode = false;
     int runs = 0;
@@ -437,7 +431,7 @@ struct SimSession::Impl
 
     /**
      * Owner of every hot-state object: links, queues, queue ring
-     * storage, crossings and their lookup index, per-cell runtimes —
+     * storage, crossings, per-cell runtimes —
      * each a single contiguous pool (see arena.h for why). The spans
      * below are stable views into it, kept so the kernels read
      * exactly as they did when these were owning vectors.
@@ -574,17 +568,21 @@ struct SimSession::Impl
     /** Per link: assigned, non-empty, non-final-hop queues ("hot"). */
     std::vector<int> fwdCount;
     LinkSet fwdLinks;
-    /** Per link: crossings in kRequested phase (policy must run). */
-    std::vector<int> pendingCount;
-    LinkSet pendingLinks;
-    /** Links whose state changed this cycle: re-tick the policy once. */
+    /**
+     * Links whose state (a request, assignment or release; a stall
+     * expiry) changed since their last policy tick: the only links the
+     * next assignment phase ticks. A tick reads nothing but its own
+     * link's crossings and free queues, so an unchanged link would
+     * decide exactly what its last tick decided — nothing.
+     */
     std::vector<char> recheckFlag;
     std::vector<LinkIndex> recheckList;
     std::vector<LinkIndex> tickScratch;
 
     /**
      * Queue timed events: one (ready cycle, link, queue) entry per
-     * queue front that will mature by time alone, kept as a min-heap
+     * queue front that matures after the cycle following the one it
+     * surfaced in (an extension-penalty front), kept as a min-heap
      * over contiguous storage. An entry is live while its queue is
      * non-empty and the front's ready cycle still equals the recorded
      * one; stale entries (the front was popped or replaced) are
@@ -600,14 +598,6 @@ struct SimSession::Impl
         int queue;
     };
     std::vector<QueueTimedEvent> queueEvents;
-    /**
-     * Heap-ordered prefix of queueEvents; entries past it are an
-     * unsorted tail appended since the last query. Scheduling on the
-     * hot path is therefore a plain push_back — the heap property is
-     * restored lazily (ensureQueueEventHeap) only when a
-     * zero-progress cycle actually asks for the minimum.
-     */
-    std::size_t queueEventsHeaped = 0;
     /** Compact (drop stale entries in bulk) past this size. */
     std::size_t queueEventCompactLimit = 64;
 
@@ -628,9 +618,7 @@ struct SimSession::Impl
           routedLinksDesc(compiled->routedLinksDesc()),
           programCells(compiled->programCells()),
           firstHopLink(compiled->firstHopLink()),
-          lastHopLink(compiled->lastHopLink()),
-          firstHopCross(compiled->firstHopCross()),
-          lastHopCross(compiled->lastHopCross())
+          lastHopLink(compiled->lastHopLink())
     {
         if (!compiled->valid()) {
             firstError = compiled->error();
@@ -652,8 +640,8 @@ struct SimSession::Impl
         cells = arena.cells();
 
         // Register every route crossing in (message, hop) order — the
-        // order CompiledProgram counted, so its first/last-hop
-        // crossing indices match the lists built here.
+        // order CompiledProgram counted, so its hop slots match the
+        // lists built here.
         for (MessageId m = 0; m < program.numMessages(); ++m) {
             const Route& route = competing.route(m);
             for (int h = 0; h < route.numHops(); ++h) {
@@ -678,11 +666,9 @@ struct SimSession::Impl
         waiterHead.assign(links.size(), kInvalidCell);
         waiterNext.assign(cells.size(), kInvalidCell);
         fwdCount.assign(links.size(), 0);
-        pendingCount.assign(links.size(), 0);
         recheckFlag.assign(links.size(), 0);
         activeCells.resize(static_cast<CellId>(cells.size()));
         fwdLinks.resize(static_cast<LinkIndex>(links.size()));
-        pendingLinks.resize(static_cast<LinkIndex>(links.size()));
     }
 
     /**
@@ -764,16 +750,13 @@ struct SimSession::Impl
             for (LinkIndex l : routedLinksDesc) {
                 waiterHead[l] = kInvalidCell;
                 fwdCount[l] = 0;
-                pendingCount[l] = 0;
                 recheckFlag[l] = 0;
             }
             nextCycleWakes.clear();
             timedWakes.clear();
             fwdLinks.clear();
-            pendingLinks.clear();
             recheckList.clear();
             queueEvents.clear();
-            queueEventsHeaped = 0;
             queueEventCompactLimit = 64;
         }
     }
@@ -903,10 +886,8 @@ struct SimSession::Impl
             for (const ActiveStall& s : activeStalls) {
                 if (s.until <= now) {
                     // The link revives this cycle, before any phase.
-                    if (eventMode && !linkDead[s.link]) {
-                        wakeWaiters(s.link);
-                        markRecheck(s.link);
-                    }
+                    if (!linkDead[s.link])
+                        onLinkChange(s.link);
                 } else {
                     activeStalls[w++] = s;
                 }
@@ -1098,58 +1079,40 @@ struct SimSession::Impl
         }
     }
 
+    /**
+     * A crossing on @p l was requested, assigned or released, or the
+     * link's stall expired: its policy ticks at the next assignment
+     * phase and its waiters wake. (A request cannot unblock a cell,
+     * but it changes the block *reason* a waiting reader would report
+     * — kIdle -> kRequested — so waking it keeps deadlock snapshots
+     * identical to the dense kernel's.)
+     */
     void
-    onRequest(LinkIndex l)
+    onLinkChange(LinkIndex l)
     {
         if (!eventMode)
             return;
-        if (pendingCount[l]++ == 0)
-            pendingLinks.insert(l);
-        // A request cannot unblock a cell, but it changes the block
-        // *reason* a waiting reader would report (kIdle ->
-        // kRequested); wake it so deadlock snapshots stay identical
-        // to the dense kernel's.
+        markRecheck(l);
         wakeWaiters(l);
     }
 
     /**
-     * A queue's front word changed (push into empty, or pop exposing
-     * the next word): record when the new front matures. Every
-     * non-empty queue has a live heap entry, which is what makes the
-     * heap-based timed-event check exact.
+     * Calendar when @p q's front matures. The calendar is read only
+     * at zero-progress cycles, where no queue was pushed or popped; a
+     * front that is ready by the cycle after it surfaced is mature by
+     * then, so it can never be a pending timed event there. Only a
+     * front that matures later (an extension penalty) needs an entry:
+     * onPush/onPop schedule exactly those, which keeps the heap-based
+     * timed-event check exact.
      */
     void
     scheduleQueueEvent(const LinkState& link, const HwQueue& q)
     {
         queueEvents.push_back(
             {q.frontReadyCycle(), link.index(), q.id()});
+        std::push_heap(queueEvents.begin(), queueEvents.end(), laterReady);
         if (queueEvents.size() > queueEventCompactLimit)
             compactQueueEvents();
-    }
-
-    /** Restore the heap property over the appended tail. */
-    void
-    ensureQueueEventHeap()
-    {
-        std::size_t tail = queueEvents.size() - queueEventsHeaped;
-        if (tail == 0)
-            return;
-        if (tail <= 64) {
-            // A short tail is cheaper to sift in one by one than to
-            // re-heapify everything.
-            while (queueEventsHeaped < queueEvents.size()) {
-                ++queueEventsHeaped;
-                std::push_heap(queueEvents.begin(),
-                               queueEvents.begin() +
-                                   static_cast<std::ptrdiff_t>(
-                                       queueEventsHeaped),
-                               laterReady);
-            }
-        } else {
-            std::make_heap(queueEvents.begin(), queueEvents.end(),
-                           laterReady);
-            queueEventsHeaped = queueEvents.size();
-        }
     }
 
     static bool
@@ -1180,22 +1143,21 @@ struct SimSession::Impl
                                return !queueEventLive(e);
                            }),
             queueEvents.end());
-        // The survivors are in arbitrary order now; re-heapify on the
-        // next query.
-        queueEventsHeaped = 0;
+        std::make_heap(queueEvents.begin(), queueEvents.end(), laterReady);
         queueEventCompactLimit =
             std::max<std::size_t>(64, 2 * queueEvents.size());
     }
 
-    /** After a queue push left @p q non-empty for the first time. */
+    /** After a push into @p q at @p now. */
     void
-    onPush(LinkState& link, const HwQueue& q)
+    onPush(LinkState& link, const HwQueue& q, Cycle now)
     {
         if (!eventMode)
             return;
         LinkIndex l = link.index();
         if (q.size() == 1) {
-            scheduleQueueEvent(link, q);
+            if (q.frontReadyCycle() > now + 1)
+                scheduleQueueEvent(link, q);
             if (!q.finalHop()) {
                 if (fwdCount[l]++ == 0)
                     fwdLinks.insert(l);
@@ -1204,9 +1166,9 @@ struct SimSession::Impl
         wakeWaiters(l);
     }
 
-    /** After a pop (queue still assigned to the popped message). */
+    /** After a pop from @p q at @p now (still assigned to its message). */
     void
-    onPop(LinkState& link, const HwQueue& q)
+    onPop(LinkState& link, const HwQueue& q, Cycle now)
     {
         if (!eventMode)
             return;
@@ -1216,34 +1178,9 @@ struct SimSession::Impl
                 if (--fwdCount[l] == 0)
                     fwdLinks.erase(l);
             }
-        } else {
-            scheduleQueueEvent(link, q); // a new word surfaced
+        } else if (q.frontReadyCycle() > now + 1) {
+            scheduleQueueEvent(link, q); // a delayed word surfaced
         }
-        wakeWaiters(l);
-    }
-
-    void
-    onAssignDecision(LinkState& link, MessageId msg)
-    {
-        if (!eventMode)
-            return;
-        LinkIndex l = link.index();
-        // A message assigned straight from kIdle (eager reservation)
-        // never held a pending request.
-        if (link.crossing(msg).requestedAt >= 0) {
-            if (--pendingCount[l] == 0)
-                pendingLinks.erase(l);
-        }
-        markRecheck(l);
-        wakeWaiters(l);
-    }
-
-    void
-    onRelease(LinkIndex l)
-    {
-        if (!eventMode)
-            return;
-        markRecheck(l);
         wakeWaiters(l);
     }
 
@@ -1258,12 +1195,12 @@ struct SimSession::Impl
                    Cycle now)
     {
         for (const AssignmentDecision& d : decisions) {
-            const Crossing& c = link.crossing(d.msg);
+            const Crossing& c = link.crossings()[d.slot];
             if (observer != nullptr) {
                 AssignmentEvent ev;
                 ev.cycle = now;
                 ev.link = link.index();
-                ev.msg = d.msg;
+                ev.msg = c.msg;
                 ev.queueId = d.queueId;
                 ev.dir = c.dir;
                 observer->onAssign(ev);
@@ -1271,27 +1208,28 @@ struct SimSession::Impl
             ++result.stats.assignments;
             if (c.requestedAt >= 0)
                 result.stats.requestWaitCycles += now - c.requestedAt;
-            onAssignDecision(link, d.msg);
+            onLinkChange(link.index());
         }
         return static_cast<std::int64_t>(decisions.size());
     }
 
-    /** Release a finished message's queue, telling the observer. */
+    /** Release the queue of the finished crossing in @p slot. */
     void
-    releaseMsg(LinkState& link, MessageId msg, Cycle now)
+    releaseMsg(LinkState& link, int slot, Cycle now)
     {
         if (observer != nullptr) {
+            const Crossing& c = link.crossings()[slot];
             AssignmentEvent ev;
             ev.cycle = now;
             ev.link = link.index();
-            ev.msg = msg;
-            ev.queueId = link.crossing(msg).queueId;
-            ev.dir = link.crossing(msg).dir;
+            ev.msg = c.msg;
+            ev.queueId = c.queueId;
+            ev.dir = c.dir;
             observer->onRelease(ev);
         }
-        link.finishMsg(msg, now);
+        link.finish(slot, now);
         ++result.stats.releases;
-        onRelease(link.index());
+        onLinkChange(link.index());
     }
 
     std::int64_t
@@ -1320,20 +1258,20 @@ struct SimSession::Impl
                 continue;
             if (q.finalHop())
                 continue; // final hop: the receiver pops it
-            MessageId msg = q.assignedMsg();
-            const Crossing& c = link.crossing(msg);
-            const Route& route = competing.route(msg);
-            const Hop& next_hop = route.hops[c.hopIndex + 1];
-            LinkState& next_link = links[next_hop.link];
+            const MessageId msg = q.assignedMsg();
+            const int next_hop = link.crossings()[q.slot()].hopIndex + 1;
+            LinkState& next_link =
+                links[competing.route(msg).hops[next_hop].link];
             // No requests to and no pushes into a downed next hop.
             if (faultsActive && linkUnusable(next_link.index(), now))
                 continue;
-            Crossing& nc = next_link.crossing(msg);
+            const int next_slot = compiled->hopSlot(msg, next_hop);
+            Crossing& nc = next_link.crossings()[next_slot];
             if (nc.phase == CrossingPhase::kIdle) {
                 // The message header arrived at the intermediate
                 // cell: ask for the next queue (section 5).
-                next_link.request(msg, now);
-                onRequest(next_link.index());
+                next_link.request(next_slot, now);
+                onLinkChange(next_link.index());
                 ++result.stats.requests;
                 ++progress;
                 continue;
@@ -1346,13 +1284,13 @@ struct SimSession::Impl
             if (!nq.canPush(now))
                 continue;
             Word w = q.pop(now);
-            onPop(link, q);
+            onPop(link, q, now);
             nq.push(w, now);
-            onPush(next_link, nq);
+            onPush(next_link, nq, now);
             ++result.stats.wordsForwarded;
             ++progress;
             if (q.wordsRemaining() == 0) {
-                releaseMsg(link, msg, now);
+                releaseMsg(link, q.slot(), now);
                 ++progress;
             }
         }
@@ -1387,10 +1325,11 @@ struct SimSession::Impl
             blockLink = link.index();
             return 0;
         }
-        Crossing& c = link.crossings()[firstHopCross[op.msg]];
+        const int slot = compiled->hopSlot(op.msg, 0);
+        Crossing& c = link.crossings()[slot];
         if (c.phase == CrossingPhase::kIdle) {
-            link.request(op.msg, now);
-            onRequest(link.index());
+            link.request(slot, now);
+            onLinkChange(link.index());
             ++result.stats.requests;
             cell.lastBlock = BlockReason::kQueueNotAssigned;
             return 1;
@@ -1413,7 +1352,7 @@ struct SimSession::Impl
         if (observer != nullptr)
             observer->onSend(op.msg, w.seq, w.value, now);
         q.push(w, now);
-        onPush(link, q);
+        onPush(link, q, now);
         ++result.stats.opsExecuted;
         ++progress;
         cell.advance();
@@ -1447,7 +1386,8 @@ struct SimSession::Impl
             blockLink = link.index();
             return 0;
         }
-        Crossing& c = link.crossings()[lastHopCross[op.msg]];
+        const int slot = compiled->lastHopSlot(op.msg);
+        Crossing& c = link.crossings()[slot];
         if (c.phase != CrossingPhase::kAssigned) {
             cell.lastBlock = c.phase == CrossingPhase::kRequested
                                  ? BlockReason::kQueueNotAssigned
@@ -1466,7 +1406,7 @@ struct SimSession::Impl
             return 0;
         }
         Word w = q.pop(now);
-        onPop(link, q);
+        onPop(link, q, now);
         assert(w.msg == op.msg);
         assert(w.seq == readSeq[op.msg] && "words arrive in order");
         int seq = readSeq[op.msg]++;
@@ -1476,7 +1416,7 @@ struct SimSession::Impl
         ++result.stats.wordsDelivered;
         std::int64_t progress = 1;
         if (q.wordsRemaining() == 0) {
-            releaseMsg(link, op.msg, now);
+            releaseMsg(link, slot, now);
             ++progress;
         }
         if (options.memoryToMemory) {
@@ -1766,19 +1706,15 @@ struct SimSession::Impl
     std::int64_t
     assignmentPhaseEvent(Cycle now)
     {
-        tickScratch.clear();
-        for (LinkIndex l = pendingLinks.firstAtLeast(0);
-             l != kInvalidLink; l = pendingLinks.firstAtLeast(l + 1))
-            tickScratch.push_back(l);
-        for (LinkIndex l : recheckList) {
-            recheckFlag[l] = 0;
-            tickScratch.push_back(l);
-        }
+        // Tick only the links whose state changed since their last
+        // tick (see recheckList), in ascending order like the dense
+        // kernel's scan, so observer events keep their order. A tick
+        // that assigns marks its link again for the next cycle.
+        tickScratch.assign(recheckList.begin(), recheckList.end());
         recheckList.clear();
+        for (LinkIndex l : tickScratch)
+            recheckFlag[l] = 0;
         std::sort(tickScratch.begin(), tickScratch.end());
-        tickScratch.erase(
-            std::unique(tickScratch.begin(), tickScratch.end()),
-            tickScratch.end());
         std::int64_t progress = 0;
         for (LinkIndex l : tickScratch)
             progress += tickLink(links[l], now);
@@ -1881,13 +1817,14 @@ struct SimSession::Impl
      * replaced) or already mature (the queue is consumable at @p now
      * — not a *timed* event). Only called at zero-progress cycles, so
      * no queue was pushed or popped at @p now: for every non-empty
-     * queue the front's maturity is exactly frontReadyCycle(), and
-     * after pruning the heap top is the earliest live timed event.
+     * queue the front's maturity is exactly frontReadyCycle(), and a
+     * front without an entry surfaced at some cycle s < now with
+     * frontReadyCycle() <= s + 1 <= now — mature. So after pruning
+     * the heap top is the earliest live timed event.
      */
     void
     pruneQueueEvents(Cycle now)
     {
-        ensureQueueEventHeap();
         while (!queueEvents.empty()) {
             const QueueTimedEvent& top = queueEvents.front();
             if (top.ready > now && queueEventLive(top))
@@ -1895,7 +1832,6 @@ struct SimSession::Impl
             std::pop_heap(queueEvents.begin(), queueEvents.end(),
                           laterReady);
             queueEvents.pop_back();
-            --queueEventsHeaped;
         }
     }
 
@@ -1913,7 +1849,8 @@ struct SimSession::Impl
      * a tick that could change link state always makes progress (so
      * its cycle is never skipped), and RandomPolicy's per-link
      * counted streams draw nothing on ticks that cannot assign, so
-     * skipped idle cycles cannot desynchronize its shuffles.
+     * skipped idle cycles cannot desynchronize its shuffles. The same
+     * fact lets the assignment phase tick only changed links.
      */
     bool
     canFastForward() const
@@ -2169,9 +2106,9 @@ struct SimSession::Impl
      * state. Conservative where exactness costs nothing: every
      * non-done cell wakes (a spurious visit blocks again and accounts
      * identically to the dense kernel) and every routed link gets a
-     * policy recheck (the dense kernel ticks every link every cycle);
-     * the queue-event calendar and hot/pending link sets are rebuilt
-     * exactly from the queues and crossings.
+     * policy recheck (the dense kernel ticks every link every cycle)
+     * and every non-empty queue a calendar entry; the hot link set is
+     * rebuilt exactly from the queues.
      */
     void
     rebuildEventState()
@@ -2181,10 +2118,8 @@ struct SimSession::Impl
         wakeScratch.clear();
         timedWakes.clear();
         fwdLinks.clear();
-        pendingLinks.clear();
         recheckList.clear();
         queueEvents.clear();
-        queueEventsHeaped = 0;
         queueEventCompactLimit = 64;
 
         doneCells = static_cast<int>(cells.size() - programCells.size());
@@ -2206,9 +2141,9 @@ struct SimSession::Impl
             for (HwQueue& q : link.queues()) {
                 if (q.empty())
                     continue;
-                // Every non-empty queue gets a live calendar entry
-                // (the invariant the timed-event check relies on). A
-                // non-empty queue is necessarily assigned.
+                // Every non-empty queue gets a calendar entry — a
+                // superset of the delayed fronts the timed-event check
+                // needs. A non-empty queue is necessarily assigned.
                 scheduleQueueEvent(link, q);
                 if (!q.finalHop())
                     ++fwd;
@@ -2216,14 +2151,6 @@ struct SimSession::Impl
             fwdCount[l] = fwd;
             if (fwd > 0)
                 fwdLinks.insert(l);
-            int pend = 0;
-            for (const Crossing& c : link.crossings()) {
-                if (c.phase == CrossingPhase::kRequested)
-                    ++pend;
-            }
-            pendingCount[l] = pend;
-            if (pend > 0)
-                pendingLinks.insert(l);
             markRecheck(l);
         }
     }

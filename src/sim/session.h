@@ -137,12 +137,21 @@ class CompiledProgram
     {
         return lastHopLink_;
     }
-    /** Per message: crossing index on that link (registration order). */
-    const std::vector<int>& firstHopCross() const
+    /**
+     * Slot of message @p m's crossing on its route's hop @p hop: its
+     * registration index on that hop's link. Every session registers
+     * crossings in (message, hop) order, so all sessions of this
+     * program share the table.
+     */
+    int hopSlot(MessageId m, int hop) const
     {
-        return firstHopCross_;
+        return hopSlots_[static_cast<std::size_t>(hopSlotBegin_[m] + hop)];
     }
-    const std::vector<int>& lastHopCross() const { return lastHopCross_; }
+    /** hopSlot() of @p m's last hop. */
+    int lastHopSlot(MessageId m) const
+    {
+        return hopSlots_[static_cast<std::size_t>(hopSlotBegin_[m + 1] - 1)];
+    }
 
     /**
      * The simlint static analysis (core/analyze.h) of this program at
@@ -175,8 +184,9 @@ class CompiledProgram
     std::vector<CellId> programCells_;
     std::vector<LinkIndex> firstHopLink_;
     std::vector<LinkIndex> lastHopLink_;
-    std::vector<int> firstHopCross_;
-    std::vector<int> lastHopCross_;
+    /** hopSlot() table: message m's hops at [begin[m], begin[m+1]). */
+    std::vector<int> hopSlotBegin_;
+    std::vector<int> hopSlots_;
 
     /** Lazy default labeling; see labels(). */
     mutable std::once_flag labelsOnce_;

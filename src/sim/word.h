@@ -23,4 +23,7 @@ struct Word
     bool wasExtended = false;
 };
 
+// Pinned hot-state size (LP64): every queue ring slot is one Word.
+static_assert(sizeof(Word) == 32, "Word layout changed");
+
 } // namespace syscomm::sim

@@ -82,7 +82,7 @@ TEST(SimArena, PoolsNeverMoveAfterBuild)
     for (MessageId m = 0; m < 4; ++m)
         link.addCrossing(m, LinkDir::kForward, 0, 3);
     for (int round = 0; round < 5; ++round) {
-        link.assignMsg(0, 0, 1);
+        link.assign(/*slot=*/0, 0, 1);
         Word w;
         w.msg = 0;
         for (int i = 0; i < 3; ++i)
@@ -109,11 +109,12 @@ TEST(SimArena, DigestTracksMachineStateAndCopyRestoresIt)
     LinkState& lb = build(b);
     EXPECT_EQ(a.machineDigest(), b.machineDigest());
 
-    // Same history -> same digest.
+    // Same history -> same digest. Crossings are addressed by slot
+    // (registration order): message 0 is slot 0, message 1 slot 1.
     la.request(0, 1);
     lb.request(0, 1);
-    la.assignMsg(0, 1, 2);
-    lb.assignMsg(0, 1, 2);
+    la.assign(0, 1, 2);
+    lb.assign(0, 1, 2);
     Word w;
     w.msg = 0;
     la.queue(1).push(w, 3);
@@ -127,8 +128,17 @@ TEST(SimArena, DigestTracksMachineStateAndCopyRestoresIt)
     b.serializeMachineState(bytes);
     ASSERT_TRUE(a.deserializeMachineState(bytes.data(), bytes.size()));
     EXPECT_EQ(a.machineDigest(), b.machineDigest());
-    EXPECT_EQ(la.crossing(1).phase, sim::CrossingPhase::kRequested);
-    EXPECT_EQ(la.crossing(1).requestedAt, 4);
+    EXPECT_EQ(la.crossings()[1].phase, sim::CrossingPhase::kRequested);
+    EXPECT_EQ(la.crossings()[1].requestedAt, 4);
+
+    // A queue's crossing slot is not serialized: a fresh arena re-derives
+    // it from the restored crossings, and a free queue has none.
+    SimArena c;
+    LinkState& lc = build(c);
+    ASSERT_TRUE(c.deserializeMachineState(bytes.data(), bytes.size()));
+    EXPECT_EQ(c.machineDigest(), b.machineDigest());
+    EXPECT_EQ(lc.queue(1).slot(), 0);
+    EXPECT_EQ(lc.queue(0).slot(), -1);
 }
 
 // ---------------------------------------------------------------------

@@ -30,6 +30,13 @@ struct TestLink
     {}
 };
 
+/** The message a decision assigned (decisions name crossing slots). */
+MessageId
+decidedMsg(const LinkState& link, const AssignmentDecision& d)
+{
+    return link.crossings()[static_cast<std::size_t>(d.slot)].msg;
+}
+
 TEST(StaticPolicyT, AssignsEverythingUpFront)
 {
     TestLink tl(3);
@@ -61,30 +68,33 @@ TEST(FcfsPolicyT, ServesInRequestOrder)
 {
     TestLink tl(1);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(1, 1); // message 1 asks first
-    link.request(0, 2);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s1 = link.addCrossing(1, LinkDir::kForward, 0, 1);
+    link.request(s1, 1); // message 1 asks first
+    link.request(s0, 2);
     FcfsPolicy policy;
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 3, decisions);
     ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].msg, 1);
+    EXPECT_EQ(decisions[0].slot, s1);
+    EXPECT_EQ(decidedMsg(link, decisions[0]), 1);
 }
 
 TEST(FcfsPolicyT, TieBrokenByMessageId)
 {
     TestLink tl(1);
     LinkState& link = tl.link;
-    link.addCrossing(2, LinkDir::kForward, 0, 1);
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(2, 5);
-    link.request(1, 5);
+    // Registered out of message order: slot 0 holds message 2.
+    const int s2 = link.addCrossing(2, LinkDir::kForward, 0, 1);
+    const int s1 = link.addCrossing(1, LinkDir::kForward, 0, 1);
+    link.request(s2, 5);
+    link.request(s1, 5);
     FcfsPolicy policy;
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 6, decisions);
     ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].msg, 1);
+    EXPECT_EQ(decisions[0].slot, s1);
+    EXPECT_EQ(decidedMsg(link, decisions[0]), 1);
 }
 
 TEST(CompatiblePolicyT, OrderedByLabelNotArrival)
@@ -93,18 +103,18 @@ TEST(CompatiblePolicyT, OrderedByLabelNotArrival)
     // be served first.
     TestLink tl(1);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(1, 1);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s1 = link.addCrossing(1, LinkDir::kForward, 0, 1);
+    link.request(s1, 1);
     CompatiblePolicy policy({1, 2}, false);
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 2, decisions);
     EXPECT_TRUE(decisions.empty()); // label 1 has not requested yet
 
-    link.request(0, 3);
+    link.request(s0, 3);
     policy.tick(link, 4, decisions);
     ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].msg, 0);
+    EXPECT_EQ(decidedMsg(link, decisions[0]), 0);
 
     // Label 2 still waits: label 1 holds the only queue.
     decisions.clear();
@@ -116,9 +126,9 @@ TEST(CompatiblePolicyT, SameLabelAssignedSimultaneously)
 {
     TestLink tl(2);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
     link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(0, 1);
+    link.request(s0, 1);
     CompatiblePolicy policy({1, 1}, false);
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 2, decisions);
@@ -131,10 +141,10 @@ TEST(CompatiblePolicyT, SameLabelGroupWaitsForEnoughQueues)
 {
     TestLink tl(1);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(0, 1);
-    link.request(1, 1);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s1 = link.addCrossing(1, LinkDir::kForward, 0, 1);
+    link.request(s0, 1);
+    link.request(s1, 1);
     CompatiblePolicy policy({1, 1}, false);
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 2, decisions);
@@ -145,27 +155,28 @@ TEST(CompatiblePolicyT, EagerReservesBeforeRequest)
 {
     TestLink tl(1);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
     CompatiblePolicy policy({1}, true);
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 1, decisions);
     ASSERT_EQ(decisions.size(), 1u); // assigned before any request
-    EXPECT_EQ(link.crossing(0).phase, CrossingPhase::kAssigned);
+    EXPECT_EQ(decisions[0].slot, s0);
+    EXPECT_EQ(link.crossings()[0].phase, CrossingPhase::kAssigned);
 }
 
 TEST(CompatiblePolicyT, LargerLabelProceedsAfterRelease)
 {
     TestLink tl(1);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(0, 1);
-    link.request(1, 1);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s1 = link.addCrossing(1, LinkDir::kForward, 0, 1);
+    link.request(s0, 1);
+    link.request(s1, 1);
     CompatiblePolicy policy({1, 2}, false);
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 2, decisions);
     ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].msg, 0);
+    EXPECT_EQ(decidedMsg(link, decisions[0]), 0);
 
     // Pass message 0's single word through and release its queue.
     link.beginCycle(3);
@@ -174,22 +185,22 @@ TEST(CompatiblePolicyT, LargerLabelProceedsAfterRelease)
     link.queue(0).push(w, 3);
     link.beginCycle(4);
     (void)link.queue(0).pop(4);
-    link.finishMsg(0, 4);
+    link.finish(s0, 4);
 
     decisions.clear();
     policy.tick(link, 5, decisions);
     ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].msg, 1);
+    EXPECT_EQ(decidedMsg(link, decisions[0]), 1);
 }
 
 TEST(RandomPolicyT, EventuallyServesEveryRequest)
 {
     TestLink tl(2);
     LinkState& link = tl.link;
-    link.addCrossing(0, LinkDir::kForward, 0, 1);
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
-    link.request(0, 1);
-    link.request(1, 1);
+    const int s0 = link.addCrossing(0, LinkDir::kForward, 0, 1);
+    const int s1 = link.addCrossing(1, LinkDir::kForward, 0, 1);
+    link.request(s0, 1);
+    link.request(s1, 1);
     RandomPolicy policy(7);
     std::vector<AssignmentDecision> decisions;
     policy.tick(link, 2, decisions);

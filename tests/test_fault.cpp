@@ -31,6 +31,7 @@ using sim::FaultKind;
 using sim::FaultPlan;
 using sim::FaultPlanOptions;
 using sim::KernelKind;
+using sim::RunLog;
 using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
@@ -314,12 +315,48 @@ planGrid(const MachineSpec& spec, Cycle max_cycle)
     return plans;
 }
 
+/** Cycle of @p log's first assignment of @p msg on @p link (-1: none). */
+Cycle
+assignedAt(const RunLog& log, MessageId msg, LinkIndex link)
+{
+    for (const sim::AssignmentEvent& e : log.events) {
+        if (e.msg == msg && e.link == link)
+            return e.cycle;
+    }
+    return -1;
+}
+
 TEST(FaultInject, KernelsAndRerunsAgreeOnFaultedRuns)
 {
     Program p = ringStreams();
     MachineSpec spec = ringSpec();
     const Cycle baseline = baselineCycles(p, spec);
     std::vector<FaultPlan> plans = planGrid(spec, baseline);
+
+    // A fixed plan on top of the seeded grid: S0's second hop (1--2)
+    // stalls on the cycle its request would have been served, so the
+    // request waits out the stall on a link that nothing else touches.
+    // The event kernel ticks a link's policy only after its state
+    // changed; the stall's expiry is that change, so S0 must get its
+    // queue on exactly the expiry cycle, as under the dense kernel.
+    const LinkIndex secondHop = *spec.topo.linkBetween(1, 2);
+    RunLog unfaulted(p);
+    ASSERT_EQ(SimSession(p, spec).run(observedBy(unfaulted)).status,
+              RunStatus::kCompleted);
+    const Cycle served = assignedAt(unfaulted, 0, secondHop);
+    ASSERT_GT(served, 1);
+    constexpr int kStall = 5;
+    {
+        FaultPlan stall;
+        FaultEvent e;
+        e.cycle = served;
+        e.kind = FaultKind::kStallLink;
+        e.link = secondHop;
+        e.arg = kStall;
+        stall.add(e);
+        plans.push_back(stall);
+    }
+    const std::size_t stallPlan = plans.size() - 1;
 
     SessionOptions eventOptions;
     eventOptions.kernel = KernelKind::kEventDriven;
@@ -334,11 +371,19 @@ TEST(FaultInject, KernelsAndRerunsAgreeOnFaultedRuns)
         RunRequest request;
         request.faults = &plans[i];
         const std::string ctx = "plan " + std::to_string(i);
-        RunResult event = eventSession.run(request);
+        RunLog eventLog(p);
+        RunLog denseLog(p);
+        RunResult event = eventSession.run(observedBy(eventLog, request));
         const std::uint64_t eventDigest = eventSession.machineDigest();
-        RunResult dense = denseSession.run(request);
+        RunResult dense = denseSession.run(observedBy(denseLog, request));
         expectSameRunResult(dense, event, ctx);
+        expectSameLog(denseLog, eventLog, ctx);
         EXPECT_EQ(denseSession.machineDigest(), eventDigest) << ctx;
+        if (i == stallPlan) {
+            EXPECT_EQ(event.status, RunStatus::kCompleted) << ctx;
+            EXPECT_EQ(assignedAt(eventLog, 0, secondHop), served + kStall)
+                << ctx;
+        }
 
         // Same session, same plan, again: bit-identical.
         RunResult rerun = eventSession.run(request);
@@ -393,6 +438,7 @@ TEST(FaultInject, CheckpointRestoresMidScheduleAcrossKernels)
 {
     Program p = ringStreams();
     MachineSpec spec = ringSpec();
+    ASSERT_EQ(spec.extensionCapacity, 0);
     FaultPlan plan;
     {
         // One stall before the pause, one kill after it: the restore
@@ -416,35 +462,52 @@ TEST(FaultInject, CheckpointRestoresMidScheduleAcrossKernels)
     RunResult want = oracle.run(request);
     ASSERT_EQ(want.status, RunStatus::kFaulted);
 
-    SimSession donor(p, spec);
-    RunRequest paused = request;
-    paused.pauseAt = 8; // mid-stall: applied events + an active stall
-    RunResult snap = donor.run(paused);
-    ASSERT_EQ(snap.status, RunStatus::kPaused);
-    std::vector<std::uint8_t> bytes;
-    ASSERT_TRUE(donor.saveCheckpoint(bytes));
+    // 8 is mid-stall: applied events + an active stall. 12 and 20
+    // land while words are mid-forward: a 3-hop stream has more words
+    // in flight than its final-hop queue holds, so one sits in an
+    // earlier hop's queue, and the heir's forwarding reaches its
+    // crossing through the slot the restore re-derived (a queue's
+    // slot is not serialized).
+    int midForwardPauses = 0;
+    for (Cycle pauseAt : {Cycle{8}, Cycle{12}, Cycle{20}}) {
+        const std::string at = "pause " + std::to_string(pauseAt);
+        SimSession donor(p, spec);
+        RunRequest paused = request;
+        paused.pauseAt = pauseAt;
+        RunResult snap = donor.run(paused);
+        ASSERT_EQ(snap.status, RunStatus::kPaused) << at;
+        std::vector<std::uint8_t> bytes;
+        ASSERT_TRUE(donor.saveCheckpoint(bytes)) << at;
 
-    // The progress header carries the plan digest.
-    sim::CheckpointInfo info;
-    ASSERT_TRUE(
-        sim::peekCheckpointInfo(bytes.data(), bytes.size(), info));
-    EXPECT_EQ(info.faultPlanDigest, plan.digest());
-    EXPECT_EQ(info.cycles, snap.cycles);
+        // The progress header carries the plan digest.
+        sim::CheckpointInfo info;
+        ASSERT_TRUE(
+            sim::peekCheckpointInfo(bytes.data(), bytes.size(), info));
+        EXPECT_EQ(info.faultPlanDigest, plan.digest());
+        EXPECT_EQ(info.cycles, snap.cycles);
+        for (std::size_t m = 0; m < info.writeSeq.size(); ++m) {
+            if (info.writeSeq[m] - info.readSeq[m] > spec.queueCapacity) {
+                ++midForwardPauses;
+                break;
+            }
+        }
 
-    for (KernelKind kernel :
-         {KernelKind::kEventDriven, KernelKind::kReference}) {
-        SessionOptions options;
-        options.kernel = kernel;
-        SimSession heir(p, spec, options);
-        ASSERT_TRUE(heir.restoreCheckpoint(request, bytes))
-            << kernelKindName(kernel);
-        EXPECT_EQ(heir.machineDigest(), donor.machineDigest());
-        RunResult got = heir.resume();
-        expectSameRunResult(got, want,
-                            std::string("restored finish on ") +
-                                kernelKindName(kernel));
-        EXPECT_EQ(heir.machineDigest(), oracle.machineDigest());
+        for (KernelKind kernel :
+             {KernelKind::kEventDriven, KernelKind::kReference}) {
+            const std::string ctx =
+                at + " restored finish on " + kernelKindName(kernel);
+            SessionOptions options;
+            options.kernel = kernel;
+            SimSession heir(p, spec, options);
+            ASSERT_TRUE(heir.restoreCheckpoint(request, bytes)) << ctx;
+            EXPECT_EQ(heir.machineDigest(), donor.machineDigest()) << ctx;
+            RunResult got = heir.resume();
+            expectSameRunResult(got, want, ctx);
+            EXPECT_EQ(heir.machineDigest(), oracle.machineDigest())
+                << ctx;
+        }
     }
+    EXPECT_EQ(midForwardPauses, 2);
 }
 
 TEST(FaultInject, CheckpointRejectsMissingOrMismatchedPlan)

@@ -212,6 +212,39 @@ TEST(KernelEquivalence, QueueExtensionAndPenalties)
             p, spec(topo, 2, 1, /*ext=*/2 + seed % 3, /*penalty=*/2 + seed % 5),
             request);
     }
+
+    // The calendar holds only fronts that mature after the cycle that
+    // follows their surfacing. One 3-word message over two hops with
+    // 1-word queues: word 2 spills into hop 0's extension and surfaces
+    // with the penalty when word 1 moves on. The writer is then done
+    // and the reader waits on an empty queue, so that front is the
+    // stretch's only timed work: the event kernel must fast-forward to
+    // exactly its cycle (and word 3's after it), not call the stall a
+    // deadlock. Extension 0 (no spill) must agree as well.
+    Topology line = Topology::linearArray(3);
+    Program relay(3);
+    const MessageId m = relay.declareMessage("m", 0, 2);
+    for (int w = 0; w < 3; ++w) {
+        relay.write(0, m);
+        relay.read(2, m);
+    }
+    for (int penalty : {1, 2, 5}) {
+        for (int ext : {0, 2}) {
+            expectKernelsAgree(relay, spec(line, 1, 1, ext, penalty), {});
+        }
+        RunLog log(relay);
+        RunResult run = SimSession(relay, spec(line, 1, 1, 2, penalty))
+                            .run(observedBy(log));
+        ASSERT_EQ(run.status, RunStatus::kCompleted) << penalty;
+        if (penalty >= 2) {
+            // Word 1 is pushed at t, forwarded at t+2 (the header's
+            // request is served at t+2) and read at t+3; words 2 and 3
+            // each wait out a penalty at hop 0's front.
+            const Cycle t = log.msgTiming[m].first;
+            EXPECT_EQ(log.msgTiming[m].second, t + 3 + 2 * penalty)
+                << penalty;
+        }
+    }
 }
 
 TEST(KernelEquivalence, StaticPolicyAndMemoryToMemory)

@@ -181,6 +181,55 @@ TEST(ServeLint, LintVerbReportsWitnessAndSharesTheCache)
     EXPECT_EQ(status.getString("state"), "deadlocked");
 }
 
+/** The message names along a lint response's witness cycle. */
+std::string
+witnessMessages(const JsonValue& response)
+{
+    std::string names;
+    const JsonValue* lint = response.find("lint");
+    const JsonValue* witness =
+        lint != nullptr ? lint->find("witness") : nullptr;
+    const JsonValue* cycle =
+        witness != nullptr ? witness->find("cycle") : nullptr;
+    if (cycle == nullptr)
+        return names;
+    for (const JsonValue& entry : cycle->items())
+        names += entry.getString("msg");
+    return names;
+}
+
+TEST(ServeLint, LintRendersTheRequestsOwnMessageNames)
+{
+    DaemonHandle handle;
+    handle.start(DaemonOptions::LintMode::kOff, "names");
+    ServeClient client;
+    handle.connect(client);
+
+    // Renaming the messages leaves the compile-cache key as it is; the
+    // witness must still name the messages each request sent.
+    const std::string renamed = "cells 2\n"
+                                "message P 0 -> 1\n"
+                                "message Q 1 -> 0\n"
+                                "cell 0 { R(Q) W(P) }\n"
+                                "cell 1 { R(P) W(Q) }\n";
+    JsonValue original;
+    JsonValue variant;
+    std::string error;
+    ASSERT_TRUE(client.request(lintRequest(kReadCycle), original, error))
+        << error;
+    ASSERT_TRUE(client.request(lintRequest(renamed), variant, error))
+        << error;
+    EXPECT_EQ(variant.getString("digest"), original.getString("digest"));
+    EXPECT_FALSE(variant.getBool("cached_compile", true));
+
+    const std::string xy = witnessMessages(original);
+    ASSERT_EQ(xy.size(), 2u) << writeJson(original);
+    EXPECT_EQ(xy.find_first_not_of("XY"), std::string::npos) << xy;
+    const std::string pq = witnessMessages(variant);
+    ASSERT_EQ(pq.size(), 2u) << writeJson(variant);
+    EXPECT_EQ(pq.find_first_not_of("PQ"), std::string::npos) << pq;
+}
+
 TEST(ServeLint, WarnModeStampsDiagnosticsOnTheResult)
 {
     DaemonHandle handle;

@@ -153,36 +153,41 @@ TEST(LinkStateT, RequestAssignFinish)
 {
     TestLink tl(2, 1);
     LinkState& link = tl.link;
-    link.addCrossing(5, LinkDir::kForward, 0, 1);
-    EXPECT_TRUE(link.hasCrossing(5));
-    EXPECT_FALSE(link.hasCrossing(6));
+    // A crossing's slot is its registration index on the link.
+    const int slot = link.addCrossing(5, LinkDir::kForward, 0, 1);
+    EXPECT_EQ(slot, 0);
+    ASSERT_EQ(link.crossings().size(), 1u);
+    const Crossing& c = link.crossings()[0];
+    EXPECT_EQ(c.msg, 5);
     EXPECT_EQ(link.numFreeQueues(), 2);
 
-    link.request(5, 3);
-    EXPECT_EQ(link.crossing(5).phase, CrossingPhase::kRequested);
-    EXPECT_EQ(link.crossing(5).requestedAt, 3);
+    link.request(slot, 3);
+    EXPECT_EQ(c.phase, CrossingPhase::kRequested);
+    EXPECT_EQ(c.requestedAt, 3);
 
-    link.assignMsg(5, 0, 4);
-    EXPECT_EQ(link.crossing(5).phase, CrossingPhase::kAssigned);
+    link.assign(slot, 0, 4);
+    EXPECT_EQ(c.phase, CrossingPhase::kAssigned);
     EXPECT_EQ(link.numFreeQueues(), 1);
     EXPECT_EQ(link.queue(0).assignedMsg(), 5);
+    EXPECT_EQ(link.queue(0).slot(), slot); // the queue knows its crossing
 
     link.beginCycle(5);
     link.queue(0).push(word(5, 0), 5);
     link.beginCycle(6);
     (void)link.queue(0).pop(6);
-    link.finishMsg(5, 6);
-    EXPECT_EQ(link.crossing(5).phase, CrossingPhase::kDone);
+    link.finish(slot, 6);
+    EXPECT_EQ(c.phase, CrossingPhase::kDone);
     EXPECT_EQ(link.numFreeQueues(), 2);
+    EXPECT_EQ(link.queue(0).slot(), -1);
 }
 
 TEST(LinkStateT, FindFreeQueuePrefersLowestId)
 {
     TestLink tl(3, 1);
     LinkState& link = tl.link;
-    link.addCrossing(1, LinkDir::kForward, 0, 1);
+    const int slot = link.addCrossing(1, LinkDir::kForward, 0, 1);
     EXPECT_EQ(link.findFreeQueue(), 0);
-    link.assignMsg(1, 0, 0);
+    link.assign(slot, 0, 0);
     EXPECT_EQ(link.findFreeQueue(), 1);
 }
 

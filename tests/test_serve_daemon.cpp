@@ -386,6 +386,45 @@ TEST(ServeDaemon, InvalidProgramFinishesAsError)
         response.find("result")->getString("error").empty());
 }
 
+TEST(ServeDaemon, CompileCacheHitIsTheSubmittedProgram)
+{
+    DaemonHandle handle;
+    handle.start(baseOptions("samekey"));
+    ServeClient client;
+    handle.connect(client);
+
+    // Two programs that differ only in an endpoint share a compile-
+    // cache key. The first fails validation; the second is valid and
+    // must run as itself, not be answered with the first one's error.
+    auto linearBody = [](const std::string& program) {
+        JsonValue body = runBody(program, 3);
+        body.set("topology", JsonValue::object()
+                                 .set("kind", JsonValue::str("linear"))
+                                 .set("cells", JsonValue::integer(3)));
+        return body;
+    };
+    JsonValue status;
+    const std::string bad = submitAndWait(
+        client,
+        linearBody("cells 3\nmessage m 0 -> 2\n"
+                   "cell 0 { W(m) }\ncell 1 { R(m) }\n"),
+        status);
+    ASSERT_FALSE(bad.empty());
+    EXPECT_EQ(status.getString("state"), "error");
+
+    const std::string good = submitAndWait(
+        client,
+        linearBody("cells 3\nmessage m 0 -> 1\n"
+                   "cell 0 { W(m) }\ncell 1 { R(m) }\n"),
+        status);
+    ASSERT_FALSE(good.empty());
+    EXPECT_EQ(status.getString("state"), "completed");
+    const JsonValue result = fetchResult(client, good);
+    EXPECT_EQ(result.getString("status"), "completed");
+    EXPECT_EQ(result.find("error"), nullptr) << writeJson(result);
+    EXPECT_FALSE(result.getBool("cached_compile", true));
+}
+
 // ---------------------------------------------------------------------
 // Sweeps: daemon rows == direct ShapeSweep rows
 // ---------------------------------------------------------------------

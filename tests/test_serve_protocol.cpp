@@ -318,6 +318,56 @@ TEST(ServeCache, KeysSeparateProgramTopologyAndVersion)
     EXPECT_NE(CompileCache::keyFor(longer, line, ""), base);
 }
 
+TEST(ServeCache, ProgramsSharingAKeyEachGetTheirOwnCompile)
+{
+    // The key hashes neither message names nor endpoints, so these
+    // three programs share one. A hit must still be the submitted
+    // program: the first keeps the slot, the others compile their own.
+    auto parse = [](const char* text) {
+        text::ParseResult parsed = text::parseProgram(text);
+        EXPECT_TRUE(parsed.ok) << parsed.error;
+        return parsed.program;
+    };
+    const Program misrouted = parse("cells 3\nmessage m 0 -> 2\n"
+                                    "cell 0 { W(m) }\ncell 1 { R(m) }\n");
+    const Program valid = parse("cells 3\nmessage m 0 -> 1\n"
+                                "cell 0 { W(m) }\ncell 1 { R(m) }\n");
+    const Program renamed = parse("cells 3\nmessage n 0 -> 1\n"
+                                  "cell 0 { W(n) }\ncell 1 { R(n) }\n");
+    const Topology topo = Topology::linearArray(3);
+    const std::uint64_t key = CompileCache::keyFor(misrouted, topo, "");
+    ASSERT_EQ(CompileCache::keyFor(valid, topo, ""), key);
+    ASSERT_EQ(CompileCache::keyFor(renamed, topo, ""), key);
+
+    CompileCache cache(4);
+    bool hit = true;
+    CachedProgram first = cache.get(key, Program(misrouted),
+                                    SharedTopology(Topology(topo)), &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_FALSE(first.compiled->valid());
+
+    CachedProgram second = cache.get(key, Program(valid),
+                                     SharedTopology(Topology(topo)), &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_TRUE(second.compiled->valid()) << second.compiled->error();
+    EXPECT_EQ(second.program->message(0).receiver, 1);
+
+    CachedProgram third = cache.get(key, Program(renamed),
+                                    SharedTopology(Topology(topo)), &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(third.program->message(0).name, "n");
+    EXPECT_EQ(&third.compiled->program(), third.program.get());
+
+    cache.get(key, Program(misrouted), SharedTopology(Topology(topo)),
+              &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(cache.peek(key).program, first.program);
+    const CompileCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 3u);
+}
+
 TEST(ServeCache, HitsMissesAndLruEviction)
 {
     CompileCache cache(2);

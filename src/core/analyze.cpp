@@ -1,6 +1,7 @@
 #include "core/analyze.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -97,8 +98,10 @@ DeadlockWitness extractWitness(const Program& program,
 /**
  * Pass 2 helper: smallest value in [1, hi] for which @p free holds,
  * or -1 when even hi fails. Deadlock-freedom is monotone in the skip
- * bound (rule R2 only ever compares a count against it), so binary
- * search applies.
+ * bound (rule R2 only ever compares a count against it), so after one
+ * probe at hi (a program no buffering helps costs one pass) it
+ * gallops 1, 2, 4, ... and bisects only the last interval: O(log
+ * answer) passes, and typical answers are small.
  */
 template <typename FreeAt>
 int searchSmallest(int hi, FreeAt&& free)
@@ -106,6 +109,15 @@ int searchSmallest(int hi, FreeAt&& free)
     if (!free(hi))
         return -1;
     int lo = 1;
+    for (int probe = 1; probe < hi; probe = probe <= hi / 2 ? probe * 2 : hi)
+    {
+        if (free(probe))
+        {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+    }
     while (lo < hi)
     {
         int mid = lo + (hi - lo) / 2;
@@ -115,6 +127,28 @@ int searchSmallest(int hi, FreeAt&& free)
             lo = mid + 1;
     }
     return lo;
+}
+
+/** Does crossing-off with lookahead under @p bound cross everything? */
+bool freeWithLookahead(const Program& program, SkipBoundFn bound)
+{
+    CrossOffOptions o;
+    o.lookahead = true;
+    o.skip_bound = std::move(bound);
+    return crossOff(program, o).deadlockFree;
+}
+
+/**
+ * The paper's R2 bound (routeCapacitySkipBound) read off routes
+ * already computed: hops(route) x @p capacity words per message.
+ * @p competing must outlive the returned function.
+ */
+SkipBoundFn routeCapacityBound(const CompetingAnalysis& competing,
+                               int capacity)
+{
+    return [&competing, capacity](MessageId m) {
+        return competing.route(m).numHops() * capacity;
+    };
 }
 
 } // namespace
@@ -212,11 +246,13 @@ std::string AnalysisReport::render(const Program& program) const
     return out.str();
 }
 
-AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
-                              const AnalyzeOptions& options)
+ProgramFacts programFacts(
+    const Program& program, const Topology& topo,
+    const std::vector<std::string>& validation,
+    const std::function<const CompetingAnalysis&()>& competing,
+    const std::function<const DefaultLabeling&()>& labeling)
 {
-    AnalysisReport report;
-    report.shape = options;
+    ProgramFacts facts;
 
     // ------------------------------------------------------------------
     // Pass 4a: structural validity. Everything downstream indexes by
@@ -229,19 +265,17 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
             "program declares " + std::to_string(program.numCells()) +
                 " cells but the topology has only " +
                 std::to_string(topo.numCells()));
-        report.diagnostics.push_back(std::move(d));
-        report.verdict = LintVerdict::kInvalid;
-        return report;
+        facts.structure.push_back(std::move(d));
+        facts.invalid = true;
+        return facts;
     }
-    std::vector<std::string> issues = program.validate(topo.numCells());
-    if (!issues.empty())
+    if (!validation.empty())
     {
-        for (std::string& issue : issues)
-            report.diagnostics.push_back(makeDiag(Severity::kError,
-                                                  LintRule::kInvalidProgram,
-                                                  std::move(issue)));
-        report.verdict = LintVerdict::kInvalid;
-        return report;
+        for (const std::string& issue : validation)
+            facts.structure.push_back(makeDiag(
+                Severity::kError, LintRule::kInvalidProgram, issue));
+        facts.invalid = true;
+        return facts;
     }
 
     // ------------------------------------------------------------------
@@ -249,7 +283,6 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
     // asserts connectivity. Standard topologies are connected; custom
     // (e.g. fault-degraded) ones may not be.
     // ------------------------------------------------------------------
-    bool unroutable = false;
     for (MessageId m = 0; m < program.numMessages(); ++m)
     {
         const MessageDecl& decl = program.message(m);
@@ -262,15 +295,13 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
                     std::to_string(decl.receiver));
             d.msg = m;
             d.cell = decl.sender;
-            report.diagnostics.push_back(std::move(d));
-            unroutable = true;
+            facts.structure.push_back(std::move(d));
+            facts.invalid = true;
         }
     }
-    if (unroutable)
-    {
-        report.verdict = LintVerdict::kInvalid;
-        return report;
-    }
+    if (facts.invalid)
+        return facts;
+    facts.competing = &competing();
 
     // ------------------------------------------------------------------
     // Pass 4c: compute-op neighborhood pins (informational). A cell
@@ -291,71 +322,114 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
                 " compute op(s): pinned to its physical neighborhood "
                 "(repair cannot remap it; callbacks do not serialize)");
         d.cell = cell;
-        report.diagnostics.push_back(std::move(d));
+        facts.structure.push_back(std::move(d));
     }
 
     // ------------------------------------------------------------------
-    // Pass 1: deadlock certification. The basic procedure first (the
-    // Theorem 1 precondition), then lookahead under the shape's real
-    // R2 bound: hops(route) x effective per-queue capacity.
+    // Pass 1, shape-free part: the basic procedure (the Theorem 1
+    // precondition). finishAnalysis() adds lookahead at the shape.
     // ------------------------------------------------------------------
-    const int capacity = options.totalQueueCapacity();
-    CrossOffResult basic = crossOff(program);
-    report.basicDeadlockFree = basic.deadlockFree;
-
-    CrossOffOptions shapeOpts;
-    shapeOpts.lookahead = true;
-    shapeOpts.skip_bound = routeCapacitySkipBound(program, topo, capacity);
-    CrossOffResult atShape =
-        basic.deadlockFree ? basic : crossOff(program, shapeOpts);
-    if (!atShape.deadlockFree)
-    {
-        report.verdict = LintVerdict::kDeadlock;
-        report.witness = extractWitness(program, atShape);
-        for (const WitnessEntry& e : report.witness.cycle)
-        {
-            Diagnostic d = makeDiag(
-                Severity::kError, LintRule::kDeadlockWitness,
-                "blocked cycle: " + opStr(program, e.cell, e.op) +
-                    " cannot pair (waits for cell " +
-                    std::to_string(e.waitsFor) + "); " +
-                    std::to_string(atShape.remainingOps) +
-                    " transfer op(s) uncrossable at per-queue capacity " +
-                    std::to_string(capacity));
-            d.cell = e.cell;
-            d.op = e.op;
-            d.msg = e.msg;
-            report.diagnostics.push_back(std::move(d));
-        }
-    }
+    facts.basicDeadlockFree = crossOff(program).deadlockFree;
 
     // ------------------------------------------------------------------
-    // Pass 2: buffer-bound inference. Monotone in the bound, so binary
-    // search; a per-message bound of maxLen words is equivalent to
-    // unlimited buffering (no message has more writes to skip).
+    // Pass 2: buffer-bound inference. Monotone in the bound, so a
+    // search applies; a per-message bound of maxLen words is
+    // equivalent to unlimited buffering (no message has more writes
+    // to skip).
     // ------------------------------------------------------------------
-    int maxLen = 1;
-    for (MessageId m = 0; m < program.numMessages(); ++m)
-        maxLen = std::max(maxLen, program.messageLength(m));
-    if (basic.deadlockFree)
+    if (facts.basicDeadlockFree)
     {
-        report.minUniformCapacity = 0;
-        report.minUniformSkipBound = 0;
+        facts.minUniformCapacity = 0;
+        facts.minUniformSkipBound = 0;
     }
     else
     {
-        report.minUniformCapacity = searchSmallest(maxLen, [&](int cap) {
-            CrossOffOptions o;
-            o.lookahead = true;
-            o.skip_bound = routeCapacitySkipBound(program, topo, cap);
-            return crossOff(program, o).deadlockFree;
+        int maxLen = 1;
+        for (MessageId m = 0; m < program.numMessages(); ++m)
+            maxLen = std::max(maxLen, program.messageLength(m));
+        facts.minUniformCapacity = searchSmallest(maxLen, [&](int cap) {
+            return freeWithLookahead(
+                program, routeCapacityBound(*facts.competing, cap));
         });
-        report.minUniformSkipBound = searchSmallest(maxLen, [&](int bound) {
-            CrossOffOptions o;
-            o.lookahead = true;
-            o.skip_bound = uniformSkipBound(bound);
-            return crossOff(program, o).deadlockFree;
+        facts.minUniformSkipBound = searchSmallest(maxLen, [&](int bound) {
+            return freeWithLookahead(program, uniformSkipBound(bound));
         });
+    }
+
+    // ------------------------------------------------------------------
+    // Pass 3, shape-free part: the labeling a SimSession would use and
+    // Theorem 1's condition (i), consistency.
+    // ------------------------------------------------------------------
+    facts.labeling = &labeling();
+    for (const ConsistencyIssue& issue : checkLabelConsistency(
+             program, facts.labeling->labeling.labels))
+    {
+        Diagnostic d = makeDiag(Severity::kError,
+                                LintRule::kInconsistentLabels, issue.str(program));
+        d.cell = issue.cell;
+        d.op = issue.pos;
+        d.msg = issue.curMsg;
+        facts.inconsistent.push_back(std::move(d));
+    }
+    return facts;
+}
+
+AnalysisReport finishAnalysis(const Program& program, const Topology& topo,
+                              const ProgramFacts& facts,
+                              const AnalyzeOptions& options)
+{
+    AnalysisReport report;
+    report.shape = options;
+    report.diagnostics = facts.structure;
+    if (facts.invalid)
+    {
+        report.verdict = LintVerdict::kInvalid;
+        return report;
+    }
+
+    // ------------------------------------------------------------------
+    // Pass 1: deadlock certification. When the basic procedure fails,
+    // lookahead under the shape's real R2 bound: hops(route) x
+    // effective per-queue capacity.
+    // ------------------------------------------------------------------
+    const int capacity = options.totalQueueCapacity();
+    report.basicDeadlockFree = facts.basicDeadlockFree;
+    bool freeAtShape = facts.basicDeadlockFree;
+    if (!facts.basicDeadlockFree)
+    {
+        CrossOffOptions shapeOpts;
+        shapeOpts.lookahead = true;
+        shapeOpts.skip_bound = routeCapacityBound(*facts.competing, capacity);
+        const CrossOffResult atShape = crossOff(program, shapeOpts);
+        freeAtShape = atShape.deadlockFree;
+        if (!atShape.deadlockFree)
+        {
+            report.verdict = LintVerdict::kDeadlock;
+            report.witness = extractWitness(program, atShape);
+            for (const WitnessEntry& e : report.witness.cycle)
+            {
+                Diagnostic d = makeDiag(
+                    Severity::kError, LintRule::kDeadlockWitness,
+                    "blocked cycle: " + opStr(program, e.cell, e.op) +
+                        " cannot pair (waits for cell " +
+                        std::to_string(e.waitsFor) + "); " +
+                        std::to_string(atShape.remainingOps) +
+                        " transfer op(s) uncrossable at per-queue "
+                        "capacity " +
+                        std::to_string(capacity));
+                d.cell = e.cell;
+                d.op = e.op;
+                d.msg = e.msg;
+                report.diagnostics.push_back(std::move(d));
+            }
+        }
+    }
+
+    // Pass 2's findings, read against the shape's capacity.
+    report.minUniformCapacity = facts.minUniformCapacity;
+    report.minUniformSkipBound = facts.minUniformSkipBound;
+    if (!facts.basicDeadlockFree)
+    {
         if (report.minUniformCapacity < 0)
         {
             report.diagnostics.push_back(makeDiag(
@@ -375,7 +449,7 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
                     " (uniform skip bound " +
                     std::to_string(report.minUniformSkipBound) +
                     "); analyzed shape provides " + std::to_string(capacity)));
-            if (atShape.deadlockFree)
+            if (freeAtShape)
             {
                 report.diagnostics.push_back(makeDiag(
                     Severity::kWarning, LintRule::kLookaheadOnly,
@@ -387,17 +461,14 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
     }
 
     // ------------------------------------------------------------------
-    // Pass 3: label feasibility. Uses the exact labeling a SimSession
-    // would (section 6 scheme, trivial fallback — keep in lockstep
-    // with CompiledProgram::labels()), then Theorem 1's conditions:
-    // (i) consistency, (ii) queues per link >= largest same-label
-    // group crossing it.
+    // Pass 3: label feasibility. The facts carry the labeling and its
+    // condition (i) issues; condition (ii), queues per link >= largest
+    // same-label group crossing it, depends on the shape.
     // ------------------------------------------------------------------
-    Labeling labeling = labelMessages(program);
-    if (!labeling.success)
+    const DefaultLabeling& labeling = *facts.labeling;
+    if (labeling.fellBack)
     {
         report.labelingFellBack = true;
-        labeling = trivialLabeling(program);
         report.diagnostics.push_back(makeDiag(
             report.verdict == LintVerdict::kDeadlock ? Severity::kInfo
                                                      : Severity::kWarning,
@@ -405,20 +476,11 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
             "section 6 labeling failed; the trivial all-1 labeling is in "
             "force (all competitors form one simultaneous group)"));
     }
-    std::vector<ConsistencyIssue> inconsistent =
-        checkLabelConsistency(program, labeling.labels);
-    report.labelsConsistent = inconsistent.empty();
-    for (const ConsistencyIssue& issue : inconsistent)
-    {
-        Diagnostic d = makeDiag(Severity::kError,
-                                LintRule::kInconsistentLabels, issue.str(program));
-        d.cell = issue.cell;
-        d.op = issue.pos;
-        d.msg = issue.curMsg;
-        report.diagnostics.push_back(std::move(d));
-    }
+    report.labelsConsistent = facts.inconsistent.empty();
+    report.diagnostics.insert(report.diagnostics.end(),
+                              facts.inconsistent.begin(),
+                              facts.inconsistent.end());
 
-    CompetingAnalysis competing = CompetingAnalysis::analyze(program, topo);
     MachineSpec spec;
     // Alias the caller's topology without copying it; the spec does not
     // outlive this call.
@@ -429,7 +491,7 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
     spec.queueCapacity = options.queueCapacity;
     spec.extensionCapacity = options.extensionCapacity;
     Feasibility dynamic =
-        checkDynamicFeasibility(competing, labeling.labels, spec);
+        checkDynamicFeasibility(*facts.competing, labeling.labeling.labels, spec);
     report.feasibleAtShape = dynamic.feasible;
     report.requiredQueuesPerLink = dynamic.requiredQueuesPerLink;
     report.worstLink = dynamic.worstLink;
@@ -452,6 +514,22 @@ AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
             certified ? LintVerdict::kCertified : LintVerdict::kUnknown;
     }
     return report;
+}
+
+AnalysisReport analyzeProgram(const Program& program, const Topology& topo,
+                              const AnalyzeOptions& options)
+{
+    CompetingAnalysis competing;
+    DefaultLabeling labeling;
+    const ProgramFacts facts = programFacts(
+        program, topo, program.validate(topo.numCells()),
+        [&]() -> const CompetingAnalysis& {
+            return competing = CompetingAnalysis::analyze(program, topo);
+        },
+        [&]() -> const DefaultLabeling& {
+            return labeling = defaultLabeling(program);
+        });
+    return finishAnalysis(program, topo, facts, options);
 }
 
 } // namespace syscomm

@@ -29,14 +29,14 @@
  *     is therefore a certificate of dynamic deadlock, not a
  *     heuristic; the cross-validation suite holds it to that.
  *  2. **Buffer-bound inference.** Deadlock-freedom under lookahead is
- *     monotone in queue capacity, so a binary search over the R2
+ *     monotone in queue capacity, so a galloping search over the R2
  *     bound reports the minimum per-queue capacity (and the minimum
  *     uniform skip bound) at which the program becomes deadlock-free
  *     — section 8.1 as a capacity-planning answer. Reports -1 when no
  *     finite buffering helps (a read cycle).
  *  3. **Label feasibility.** The Theorem 1 conditions against the
  *     exact labeling a SimSession would use (section 6 scheme with
- *     trivial fallback — see CompiledProgram::labels()): consistency
+ *     trivial fallback — defaultLabeling()): consistency
  *     (condition i) and enough queues per link for the largest
  *     same-label group (condition ii), reporting which condition
  *     fails and where. kCertified is precisely the test_theorem1
@@ -47,12 +47,23 @@
  *     mismatches and compute-op neighborhood pins surfaced as
  *     diagnostics instead of late compile errors or asserts.
  *
- * The serve layer runs this at admission (syscommd --lint) and caches
- * the verdict on the CompiledProgram, so N submissions of one program
- * pay for one analysis; serve/lint.h renders the report as JSON.
+ * Only part of this depends on the machine shape: the at-shape
+ * lookahead crossing-off and its witness, condition (ii), and the
+ * severity and text of the diagnostics that compare against the
+ * shape. Everything else — validity, routes, the basic crossing-off
+ * verdict, pass 2's bounds, the labeling and its consistency — is a
+ * fact about the program, so the analysis is two halves:
+ * programFacts() and finishAnalysis(). analyzeProgram() composes them
+ * for a one-off report; a CompiledProgram derives the facts once from
+ * its own validation, routes and default labeling and finishes each
+ * shape from them (CompiledProgram::analysis()). The serve layer runs
+ * that at admission (syscommd --lint) and on its lint verb, so N
+ * submissions of one program pay for one set of facts and one finish
+ * per shape; serve/lint.h renders the report as JSON.
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -207,7 +218,7 @@ struct AnalysisReport
     /** Basic crossing-off verdict (lookahead-free is in `verdict`). */
     bool basicDeadlockFree = false;
     /** Section 6 labeling failed and the trivial labeling was used
-     *  (mirrors the SimSession default). */
+     *  (the SimSession default; see defaultLabeling()). */
     bool labelingFellBack = false;
     /** The labeling in force is consistent (condition i). */
     bool labelsConsistent = false;
@@ -223,10 +234,57 @@ struct AnalysisReport
     std::string render(const Program& program) const;
 };
 
+class CompetingAnalysis;
+struct DefaultLabeling;
+
 /**
- * Run all four passes. Pure: consults nothing but its arguments, so
- * the result is cacheable under the (program, topology) digest the
- * serve cache already keys on plus the shape.
+ * The shape-free half of the analysis: what the four passes derive
+ * from the program and topology alone. The routes and the labeling
+ * are referenced, not copied: their owner (a CompiledProgram, or
+ * analyzeProgram()'s locals) must outlive the facts.
+ */
+struct ProgramFacts
+{
+    /** Pass 4's diagnostics (SL001-SL004), in report order. */
+    std::vector<Diagnostic> structure;
+    /** Validation or routing failed: the verdict is kInvalid and
+     *  nothing below was derived. */
+    bool invalid = false;
+    /** Every message's route. */
+    const CompetingAnalysis* competing = nullptr;
+    /** The basic crossing-off verdict. */
+    bool basicDeadlockFree = false;
+    /** Pass 2's bounds, as in AnalysisReport. */
+    int minUniformCapacity = -1;
+    int minUniformSkipBound = -1;
+    /** The labeling a SimSession uses by default (core/labeling.h). */
+    const DefaultLabeling* labeling = nullptr;
+    /** Its condition (i) violations, as SL021 diagnostics. */
+    std::vector<Diagnostic> inconsistent;
+};
+
+/**
+ * Derive the facts. @p validation is program.validate(topo.numCells()).
+ * @p competing and @p labeling supply the routes and the default
+ * labeling; each is called at most once, only for a valid program
+ * whose every message routes.
+ */
+ProgramFacts programFacts(
+    const Program& program, const Topology& topo,
+    const std::vector<std::string>& validation,
+    const std::function<const CompetingAnalysis&()>& competing,
+    const std::function<const DefaultLabeling&()>& labeling);
+
+/** The per-shape half: the report on @p facts' program at @p options. */
+AnalysisReport finishAnalysis(const Program& program, const Topology& topo,
+                              const ProgramFacts& facts,
+                              const AnalyzeOptions& options);
+
+/**
+ * Run all four passes: finishAnalysis() over programFacts(). Pure:
+ * consults nothing but its arguments, so the result is cacheable
+ * under the (program, topology) digest the serve cache already keys
+ * on plus the shape.
  */
 AnalysisReport analyzeProgram(const Program& program,
                               const Topology& topo,

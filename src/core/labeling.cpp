@@ -226,6 +226,18 @@ trivialLabeling(const Program& program)
     return result;
 }
 
+DefaultLabeling
+defaultLabeling(const Program& program)
+{
+    DefaultLabeling out;
+    out.labeling = labelMessages(program);
+    if (!out.labeling.success) {
+        out.labeling = trivialLabeling(program);
+        out.fellBack = true;
+    }
+    return out;
+}
+
 namespace {
 
 /** Iterative Tarjan SCC over a dense-id digraph. */

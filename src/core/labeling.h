@@ -92,6 +92,21 @@ Labeling labelMessages(const Program& program,
  */
 Labeling trivialLabeling(const Program& program);
 
+/** The labeling in force when none is given; see defaultLabeling(). */
+struct DefaultLabeling
+{
+    Labeling labeling;
+    /** Section 6 failed, so `labeling` is the trivial one. */
+    bool fellBack = false;
+};
+
+/**
+ * The labeling a SimSession uses unless it is handed one, and the one
+ * simlint checks: the section 6 scheme, or the trivial labeling when
+ * the scheme fails. CompiledProgram computes it once per program.
+ */
+DefaultLabeling defaultLabeling(const Program& program);
+
 /**
  * Direct constraint-graph labeling — an alternative scheme under the
  * paper's "many labeling schemes can be used" remark. Consistency

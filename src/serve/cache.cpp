@@ -1,5 +1,7 @@
 #include "serve/cache.h"
 
+#include <optional>
+
 #include "sim/fnv.h"
 
 namespace syscomm::serve {
@@ -80,12 +82,14 @@ CompileCache::keyFor(const Program& program, const Topology& topo,
 }
 
 CachedProgram
-CompileCache::get(std::uint64_t key, Program&& program,
-                  SharedTopology topo, bool* wasHit)
+CompileCache::get(std::uint64_t key, const Program& program,
+                  const Topology& topo, bool* wasHit)
 {
     CachedProgram cached;
     std::shared_future<CachedProgram> wait;
-    std::promise<CachedProgram> build;
+    // Only the caller that compiles makes the promise its waiters
+    // share; a hit allocates nothing.
+    std::optional<std::promise<CachedProgram>> build;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto hit = entries_.find(key);
@@ -96,10 +100,11 @@ CompileCache::get(std::uint64_t key, Program&& program,
         } else if (pending != inflight_.end()) {
             wait = pending->second; // a wait, not a build
         } else {
-            inflight_.emplace(key, build.get_future().share());
+            build.emplace();
+            inflight_.emplace(key, build->get_future().share());
         }
     }
-    const bool owner = !cached.valid() && !wait.valid();
+    const bool owner = build.has_value();
     if (wait.valid())
         cached = wait.get();
     // The key is only a digest: serve the entry only if it was built
@@ -115,11 +120,13 @@ CompileCache::get(std::uint64_t key, Program&& program,
         return cached;
 
     // Compile outside the lock: compiles take milliseconds to seconds
-    // and must not serialize the whole daemon.
-    auto pinned = std::make_shared<const Program>(std::move(program));
+    // and must not serialize the whole daemon. The entry owns copies,
+    // made here on a miss only.
+    auto pinned = std::make_shared<const Program>(program);
     CachedProgram value;
     value.program = pinned;
-    value.compiled = sim::CompiledProgram::compile(*pinned, std::move(topo));
+    value.compiled =
+        sim::CompiledProgram::compile(*pinned, SharedTopology(topo));
     if (!owner)
         return value; // another program holds the key: leave its slot
 
@@ -137,7 +144,7 @@ CompileCache::get(std::uint64_t key, Program&& program,
     }
     // Waiters hold shared_ptrs after get(); eviction above only drops
     // the cache's reference, never a client's.
-    build.set_value(value);
+    build->set_value(value);
     return value;
 }
 

@@ -15,13 +15,15 @@
  * build instead of racing N compiles (tests assert this with
  * CompiledProgram::buildCount()).
  *
- * Each entry owns its Program copy — a CompiledProgram references the
- * Program it was built from, and cached entries outlive the
- * submissions that created them, so the cache can never hand out an
- * analysis whose program has been freed. Submissions run against the
- * cache's Program, which equals what they sent: the key is only a
- * digest (it hashes no message names or endpoints), so a hit is
- * served only when the cached Program and topology equal the
+ * Each entry owns its Program and topology copies — a CompiledProgram
+ * references the Program it was built from, and cached entries
+ * outlive the submissions that created them, so the cache can never
+ * hand out an analysis whose program has been freed. Only a miss
+ * copies: callers pass their own Program and topology by reference,
+ * and a hit compares against them and copies nothing. Submissions run
+ * against the cache's Program, which equals what they sent: the key
+ * is only a digest (it hashes no message names or endpoints), so a
+ * hit is served only when the cached Program and topology equal the
  * submitted ones.
  */
 
@@ -66,11 +68,12 @@ class CompileCache
                                 const std::string& version);
 
     /**
-     * Fetch the entry for @p key, building it from (@p program,
-     * @p topo) on the first miss. Concurrent callers with the same
-     * key share one build: exactly one of them compiles, the rest
-     * block on its result (a hit on an in-flight build counts as a
-     * hit). @p program is consumed only by a caller that compiles.
+     * Fetch the entry for @p key, building it from copies of
+     * (@p program, @p topo) on the first miss. Concurrent callers
+     * with the same key share one build: exactly one of them
+     * compiles, the rest block on its result (a hit on an in-flight
+     * build counts as a hit). Only a caller that compiles copies
+     * @p program and @p topo; a hit allocates nothing.
      *
      * A hit requires the cached (or in-flight) entry's Program —
      * names, endpoints, ops — and topology to equal @p program and
@@ -87,8 +90,8 @@ class CompileCache
      * @p wasHit, when non-null, reports whether this call was served
      * from the cache (including a wait on an in-flight build).
      */
-    CachedProgram get(std::uint64_t key, Program&& program,
-                      SharedTopology topo, bool* wasHit = nullptr);
+    CachedProgram get(std::uint64_t key, const Program& program,
+                      const Topology& topo, bool* wasHit = nullptr);
 
     /** Peek without building; invalid CachedProgram on miss. Counts
      *  neither a hit nor a miss (it is the status path, not the

@@ -671,12 +671,12 @@ SyscommDaemon::execute(Sub* sub)
     const Submission& payload = live.payload;
     const std::uint64_t key = CompileCache::keyFor(
         payload.program, payload.topo, payload.programVersion);
-    // The cache consumes copies: a drain can park this submission and
-    // spool recovery may need the payload intact on a later pass.
+    // The payload stays intact (a drain can park this submission and
+    // spool recovery may need it on a later pass): the cache copies
+    // the program and topology only when it compiles them.
     bool wasHit = false;
     CachedProgram entry =
-        cache_.get(key, Program(payload.program),
-                   SharedTopology(Topology(payload.topo)), &wasHit);
+        cache_.get(key, payload.program, payload.topo, &wasHit);
     live.cachedCompile = wasHit;
 
     if (!entry.compiled->valid()) {
@@ -1142,8 +1142,7 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
             p.program, p.topo, p.programVersion);
         bool wasHit = false;
         CachedProgram entry =
-            cache_.get(compileKey, Program(p.program),
-                       SharedTopology(Topology(p.topo)), &wasHit);
+            cache_.get(compileKey, p.program, p.topo, &wasHit);
         if (entry.compiled->valid()) {
             MachineSpec spec;
             spec.topo = entry.compiled->sharedTopo();
@@ -1269,9 +1268,7 @@ SyscommDaemon::handleLint(const JsonValue& msg)
     const std::uint64_t key = CompileCache::keyFor(
         req.program, req.topo, req.programVersion);
     bool wasHit = false;
-    CachedProgram entry =
-        cache_.get(key, Program(req.program),
-                   SharedTopology(Topology(req.topo)), &wasHit);
+    CachedProgram entry = cache_.get(key, req.program, req.topo, &wasHit);
     MachineSpec spec;
     spec.topo = entry.compiled->sharedTopo();
     spec.queuesPerLink = req.shape.queuesPerLink;
@@ -1288,12 +1285,13 @@ SyscommDaemon::handleLint(const JsonValue& msg)
 }
 
 bool
-SyscommDaemon::journalProgress(const Live& live, JsonValue& out)
+SyscommDaemon::journalProgress(const std::string& journalPath,
+                               JsonValue& out)
 {
-    if (live.journalPath.empty())
+    if (journalPath.empty())
         return false;
     sim::SweepJournalInfo info;
-    if (!sim::inspectSweepJournal(live.journalPath, info))
+    if (!sim::inspectSweepJournal(journalPath, info))
         return false;
     out = JsonValue::object();
     out.set("rows_done", JsonValue::integer(static_cast<std::int64_t>(
@@ -1321,32 +1319,40 @@ JsonValue
 SyscommDaemon::handleStatus(const JsonValue& msg)
 {
     const std::string id = msg.getString("id");
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = subs_.find(id);
-    if (it == subs_.end())
-        return errorResponse("unknown id '" + id + "'");
-    const Sub& sub = *it->second;
     JsonValue response = JsonValue::object();
-    response.set("ok", JsonValue::boolean(true));
-    response.set("id", JsonValue::str(id));
-    response.set("state",
-                 JsonValue::str(submissionStateName(sub.state)));
-    response.set("description",
-                 JsonValue::str(submissionStateDescription(sub.state)));
-    response.set("terminal", JsonValue::boolean(
-                                 submissionStateTerminal(sub.state)));
-    if (sub.live == nullptr)
-        return response;
-    if (sub.state == SubmissionState::kRunning &&
-        !sub.live->payload.isSweep)
-        response.set("cycles",
-                     JsonValue::integer(sub.live->executedCycles));
+    std::string journalPath;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = subs_.find(id);
+        if (it == subs_.end())
+            return errorResponse("unknown id '" + id + "'");
+        const Sub& sub = *it->second;
+        response.set("ok", JsonValue::boolean(true));
+        response.set("id", JsonValue::str(id));
+        response.set("state",
+                     JsonValue::str(submissionStateName(sub.state)));
+        response.set("description",
+                     JsonValue::str(submissionStateDescription(sub.state)));
+        response.set("terminal", JsonValue::boolean(
+                                     submissionStateTerminal(sub.state)));
+        if (sub.live == nullptr)
+            return response;
+        if (sub.state == SubmissionState::kRunning &&
+            !sub.live->payload.isSweep)
+            response.set("cycles",
+                         JsonValue::integer(sub.live->executedCycles));
+        // A copy: the live part may be freed (terminal transition)
+        // once the lock is released.
+        journalPath = sub.live->journalPath;
+    }
     // Journal-backed progress for a sweep, live or parked: rows done
-    // plus each in-flight row's checkpoint header. Reading the
-    // journal while the sweep appends is safe — a torn tail parses
-    // as "everything sound before it", same as a resume would see.
+    // plus each in-flight row's checkpoint header. The walk reads and
+    // CRC-checks the whole journal, so it runs unlocked: other verbs
+    // never wait on it. Reading the journal while the sweep appends
+    // is safe — a torn tail parses as "everything sound before it",
+    // same as a resume would see.
     JsonValue progress;
-    if (journalProgress(*sub.live, progress))
+    if (journalProgress(journalPath, progress))
         response.set("progress", std::move(progress));
     return response;
 }
@@ -1494,7 +1500,7 @@ SyscommDaemon::statsJson()
     JsonValue sweeps = JsonValue::array();
     for (const auto& [id, sub] : liveSubs_) {
         JsonValue progress;
-        if (!journalProgress(*sub->live, progress))
+        if (!journalProgress(sub->live->journalPath, progress))
             continue;
         JsonValue entry = JsonValue::object();
         entry.set("id", JsonValue::str(id));

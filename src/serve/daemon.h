@@ -245,9 +245,10 @@ class SyscommDaemon
     JsonValue handleDrain();
     JsonValue handleLint(const JsonValue& msg);
     /** Journal-derived progress of a sweep submission (running or
-     *  parked): rows done + per-row checkpoint headers, via
-     *  inspectSweepJournal — no sessions are opened. */
-    bool journalProgress(const Live& live, JsonValue& out);
+     *  parked) from its journal at @p journalPath: rows done +
+     *  per-row checkpoint headers, via inspectSweepJournal — no
+     *  sessions are opened. */
+    bool journalProgress(const std::string& journalPath, JsonValue& out);
 
     DaemonOptions options_;
     ServiceControl control_;

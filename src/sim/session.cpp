@@ -326,17 +326,23 @@ CompiledProgram::compile(const Program& program, SharedTopology topo,
         program, std::move(topo), std::move(labels), precompute_labels);
 }
 
+const DefaultLabeling&
+CompiledProgram::defaultLabeling() const
+{
+    std::call_once(labelsOnce_, [this] {
+        defaultLabeling_ = syscomm::defaultLabeling(program_);
+        if (!labelsGiven_)
+            labels_ = defaultLabeling_.labeling.normalized();
+    });
+    return defaultLabeling_;
+}
+
 const std::vector<std::int64_t>&
 CompiledProgram::labels() const
 {
     if (labelsGiven_ || !valid())
         return labels_;
-    std::call_once(labelsOnce_, [this] {
-        Labeling labeling = labelMessages(program_);
-        if (!labeling.success)
-            labeling = trivialLabeling(program_);
-        labels_ = labeling.normalized();
-    });
+    (void)defaultLabeling();
     return labels_;
 }
 
@@ -354,8 +360,14 @@ CompiledProgram::analysis(const MachineSpec& spec) const
             shape.extensionCapacity == options.extensionCapacity)
             return report;
     }
+    if (facts_ == nullptr) {
+        facts_ = std::make_unique<const ProgramFacts>(programFacts(
+            program_, topo_, validation_,
+            [this]() -> const CompetingAnalysis& { return competing_; },
+            [this]() -> const DefaultLabeling& { return defaultLabeling(); }));
+    }
     auto report = std::make_shared<const AnalysisReport>(
-        analyzeProgram(program_, topo_, options));
+        finishAnalysis(program_, topo_, *facts_, options));
     analysisCache_.emplace_back(options, report);
     return report;
 }

@@ -38,6 +38,7 @@
 
 #include "core/analyze.h"
 #include "core/competing.h"
+#include "core/labeling.h"
 #include "core/machine_spec.h"
 #include "core/program.h"
 #include "sim/assignment.h"
@@ -62,9 +63,10 @@ namespace syscomm::sim {
  * shape. ShapeSweep (sim/shape_sweep.h) is built on exactly that.
  *
  * Thread-safety: a CompiledProgram is immutable after construction
- * except for the lazily computed default labeling, which is guarded
- * by a once-flag — concurrent sessions on different threads may share
- * one instance freely (ShapeSweep's workers do).
+ * except for the lazily computed default labeling, guarded by a
+ * once-flag, and the memoized static analysis, guarded by a mutex —
+ * concurrent sessions on different threads may share one instance
+ * freely (ShapeSweep's workers and the daemon's clients do).
  *
  * The Program must outlive the CompiledProgram; the Topology travels
  * as a SharedTopology, so compiling against a MachineSpec's topo (or
@@ -107,8 +109,10 @@ class CompiledProgram
     const CompetingAnalysis& competing() const { return competing_; }
 
     /**
-     * The default labeling (explicit labels, else section 6 with
-     * trivial fallback). Computed at most once; safe to call from
+     * The labeling sessions run with: the explicit labels, else the
+     * normalized default labeling (core/labeling.h: section 6 with
+     * trivial fallback). The default labeling is computed at most
+     * once and is the very one analysis() checks; safe to call from
      * concurrent sessions.
      */
     const std::vector<std::int64_t>& labels() const;
@@ -155,12 +159,17 @@ class CompiledProgram
 
     /**
      * The simlint static analysis (core/analyze.h) of this program at
-     * @p spec's queue shape, memoized per distinct shape: the serve
-     * CompileCache holds CompiledPrograms keyed by program/topology
-     * digest, so N submissions of one program pay for one analysis.
-     * Thread-safe; concurrent callers of the same shape share one
-     * pass. Only the queue-shape fields of @p spec are consulted (the
-     * topology is the compiled one).
+     * @p spec's queue shape, equal to analyzeProgram() on the same
+     * inputs. The program facts (ProgramFacts) are derived on first
+     * use from this compile's validation, routes and default labeling
+     * — never recomputed — and each distinct shape is finished from
+     * them once and memoized: the serve CompileCache holds
+     * CompiledPrograms keyed by program/topology digest, so N
+     * submissions of one program pay for one set of facts plus one
+     * finish per shape. Thread-safe; concurrent callers share one
+     * derivation of the facts and one finish per shape. Only the
+     * queue-shape fields of @p spec are consulted (the topology is
+     * the compiled one).
      */
     std::shared_ptr<const AnalysisReport>
     analysis(const MachineSpec& spec) const;
@@ -188,13 +197,18 @@ class CompiledProgram
     std::vector<int> hopSlotBegin_;
     std::vector<int> hopSlots_;
 
-    /** Lazy default labeling; see labels(). */
+    /** The default labeling, computed once under labelsOnce_. */
+    const DefaultLabeling& defaultLabeling() const;
+
     mutable std::once_flag labelsOnce_;
+    mutable DefaultLabeling defaultLabeling_;
+    /** labels(): the explicit labels, or defaultLabeling_ normalized. */
     mutable std::vector<std::int64_t> labels_;
     bool labelsGiven_ = false;
 
-    /** Memoized per-shape static analyses; see analysis(). */
+    /** Memoized static analysis; see analysis(). */
     mutable std::mutex analysisMutex_;
+    mutable std::unique_ptr<const ProgramFacts> facts_;
     mutable std::vector<std::pair<AnalyzeOptions,
                                   std::shared_ptr<const AnalysisReport>>>
         analysisCache_;

@@ -13,6 +13,10 @@
  * kernel-equivalence check through the analyzer's lens. kUnknown
  * programs make no static claim, but still must simulate without
  * faulting.
+ *
+ * Over the same corpus, the compiled path (CompiledProgram::analysis,
+ * which derives the program facts once and finishes each shape from
+ * them) must report exactly what the standalone analyzeProgram does.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +30,8 @@
 #include "core/program.h"
 #include "core/program_gen.h"
 #include "core/topology.h"
+#include "serve/json.h"
+#include "serve/lint.h"
 #include "sim/session.h"
 
 namespace syscomm {
@@ -119,9 +125,11 @@ checkProgram(const Program& program, const Topology& topo,
         << result.error;
 }
 
+/** @p visit(program, topo) over one topology's share of the corpus. */
+template <typename Visit>
 void
 sweepTopology(const Topology& topo, std::uint64_t seedBase,
-              int seeds, Tally& tally)
+              int seeds, Visit&& visit)
 {
     for (int s = 0; s < seeds; ++s) {
         GenOptions gen;
@@ -130,21 +138,31 @@ sweepTopology(const Topology& topo, std::uint64_t seedBase,
         gen.seed = seedBase + static_cast<std::uint64_t>(s);
         gen.interleave = 0.4;
         const Program clean = randomDeadlockFreeProgram(topo, gen);
-        checkProgram(clean, topo, tally);
+        visit(clean, topo);
         // Perturbations keep word counts valid but may wreck the
         // section 3.3 order — the analyzer's job is to notice.
         const Program shaken =
             perturbProgram(clean, 3, gen.seed + 1'000);
-        checkProgram(shaken, topo, tally);
+        visit(shaken, topo);
     }
+}
+
+/** @p visit(program, topo) over the whole corpus (210 programs). */
+template <typename Visit>
+void
+forEachProgram(Visit&& visit)
+{
+    sweepTopology(Topology::linearArray(5), 10, 35, visit);
+    sweepTopology(Topology::ring(5), 2'000, 35, visit);
+    sweepTopology(Topology::mesh(3, 3), 3'000, 35, visit);
 }
 
 TEST(AnalyzeCrossVal, StaticVerdictNeverDisagreesWithDynamics)
 {
     Tally tally;
-    sweepTopology(Topology::linearArray(5), 10, 35, tally);
-    sweepTopology(Topology::ring(5), 2'000, 35, tally);
-    sweepTopology(Topology::mesh(3, 3), 3'000, 35, tally);
+    forEachProgram([&](const Program& program, const Topology& topo) {
+        checkProgram(program, topo, tally);
+    });
 
     // The acceptance bar: >= 200 distinct programs, and the suite
     // must actually exercise both interesting verdicts — a sweep
@@ -156,6 +174,96 @@ TEST(AnalyzeCrossVal, StaticVerdictNeverDisagreesWithDynamics)
     ::testing::Test::RecordProperty("certified", tally.certified);
     ::testing::Test::RecordProperty("witnessed", tally.witnessed);
     ::testing::Test::RecordProperty("unknown", tally.unknown);
+}
+
+/** Field-for-field, text and JSON equality of two reports. */
+void
+expectSameReport(const AnalysisReport& a, const AnalysisReport& b,
+                 const Program& program)
+{
+    EXPECT_EQ(a.render(program), b.render(program));
+    EXPECT_EQ(serve::writeJson(serve::lintReportJson(a, program)),
+              serve::writeJson(serve::lintReportJson(b, program)));
+    EXPECT_EQ(a.verdict, b.verdict);
+    EXPECT_EQ(a.shape.queuesPerLink, b.shape.queuesPerLink);
+    EXPECT_EQ(a.shape.queueCapacity, b.shape.queueCapacity);
+    EXPECT_EQ(a.shape.extensionCapacity, b.shape.extensionCapacity);
+    ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
+    for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
+        const Diagnostic& x = a.diagnostics[i];
+        const Diagnostic& y = b.diagnostics[i];
+        EXPECT_EQ(x.severity, y.severity) << i;
+        EXPECT_EQ(x.rule, y.rule) << i;
+        EXPECT_EQ(x.cell, y.cell) << i;
+        EXPECT_EQ(x.msg, y.msg) << i;
+        EXPECT_EQ(x.op, y.op) << i;
+        EXPECT_EQ(x.link, y.link) << i;
+        EXPECT_EQ(x.text, y.text) << i;
+    }
+    ASSERT_EQ(a.witness.cycle.size(), b.witness.cycle.size());
+    for (std::size_t i = 0; i < a.witness.cycle.size(); ++i) {
+        const WitnessEntry& x = a.witness.cycle[i];
+        const WitnessEntry& y = b.witness.cycle[i];
+        EXPECT_EQ(x.cell, y.cell) << i;
+        EXPECT_EQ(x.op, y.op) << i;
+        EXPECT_EQ(x.msg, y.msg) << i;
+        EXPECT_EQ(x.isWrite, y.isWrite) << i;
+        EXPECT_EQ(x.waitsFor, y.waitsFor) << i;
+    }
+    EXPECT_EQ(a.witness.blockedCells, b.witness.blockedCells);
+    EXPECT_EQ(a.minUniformCapacity, b.minUniformCapacity);
+    EXPECT_EQ(a.minUniformSkipBound, b.minUniformSkipBound);
+    EXPECT_EQ(a.basicDeadlockFree, b.basicDeadlockFree);
+    EXPECT_EQ(a.labelingFellBack, b.labelingFellBack);
+    EXPECT_EQ(a.labelsConsistent, b.labelsConsistent);
+    EXPECT_EQ(a.feasibleAtShape, b.feasibleAtShape);
+    EXPECT_EQ(a.requiredQueuesPerLink, b.requiredQueuesPerLink);
+    EXPECT_EQ(a.worstLink, b.worstLink);
+}
+
+TEST(AnalyzeCrossVal, CompiledAnalysisEqualsAnalyzeProgram)
+{
+    // 32 shapes: queues 1-4 x capacity 1-4 x extension 0 and 2. Each
+    // program is compiled once, so every shape after its first is
+    // finished from facts derived at another shape.
+    int reports = 0;
+    int fellBack = 0;
+    int witnessed = 0;
+    int certified = 0;
+    forEachProgram([&](const Program& program, const Topology& topo) {
+        const auto compiled = sim::CompiledProgram::compile(program, topo);
+        for (int queues = 1; queues <= 4; ++queues) {
+            for (int capacity = 1; capacity <= 4; ++capacity) {
+                for (int extension : {0, 2}) {
+                    AnalyzeOptions options;
+                    options.queuesPerLink = queues;
+                    options.queueCapacity = capacity;
+                    options.extensionCapacity = extension;
+                    MachineSpec spec;
+                    spec.topo = compiled->sharedTopo();
+                    spec.queuesPerLink = queues;
+                    spec.queueCapacity = capacity;
+                    spec.extensionCapacity = extension;
+                    const AnalysisReport standalone =
+                        analyzeProgram(program, topo, options);
+                    SCOPED_TRACE(standalone.render(program));
+                    expectSameReport(*compiled->analysis(spec),
+                                     standalone, program);
+                    ++reports;
+                    fellBack += standalone.labelingFellBack;
+                    witnessed += !standalone.witness.empty();
+                    certified +=
+                        standalone.verdict == LintVerdict::kCertified;
+                }
+            }
+        }
+    });
+    EXPECT_EQ(reports, 210 * 32);
+    // The corpus must reach the shape-dependent paths: a fallen-back
+    // labeling (SL020, severity by verdict), a witness, a certificate.
+    EXPECT_GT(fellBack, 0);
+    EXPECT_GT(witnessed, 0);
+    EXPECT_GT(certified, 0);
 }
 
 } // namespace

@@ -17,9 +17,13 @@
 #include <sstream>
 #include <string>
 
+#include "core/analyze.h"
+#include "core/topology.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/json.h"
+#include "serve/lint.h"
+#include "text/parser.h"
 
 namespace syscomm::serve {
 namespace {
@@ -179,6 +183,75 @@ TEST(ServeLint, LintVerbReportsWitnessAndSharesTheCache)
     ASSERT_TRUE(client.waitTerminal(id, 60'000, status, error))
         << error;
     EXPECT_EQ(status.getString("state"), "deadlocked");
+}
+
+TEST(ServeLint, LintVerbReportsWhatAnalyzeProgramReports)
+{
+    DaemonHandle handle;
+    handle.start(DaemonOptions::LintMode::kOff, "same");
+    ServeClient client;
+    handle.connect(client);
+
+    // The verb answers from the compiled program's memoized facts; its
+    // report must be the standalone analyzer's byte for byte: for an
+    // invalid program (two reads of a one-word message), a deadlocked
+    // one (witness), one free only with lookahead buffering whose
+    // section 6 labeling falls back (SL020), and a certified one. The
+    // second shape of each is finished from the facts the first
+    // derived.
+    struct Case
+    {
+        std::string text;
+        const char* topology;
+        const char* verdict;
+    };
+    const Case cases[] = {
+        {"cells 2\n"
+         "message X 0 -> 1\n"
+         "cell 0 { W(X) }\n"
+         "cell 1 { R(X) R(X) }\n",
+         "linear", "invalid"},
+        {kReadCycle, "linear", "deadlock"},
+        {ringText(4, 3), "ring", "unknown"},
+        {kFig7, "linear", "certified"},
+    };
+    for (const Case& c : cases) {
+        const text::ParseResult parsed = text::parseProgram(c.text);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        const int cells = parsed.program.numCells();
+        const Topology topo = std::string(c.topology) == "ring"
+                                  ? Topology::ring(cells)
+                                  : Topology::linearArray(cells);
+        for (const auto& [queues, capacity] :
+             {std::pair<int, int>{2, 1}, std::pair<int, int>{1, 3}}) {
+            JsonValue msg = JsonValue::object();
+            msg.set("verb", JsonValue::str("lint"));
+            msg.set("program", JsonValue::str(c.text));
+            msg.set("topology",
+                    JsonValue::object()
+                        .set("kind", JsonValue::str(c.topology))
+                        .set("cells", JsonValue::integer(cells)));
+            msg.set("shape", JsonValue::object()
+                                 .set("queues", JsonValue::integer(queues))
+                                 .set("capacity",
+                                      JsonValue::integer(capacity)));
+            JsonValue response;
+            std::string error;
+            ASSERT_TRUE(client.request(msg, response, error)) << error;
+            const JsonValue* lint = response.find("lint");
+            ASSERT_NE(lint, nullptr) << writeJson(response);
+
+            AnalyzeOptions options;
+            options.queuesPerLink = queues;
+            options.queueCapacity = capacity;
+            const AnalysisReport expected =
+                analyzeProgram(parsed.program, topo, options);
+            EXPECT_EQ(writeJson(*lint),
+                      writeJson(lintReportJson(expected, parsed.program)));
+            EXPECT_EQ(lint->getString("verdict"), c.verdict)
+                << writeJson(*lint);
+        }
+    }
 }
 
 /** The message names along a lint response's witness cycle. */

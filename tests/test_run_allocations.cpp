@@ -8,6 +8,9 @@
  * one string per queue. A warm run observed by a reused RunLog
  * allocates no more: the log keeps its capacity across clear().
  *
+ * A compile-cache hit allocates nothing either: the cache copies the
+ * program and topology only when it compiles them.
+ *
  * This suite is its own binary so that the counting global operator
  * new below counts nothing but it.
  */
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "core/program_gen.h"
+#include "serve/cache.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 
@@ -185,6 +189,52 @@ TEST(RunAllocations, WarmObservedRunsReuseTheirLog)
     EXPECT_LE(static_cast<double>(tally.deadlockedAllocs) /
                   tally.deadlockedRuns,
               120.0);
+#endif
+}
+
+/** Allocations of one CompileCache::get that hits on @p program. */
+std::int64_t
+cacheHitAllocations(const Program& program, const Topology& topo)
+{
+    serve::CompileCache cache(4);
+    const std::uint64_t key = serve::CompileCache::keyFor(program, topo, "");
+    bool hit = true;
+    (void)cache.get(key, program, topo, &hit); // the miss compiles
+    EXPECT_FALSE(hit);
+    const std::int64_t before = allocations.load();
+    const serve::CachedProgram entry = cache.get(key, program, topo, &hit);
+    const std::int64_t used = allocations.load() - before;
+    EXPECT_TRUE(hit);
+    EXPECT_TRUE(entry.compiled->valid());
+    return used;
+}
+
+TEST(RunAllocations, CompileCacheHitsCopyNothing)
+{
+#ifdef SYSCOMM_TEST_MALLOC_REPLACED
+    GTEST_SKIP() << "the sanitizer replaces operator new";
+#else
+    Program tiny(4);
+    const MessageId x = tiny.declareMessage("X", 0, 3);
+    tiny.write(0, x);
+    tiny.read(3, x);
+    const std::int64_t small =
+        cacheHitAllocations(tiny, Topology::linearArray(4));
+
+    const Topology mesh = Topology::mesh(8, 8);
+    GenOptions gen;
+    gen.numMessages = 64;
+    gen.interleave = 0.3;
+    gen.seed = 1;
+    const std::int64_t large =
+        cacheHitAllocations(randomDeadlockFreeProgram(mesh, gen), mesh);
+
+    std::printf("compile-cache hit: %lld allocations (4 cells), %lld "
+                "(8x8 mesh, 64 messages)\n",
+                static_cast<long long>(small),
+                static_cast<long long>(large));
+    EXPECT_EQ(large, small);
+    EXPECT_EQ(small, 0);
 #endif
 }
 

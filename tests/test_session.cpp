@@ -11,14 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "algos/paper_figures.h"
 #include "core/program_gen.h"
+#include "serve/json.h"
+#include "serve/lint.h"
 #include "sim/session.h"
 #include "sim/shape_sweep.h"
 #include "test_support.h"
@@ -622,6 +626,93 @@ TEST(SimSession, InvalidProgramReportsConfigErrorEveryRun)
         RunResult r = session.run({});
         EXPECT_EQ(r.status, RunStatus::kConfigError);
         EXPECT_FALSE(r.error.empty());
+    }
+}
+
+// ---------------------------------------------------------------------
+// CompiledProgram: the shared default labeling and static analysis
+// ---------------------------------------------------------------------
+
+/** A report as text plus its lint JSON (every field the wire sees). */
+std::string
+reportText(const AnalysisReport& report, const Program& program)
+{
+    return report.render(program) +
+           serve::writeJson(serve::lintReportJson(report, program));
+}
+
+TEST(CompiledProgram, ConcurrentAnalysesAndLabelsMatchSerialOnes)
+{
+    // Threads race on one fresh CompiledProgram (labels left lazy):
+    // the first to arrive derives the program facts, and with them
+    // the default labeling that labels() also returns, while the
+    // others ask for other shapes or for the labels. Every answer
+    // must be what one thread asking in turn gets. The programs: a
+    // clean mesh program, a perturbed one free only with lookahead
+    // buffering (its labeling falls back), and a deadlocked one.
+    const Topology mesh = Topology::mesh(4, 4);
+    GenOptions gen;
+    gen.numMessages = 24;
+    gen.seed = 5;
+    gen.interleave = 0.3;
+    const Program clean = randomDeadlockFreeProgram(mesh, gen);
+    const Program fallback = perturbProgram(clean, 4, 2);
+    const Program deadlocked = perturbedProgram(3);
+    const std::pair<const Program*, Topology> cases[] = {
+        {&clean, mesh},
+        {&fallback, mesh},
+        {&deadlocked, Topology::linearArray(5)},
+    };
+    const int kThreads = 4;
+    for (const auto& [program, topo] : cases) {
+        std::vector<MachineSpec> shapes;
+        for (int queues = 1; queues <= 3; ++queues) {
+            for (int capacity = 1; capacity <= 2; ++capacity) {
+                MachineSpec spec;
+                spec.topo = topo;
+                spec.queuesPerLink = queues;
+                spec.queueCapacity = capacity;
+                shapes.push_back(spec);
+            }
+        }
+        const int kShapes = static_cast<int>(shapes.size());
+        const auto serial = sim::CompiledProgram::compile(*program, topo);
+        std::vector<std::string> expected;
+        for (const MachineSpec& spec : shapes)
+            expected.push_back(reportText(*serial->analysis(spec), *program));
+        const std::vector<std::int64_t> expectedLabels = serial->labels();
+
+        const auto shared = sim::CompiledProgram::compile(
+            *program, topo, {}, /*precompute_labels=*/false);
+        std::vector<std::vector<std::string>> seen(
+            kThreads, std::vector<std::string>(kShapes));
+        std::vector<std::vector<std::int64_t>> labels(kThreads);
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads) {
+                }
+                if (t % 2 == 1)
+                    labels[t] = shared->labels();
+                for (int i = 0; i < kShapes; ++i) {
+                    const int k = (t + i) % kShapes;
+                    seen[t][k] = reportText(*shared->analysis(shapes[k]),
+                                            *program);
+                }
+                if (t % 2 == 0)
+                    labels[t] = shared->labels();
+            });
+        }
+        for (std::thread& thread : threads)
+            thread.join();
+        for (int t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(labels[t], expectedLabels) << "thread " << t;
+            for (int k = 0; k < kShapes; ++k)
+                EXPECT_EQ(seen[t][k], expected[k])
+                    << "thread " << t << " shape " << k;
+        }
     }
 }
 

@@ -18,7 +18,7 @@
 #include "algos/mesh_matmul.h"
 #include "algos/sort.h"
 #include "bench_util.h"
-#include "core/compile.h"
+#include "sim/session.h"
 #include "sim/trace.h"
 
 using namespace syscomm;
@@ -33,14 +33,13 @@ measure(const std::string& name, const Program& p, const Topology& topo,
     MachineSpec spec;
     spec.topo = topo;
     spec.queuesPerLink = queues;
-    CompilePlan plan = compileProgram(p, spec);
-    if (!plan.ok) {
-        row({name, "compile-fail", plan.dynamicFeasibility.reason});
+    sim::SimSession session(p, spec);
+    const auto report = session.compiled()->analysis(spec);
+    if (report->verdict != LintVerdict::kCertified) {
+        row({name, "not-certified", lintVerdictName(report->verdict)});
         return;
     }
-    sim::RunRequest request;
-    request.labels = plan.normalizedLabels;
-    sim::RunResult r = sim::SimSession(p, spec).run(request);
+    sim::RunResult r = session.run();
     Cycle ideal = sim::idealCycles(p, topo);
     double efficiency =
         r.cycles > 0 ? static_cast<double>(ideal) /

@@ -10,7 +10,6 @@
 #include "algos/fir.h"
 #include "algos/paper_figures.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 #include "text/printer.h"
@@ -29,14 +28,15 @@ main()
     MachineSpec spec;
     spec.topo = algos::fig2Topology();
     spec.queuesPerLink = 2;
-    CompilePlan plan = compileProgram(p, spec);
-    std::printf("%s\n", plan.report(p).c_str());
+    sim::SimSession session(p, spec);
+    std::printf("labels: %s\n%s\n",
+                defaultLabeling(p).labeling.str(p).c_str(),
+                session.compiled()->analysis(spec)->render(p).c_str());
 
     sim::RunLog log(p);
     sim::RunRequest labeled;
-    labeled.labels = plan.normalizedLabels;
     labeled.observer = &log;
-    sim::RunResult r = sim::SimSession(p, spec).run(labeled);
+    sim::RunResult r = session.run(labeled);
     auto ya = *p.messageByName("YA");
     std::printf("status: %s after %lld cycles\n", r.statusStr(),
                 static_cast<long long>(r.cycles));

@@ -10,7 +10,6 @@
 
 #include "algos/paper_figures.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "sim/session.h"
 #include "text/printer.h"
 
@@ -30,8 +29,12 @@ main()
     MachineSpec spec;
     spec.topo = algos::fig6Topology();
     spec.queuesPerLink = 1;
-    CompilePlan plan = compileProgram(p, spec);
-    std::printf("%s\n", plan.report(p).c_str());
+    std::printf("labels: %s\n%s\n",
+                defaultLabeling(p).labeling.str(p).c_str(),
+                sim::CompiledProgram::compile(p, spec.topo)
+                    ->analysis(spec)
+                    ->render(p)
+                    .c_str());
 
     row({"policy", "status", "cycles"});
     rule(3);

@@ -10,7 +10,6 @@
 
 #include "algos/paper_figures.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 #include "text/printer.h"
@@ -29,9 +28,8 @@ main()
     MachineSpec spec;
     spec.topo = algos::fig7Topology();
     spec.queuesPerLink = 1;
-    CompilePlan plan = compileProgram(p, spec);
     std::printf("section 6 labels: %s   (paper: A=1 B=3 C=2)\n\n",
-                plan.labeling.str(p).c_str());
+                labelMessages(p).str(p).c_str());
 
     row({"policy", "queues", "status", "cycles", "audit"});
     rule(5);

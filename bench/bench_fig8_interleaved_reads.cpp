@@ -10,7 +10,6 @@
 
 #include "algos/paper_figures.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "core/related.h"
 #include "sim/session.h"
 #include "text/printer.h"
@@ -33,11 +32,12 @@ main()
     MachineSpec two;
     two.topo = algos::fig8Topology();
     two.queuesPerLink = 2;
-    CompilePlan plan = compileProgram(p, two);
     std::printf("labels: %s (shared, by rule 1c)\n",
-                plan.labeling.str(p).c_str());
+                labelMessages(p).str(p).c_str());
     std::printf("dynamic scheme needs %d queues/link\n\n",
-                plan.dynamicFeasibility.requiredQueuesPerLink);
+                sim::CompiledProgram::compile(p, two.topo)
+                    ->analysis(two)
+                    ->requiredQueuesPerLink);
 
     row({"policy", "queues", "status", "cycles"});
     rule(4);

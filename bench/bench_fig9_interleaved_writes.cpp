@@ -9,7 +9,6 @@
 
 #include "algos/paper_figures.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "core/related.h"
 #include "sim/session.h"
 #include "text/printer.h"

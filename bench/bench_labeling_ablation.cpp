@@ -15,7 +15,6 @@
 #include "algos/matvec.h"
 #include "algos/streams.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "sim/session.h"
 
 using namespace syscomm;
@@ -35,10 +34,9 @@ report(JsonWriter& json, const Workload& w)
 {
     // One compile pass serves every labeling: validation and the
     // competing analysis do not depend on labels, so the per-labeling
-    // sessions share a CompiledProgram (labels stay per-session
-    // config) and the feasibility probe reads the shared analysis.
-    auto compiled = sim::CompiledProgram::compile(
-        w.program, w.topo, /*labels=*/{}, /*precompute_labels=*/false);
+    // sessions share a CompiledProgram (each run names its labels)
+    // and the feasibility probe reads the shared analysis.
+    auto compiled = sim::CompiledProgram::compile(w.program, w.topo);
     const CompetingAnalysis& analysis = compiled->competing();
     Labeling section6 = labelMessages(w.program);
     Labeling graph = graphLabeling(w.program);
@@ -59,12 +57,12 @@ report(JsonWriter& json, const Workload& w)
         MachineSpec spec;
         spec.topo = w.topo;
         spec.queuesPerLink = f.requiredQueuesPerLink;
-        // The labeling under test is session config: the session
-        // skips its own labeler and uses these labels for every run.
-        sim::SessionOptions options;
-        options.labels = labeling->normalized();
-        sim::SimSession session(compiled, spec, options);
-        sim::RunResult r = session.run({});
+        // The labeling under test overrides the session's own, which
+        // is never computed.
+        sim::RunRequest request;
+        request.labels = labeling->normalized();
+        sim::SimSession session(compiled, spec);
+        sim::RunResult r = session.run(request);
         row({w.name, label_name,
              std::to_string(f.requiredQueuesPerLink), r.statusStr(),
              std::to_string(r.cycles), fmt(r.stats.avgRequestWait())});

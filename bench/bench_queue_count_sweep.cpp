@@ -27,7 +27,6 @@
 #include "algos/matvec.h"
 #include "algos/streams.h"
 #include "bench_util.h"
-#include "core/compile.h"
 #include "sim/shape_sweep.h"
 
 using namespace syscomm;

@@ -172,8 +172,7 @@ main(int argc, char** argv)
     // Compile once, share across every worker-count sweep — this
     // bench measures the scheduler, not the compiler.
     std::shared_ptr<const CompiledProgram> compiled =
-        CompiledProgram::compile(program, topo, base.session.labels,
-                                 base.session.precomputeLabels);
+        CompiledProgram::compile(program, topo);
 
     const std::vector<int> ladder =
         quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};

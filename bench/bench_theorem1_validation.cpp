@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/compile.h"
 #include "core/program_gen.h"
 #include "sim/session.h"
 #include "sim/trace.h"
@@ -70,18 +69,31 @@ main()
                     MachineSpec spec;
                     spec.topo = tc.topo;
                     spec.queuesPerLink = queues;
-                    CompilePlan plan = compileProgram(p, spec);
-                    if (!plan.dynamicFeasibility.feasible) {
+                    sim::SimSession session(p, spec);
+                    const sim::CompiledProgram& compiled =
+                        *session.compiled();
+                    const auto report = compiled.analysis(spec);
+                    // Theorem 1 needs consistent labels: where section 6
+                    // returns inconsistent ones (SL021), the trivial
+                    // labeling runs instead.
+                    sim::RunRequest request;
+                    bool feasible = report->feasibleAtShape;
+                    if (!report->labelsConsistent) {
+                        const Labeling trivial = trivialLabeling(p);
+                        request.labels = trivial.normalized();
+                        feasible = checkDynamicFeasibility(
+                                       compiled.competing(),
+                                       trivial.labels, spec)
+                                       .feasible;
+                    }
+                    if (!feasible) {
                         // Assumption (ii) fails: Theorem 1 is silent.
                         ++tally.infeasible;
                         continue;
                     }
 
-                    sim::SimSession session(p, spec);
                     sim::RunLog log(p);
-                    sim::RunRequest request;
                     request.policy = kind;
-                    request.labels = plan.normalizedLabels;
                     request.observer = &log;
                     request.seed = trial;
                     sim::RunResult r = session.run(request);
@@ -89,9 +101,11 @@ main()
                         ++tally.completed;
                     else
                         ++tally.deadlocked;
-                    if (!sim::auditAssignments(
-                             p, session.compiled()->competing(),
-                             request.labels, log.events)
+                    if (!sim::auditAssignments(p, compiled.competing(),
+                                               request.labels.empty()
+                                                   ? compiled.labels()
+                                                   : request.labels,
+                                               log.events)
                              .compatible)
                         ++tally.auditViolations;
                 }

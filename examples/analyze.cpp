@@ -1,11 +1,13 @@
 /**
  * @file
  * CLI deadlock analyzer for programs in the textual format. Reads a
- * program from a file (or stdin with "-"), runs the full pipeline, and
- * optionally simulates.
+ * program from a file (or stdin with "-"), prints its section 6
+ * labels and the simlint report at the machine shape (section 8.1
+ * lookahead included), and optionally simulates under the session's
+ * labels.
  *
- * Usage: analyze <file|-> [--queues N] [--capacity N] [--lookahead]
- *                [--run] [--policy fcfs|compatible|static|random]
+ * Usage: analyze <file|-> [--queues N] [--capacity N] [--run]
+ *                [--policy fcfs|compatible|static|random]
  *
  * With no file argument, analyzes a built-in demo program.
  */
@@ -16,7 +18,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "core/compile.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 #include "text/parser.h"
@@ -53,7 +54,6 @@ main(int argc, char** argv)
     std::string source = kDemo;
     int queues = 2;
     int capacity = 1;
-    bool lookahead = false;
     bool run = false;
     sim::PolicyKind policy = sim::PolicyKind::kCompatible;
 
@@ -63,8 +63,6 @@ main(int argc, char** argv)
             queues = std::atoi(argv[++i]);
         } else if (arg == "--capacity" && i + 1 < argc) {
             capacity = std::atoi(argv[++i]);
-        } else if (arg == "--lookahead") {
-            lookahead = true;
         } else if (arg == "--run") {
             run = true;
         } else if (arg == "--policy" && i + 1 < argc) {
@@ -81,7 +79,7 @@ main(int argc, char** argv)
             source = readAll(std::cin);
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s <file|-> [--queues N] [--capacity N] "
-                        "[--lookahead] [--run] [--policy P]\n",
+                        "[--run] [--policy P]\n",
                         argv[0]);
             return 0;
         } else {
@@ -108,18 +106,17 @@ main(int argc, char** argv)
     machine.queuesPerLink = queues;
     machine.queueCapacity = capacity;
 
-    CompileOptions options;
-    options.lookahead = lookahead;
-    CompilePlan plan = compileProgram(program, machine, options);
-    std::printf("%s", plan.report(program).c_str());
+    // Compile-once session: its analysis reports on the machine, and
+    // its labels drive the run and the audit.
+    sim::SimSession session(program, machine);
+    const auto report = session.compiled()->analysis(machine);
+    if (session.valid())
+        std::printf("labels: %s\n",
+                    defaultLabeling(program).labeling.str(program).c_str());
+    std::printf("%s", report->render(program).c_str());
 
     if (run) {
-        // Compile-once session; a RunLog records the assignment
-        // trace the audit checks.
-        sim::SessionOptions session_options;
-        if (plan.ok)
-            session_options.labels = plan.normalizedLabels;
-        sim::SimSession session(program, machine, session_options);
+        // A RunLog records the assignment trace the audit checks.
         sim::RunLog log(program);
         sim::RunRequest request;
         request.policy = policy;
@@ -139,5 +136,5 @@ main(int argc, char** argv)
                 log.events);
         std::printf("%s\n", audit.str(program).c_str());
     }
-    return plan.ok ? 0 : 2;
+    return report->verdict == LintVerdict::kCertified ? 0 : 2;
 }

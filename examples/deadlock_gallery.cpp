@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "algos/paper_figures.h"
-#include "core/compile.h"
+#include "core/crossoff.h"
 #include "sim/session.h"
 #include "text/printer.h"
 
@@ -25,22 +25,21 @@ show(const char* title, const Program& p, const Topology& topo,
     MachineSpec spec;
     spec.topo = topo;
     spec.queuesPerLink = queues;
-    CompilePlan plan = compileProgram(p, spec);
+    const CrossOffResult crossoff = crossOff(p);
     std::printf("crossing-off: %s\n",
-                plan.crossoff.deadlockFree ? "deadlock-free" : "DEADLOCKED");
-    if (!plan.crossoff.deadlockFree)
-        std::printf("%s", plan.crossoff.describeStuck(p).c_str());
+                crossoff.deadlockFree ? "deadlock-free" : "DEADLOCKED");
+    if (!crossoff.deadlockFree)
+        std::printf("%s", crossoff.describeStuck(p).c_str());
     else
-        std::printf("labels: %s\n", plan.labeling.str(p).c_str());
+        std::printf("labels: %s\n",
+                    defaultLabeling(p).labeling.str(p).c_str());
 
     // Unobserved run: the gallery wants only the status and the
     // deadlock snapshot, which every run returns. Labels resolve
     // lazily, only for the runs whose policy needs them.
-    sim::SessionOptions options;
-    options.precomputeLabels = false;
     sim::RunRequest request;
     request.policy = kind;
-    sim::RunResult r = sim::SimSession(p, spec, options).run(request);
+    sim::RunResult r = sim::SimSession(p, spec).run(request);
     std::printf("run (%s, %d queue(s)/link): %s",
                 sim::policyKindName(kind), queues, r.statusStr());
     if (r.status == sim::RunStatus::kCompleted)

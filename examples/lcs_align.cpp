@@ -12,7 +12,6 @@
 #include <string>
 
 #include "algos/align.h"
-#include "core/compile.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 
@@ -42,14 +41,14 @@ main(int argc, char** argv)
     machine.topo = algos::alignTopology(spec);
     machine.queuesPerLink = 2; // B and ROW streams share a label
 
-    CompilePlan plan = compileProgram(program, machine);
-    std::printf("%s\n", plan.report(program).c_str());
-    if (!plan.ok)
+    sim::SimSession session(program, machine);
+    const auto report = session.compiled()->analysis(machine);
+    std::printf("labels: %s\n%s\n",
+                defaultLabeling(program).labeling.str(program).c_str(),
+                report->render(program).c_str());
+    if (report->verdict != LintVerdict::kCertified)
         return 1;
 
-    sim::SessionOptions options;
-    options.labels = plan.normalizedLabels;
-    sim::SimSession session(program, machine, options);
     // The timeline rendering consumes the log's assignment/release
     // events; the result value arrives as a received word.
     sim::RunLog log(program);

@@ -12,7 +12,6 @@
 #include <cstdlib>
 
 #include "algos/mesh_matmul.h"
-#include "core/compile.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 
@@ -38,14 +37,14 @@ main(int argc, char** argv)
     MachineSpec machine;
     machine.topo = algos::matmulTopology(spec);
     machine.queuesPerLink = 4;
-    CompilePlan plan = compileProgram(program, machine);
-    std::printf("%s\n", plan.report(program).c_str());
-    if (!plan.ok)
+    sim::SimSession session(program, machine);
+    const auto report = session.compiled()->analysis(machine);
+    std::printf("labels: %s\n%s\n",
+                defaultLabeling(program).labeling.str(program).c_str(),
+                report->render(program).c_str());
+    if (report->verdict != LintVerdict::kCertified)
         return 1;
 
-    sim::SessionOptions options;
-    options.labels = plan.normalizedLabels;
-    sim::SimSession session(program, machine, options);
     sim::RunLog log(program); // records the C-matrix values
     sim::RunRequest request;
     request.observer = &log;

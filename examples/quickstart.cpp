@@ -1,7 +1,7 @@
 /**
  * @file
- * Quickstart: declare messages, write cell programs, compile with the
- * deadlock-avoidance pipeline, and simulate.
+ * Quickstart: declare messages, write cell programs, check them with
+ * the deadlock analysis, and simulate.
  *
  * The scenario is a 3-cell relay with a reply: cell 0 streams four
  * words to cell 2 through cell 1, which doubles each word in passing;
@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "core/compile.h"
 #include "sim/session.h"
 #include "sim/trace.h"
 #include "text/printer.h"
@@ -63,19 +62,19 @@ main()
 
     std::printf("program:\n%s\n", text::renderColumns(program).c_str());
 
-    // 3. Compile: crossing-off, section 6 labeling, feasibility.
-    CompilePlan plan = compileProgram(program, machine);
-    std::printf("%s\n", plan.report(program).c_str());
-    if (!plan.ok) {
-        std::printf("compile failed: %s\n", plan.error.c_str());
-        return 1;
-    }
+    // 3. Build a simulation session: validation, routing and all
+    //    machine-state allocation happen once, here; the section 6
+    //    labels are computed on first use.
+    sim::SimSession session(program, machine);
 
-    // 4. Build a simulation session: validation, labeling and all
-    //    machine-state allocation happen once, here.
-    sim::SessionOptions sessionOptions;
-    sessionOptions.labels = plan.normalizedLabels;
-    sim::SimSession session(program, machine, sessionOptions);
+    // 4. Analyze: crossing-off, section 6 labeling, and whether this
+    //    machine has the queues a compatible assignment needs.
+    const auto report = session.compiled()->analysis(machine);
+    std::printf("labels: %s\n%s\n",
+                defaultLabeling(program).labeling.str(program).c_str(),
+                report->render(program).c_str());
+    if (report->verdict != LintVerdict::kCertified)
+        return 1;
 
     // 5. Run under the compatible queue-assignment policy. A run
     //    returns its status, cycle count and stats; a RunLog attached

@@ -138,19 +138,6 @@ bool freeWithLookahead(const Program& program, SkipBoundFn bound)
     return crossOff(program, o).deadlockFree;
 }
 
-/**
- * The paper's R2 bound (routeCapacitySkipBound) read off routes
- * already computed: hops(route) x @p capacity words per message.
- * @p competing must outlive the returned function.
- */
-SkipBoundFn routeCapacityBound(const CompetingAnalysis& competing,
-                               int capacity)
-{
-    return [&competing, capacity](MessageId m) {
-        return competing.route(m).numHops() * capacity;
-    };
-}
-
 } // namespace
 
 const char* severityName(Severity severity)
@@ -279,15 +266,18 @@ ProgramFacts programFacts(
     }
 
     // ------------------------------------------------------------------
-    // Pass 4b: route liveness. Must precede CompetingAnalysis, which
-    // asserts connectivity. Standard topologies are connected; custom
-    // (e.g. fault-degraded) ones may not be.
+    // Pass 4b: route liveness. A message between cells the topology
+    // does not connect has an empty route (no sender equals its
+    // receiver here, so every other route has a hop). Standard
+    // topologies are connected; custom (e.g. fault-degraded) ones may
+    // not be.
     // ------------------------------------------------------------------
+    facts.competing = &competing();
     for (MessageId m = 0; m < program.numMessages(); ++m)
     {
-        const MessageDecl& decl = program.message(m);
-        if (topo.routePath(decl.sender, decl.receiver).empty())
+        if (facts.competing->route(m).empty())
         {
+            const MessageDecl& decl = program.message(m);
             Diagnostic d = makeDiag(
                 Severity::kError, LintRule::kUnroutableMessage,
                 "message " + decl.name + " has no route from cell " +
@@ -301,7 +291,6 @@ ProgramFacts programFacts(
     }
     if (facts.invalid)
         return facts;
-    facts.competing = &competing();
 
     // ------------------------------------------------------------------
     // Pass 4c: compute-op neighborhood pins (informational). A cell
@@ -351,9 +340,18 @@ ProgramFacts programFacts(
             return freeWithLookahead(
                 program, routeCapacityBound(*facts.competing, cap));
         });
-        facts.minUniformSkipBound = searchSmallest(maxLen, [&](int bound) {
-            return freeWithLookahead(program, uniformSkipBound(bound));
-        });
+        // With every route one hop long, the capacity bound is the
+        // uniform bound, so the capacity search already answered.
+        const std::vector<Route>& routes = facts.competing->routes();
+        const bool oneHop =
+            std::all_of(routes.begin(), routes.end(),
+                        [](const Route& r) { return r.numHops() == 1; });
+        facts.minUniformSkipBound =
+            oneHop ? facts.minUniformCapacity
+                   : searchSmallest(maxLen, [&](int bound) {
+                         return freeWithLookahead(program,
+                                                  uniformSkipBound(bound));
+                     });
     }
 
     // ------------------------------------------------------------------

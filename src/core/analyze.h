@@ -248,9 +248,10 @@ struct ProgramFacts
     /** Pass 4's diagnostics (SL001-SL004), in report order. */
     std::vector<Diagnostic> structure;
     /** Validation or routing failed: the verdict is kInvalid and
-     *  nothing below was derived. */
+     *  nothing below `competing` was derived. */
     bool invalid = false;
-    /** Every message's route. */
+    /** Every message's route (empty for an unroutable one); null when
+     *  validation failed. */
     const CompetingAnalysis* competing = nullptr;
     /** The basic crossing-off verdict. */
     bool basicDeadlockFree = false;
@@ -266,8 +267,8 @@ struct ProgramFacts
 /**
  * Derive the facts. @p validation is program.validate(topo.numCells()).
  * @p competing and @p labeling supply the routes and the default
- * labeling; each is called at most once, only for a valid program
- * whose every message routes.
+ * labeling; each is called at most once, @p competing only for a
+ * valid program and @p labeling only when every message routes.
  */
 ProgramFacts programFacts(
     const Program& program, const Topology& topo,

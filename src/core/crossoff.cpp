@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <memory>
+#include <utility>
 #include <unordered_map>
 
-#include "core/route.h"
+#include "core/competing.h"
 
 namespace syscomm {
 
@@ -29,16 +29,12 @@ unlimitedSkipBound()
 }
 
 SkipBoundFn
-routeCapacitySkipBound(const Program& program, const Topology& topo,
-                       int capacity_per_queue)
+routeCapacityBound(const CompetingAnalysis& competing,
+                   int capacity_per_queue)
 {
-    auto bounds = std::make_shared<std::vector<int>>();
-    bounds->reserve(program.numMessages());
-    for (const MessageDecl& m : program.messages()) {
-        Route route = computeRoute(topo, m.sender, m.receiver);
-        bounds->push_back(route.numHops() * capacity_per_queue);
-    }
-    return [bounds](MessageId id) { return (*bounds)[id]; };
+    return [&competing, capacity_per_queue](MessageId m) {
+        return competing.route(m).numHops() * capacity_per_queue;
+    };
 }
 
 // ---------------------------------------------------------------------

@@ -21,10 +21,11 @@
 #include <vector>
 
 #include "core/program.h"
-#include "core/topology.h"
 #include "core/types.h"
 
 namespace syscomm {
+
+class CompetingAnalysis; // core/competing.h
 
 /** Per-message bound on skipped writes (rule R2). */
 using SkipBoundFn = std::function<int(MessageId)>;
@@ -42,11 +43,11 @@ SkipBoundFn unlimitedSkipBound();
  * The paper's actual R2 bound: the total capacity of the queues the
  * message will cross, i.e. hops(route) * capacity_per_queue (each hop
  * holds one queue of the given capacity, including any memory-backed
- * extension).
+ * extension), read off routes already computed. @p competing must
+ * outlive the returned function.
  */
-SkipBoundFn routeCapacitySkipBound(const Program& program,
-                                   const Topology& topo,
-                                   int capacity_per_queue);
+SkipBoundFn routeCapacityBound(const CompetingAnalysis& competing,
+                               int capacity_per_queue);
 
 /** Options controlling a crossing-off run. */
 struct CrossOffOptions

@@ -41,8 +41,8 @@ struct Route
 };
 
 /**
- * Compute the deterministic minimum-length route between two cells.
- * Asserts that the cells are connected.
+ * Compute the deterministic minimum-length route between two cells:
+ * an empty route (no cells, no hops) when they are not connected.
  */
 Route computeRoute(const Topology& topo, CellId sender, CellId receiver);
 

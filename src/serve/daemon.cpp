@@ -1431,7 +1431,7 @@ SyscommDaemon::handleDrain()
 JsonValue
 SyscommDaemon::statsJson()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     JsonValue response = JsonValue::object();
     response.set("ok", JsonValue::boolean(true));
     response.set("control", JsonValue::str(control_.status()));
@@ -1496,16 +1496,30 @@ SyscommDaemon::statsJson()
 
     // Journal progress of every non-terminal sweep — how a drained
     // (or killed-and-restarted) daemon reports parked work without
-    // opening a single session.
-    JsonValue sweeps = JsonValue::array();
+    // opening a single session. Each walk reads and CRC-checks a
+    // whole journal, so, as in handleStatus, it runs unlocked over
+    // copies: the live parts may be freed once the lock is released.
+    struct LiveSweep
+    {
+        std::string id;
+        SubmissionState state;
+        std::string journalPath;
+    };
+    std::vector<LiveSweep> live;
     for (const auto& [id, sub] : liveSubs_) {
+        if (!sub->live->journalPath.empty())
+            live.push_back({id, sub->state, sub->live->journalPath});
+    }
+    lock.unlock();
+    JsonValue sweeps = JsonValue::array();
+    for (const LiveSweep& sweep : live) {
         JsonValue progress;
-        if (!journalProgress(sub->live->journalPath, progress))
+        if (!journalProgress(sweep.journalPath, progress))
             continue;
         JsonValue entry = JsonValue::object();
-        entry.set("id", JsonValue::str(id));
+        entry.set("id", JsonValue::str(sweep.id));
         entry.set("state",
-                  JsonValue::str(submissionStateName(sub->state)));
+                  JsonValue::str(submissionStateName(sweep.state)));
         entry.set("progress", std::move(progress));
         sweeps.push(std::move(entry));
     }

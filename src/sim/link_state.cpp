@@ -110,11 +110,4 @@ LinkState::finish(int slot, Cycle now)
     c.queueId = -1;
 }
 
-void
-LinkState::beginCycle(Cycle now)
-{
-    for (HwQueue& q : queues_)
-        q.beginCycle(now);
-}
-
 } // namespace syscomm::sim

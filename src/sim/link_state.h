@@ -124,14 +124,6 @@ class LinkState
      */
     void finish(int slot, Cycle now);
 
-    /**
-     * Settle the lazy per-queue statistics through the start of cycle
-     * @p now. The kernels no longer need a per-cycle call — queue
-     * mutations settle automatically — but tests drive queues through
-     * this legacy entry point.
-     */
-    void beginCycle(Cycle now);
-
   private:
     LinkIndex index_;
     Span<HwQueue> queues_;

@@ -186,12 +186,9 @@ class HwQueue
     /**
      * Settle the lazy busy/occupancy statistics through the start of
      * cycle @p now. Mutations settle automatically; call this once at
-     * end of run (and from the legacy beginCycle()).
+     * end of run.
      */
     void settleStats(Cycle now);
-
-    /** Legacy per-cycle entry point; now just settles lazy stats. */
-    void beginCycle(Cycle now) { settleStats(now); }
 
     /**
      * Fold the queue's machine-visible state (assignment, live FIFO

@@ -264,22 +264,28 @@ peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
 // ---------------------------------------------------------------------
 
 CompiledProgram::CompiledProgram(const Program& program,
-                                 SharedTopology topo,
-                                 std::vector<std::int64_t> labels,
-                                 bool precompute_labels)
+                                 SharedTopology topo)
     : program_(program), topo_(std::move(topo))
 {
     ++compiledBuilds;
-    if (!labels.empty()) {
-        labels_ = std::move(labels);
-        labelsGiven_ = true;
-    }
     validation_ = program.validate(topo_.numCells());
     if (!validation_.empty()) {
         firstError_ = "invalid program: " + validation_.front();
         return;
     }
+    // Routes are decided here, once: a message between cells the
+    // topology does not connect gets an empty route, which no session
+    // can run (analysis() reports it as SL002).
     competing_ = CompetingAnalysis::analyze(program, topo_);
+    for (const MessageDecl& decl : program.messages()) {
+        if (competing_.route(decl.id).empty()) {
+            firstError_ = "unroutable message: " + decl.name +
+                          " has no route from cell " +
+                          std::to_string(decl.sender) + " to cell " +
+                          std::to_string(decl.receiver);
+            return;
+        }
+    }
 
     // One pass over the route set derives every registration table a
     // session needs: crossings per link (arena span sizes), the
@@ -313,17 +319,13 @@ CompiledProgram::CompiledProgram(const Program& program,
         if (!program.cellOps(c).empty())
             programCells_.push_back(c);
     }
-    if (precompute_labels && !labelsGiven_)
-        (void)this->labels();
 }
 
 std::shared_ptr<const CompiledProgram>
-CompiledProgram::compile(const Program& program, SharedTopology topo,
-                         std::vector<std::int64_t> labels,
-                         bool precompute_labels)
+CompiledProgram::compile(const Program& program, SharedTopology topo)
 {
-    return std::make_shared<const CompiledProgram>(
-        program, std::move(topo), std::move(labels), precompute_labels);
+    return std::make_shared<const CompiledProgram>(program,
+                                                   std::move(topo));
 }
 
 const DefaultLabeling&
@@ -331,8 +333,7 @@ CompiledProgram::defaultLabeling() const
 {
     std::call_once(labelsOnce_, [this] {
         defaultLabeling_ = syscomm::defaultLabeling(program_);
-        if (!labelsGiven_)
-            labels_ = defaultLabeling_.labeling.normalized();
+        labels_ = defaultLabeling_.labeling.normalized();
     });
     return defaultLabeling_;
 }
@@ -340,7 +341,7 @@ CompiledProgram::defaultLabeling() const
 const std::vector<std::int64_t>&
 CompiledProgram::labels() const
 {
-    if (labelsGiven_ || !valid())
+    if (!valid())
         return labels_;
     (void)defaultLabeling();
     return labels_;
@@ -684,22 +685,11 @@ struct SimSession::Impl
     }
 
     /**
-     * The session's default labels: a SessionOptions override wins,
-     * else the shared CompiledProgram's (lazy, computed at most once
-     * per compiled program — not per session).
-     */
-    const std::vector<std::int64_t>&
-    defaultLabels() const
-    {
-        if (!options.labels.empty())
-            return options.labels;
-        return compiled->labels();
-    }
-
-    /**
      * Labels this run sees: an explicit request override is always
-     * honored; otherwise the session defaults, resolved only when the
-     * run actually needs labels (the compatible policies).
+     * honored; otherwise the compiled program's default labels
+     * (computed at most once per compiled program, not per session),
+     * resolved only when the run actually needs labels (the
+     * compatible policies).
      * A label-free run reports no labels — regardless of what earlier
      * runs resolved — so identical requests always produce identical
      * results (and match a fresh session's).
@@ -711,7 +701,7 @@ struct SimSession::Impl
             return request.labels;
         if (!needed)
             return kNoLabels;
-        return defaultLabels();
+        return compiled->labels();
     }
 
     AssignmentPolicy&
@@ -2339,9 +2329,8 @@ struct SimSession::Impl
 SimSession::SimSession(const Program& program, const MachineSpec& spec,
                        SessionOptions options)
     : impl_(std::make_unique<Impl>(
-          CompiledProgram::compile(program, spec.topo, options.labels,
-                                   options.precomputeLabels),
-          spec, std::move(options)))
+          CompiledProgram::compile(program, spec.topo), spec,
+          std::move(options)))
 {}
 
 SimSession::SimSession(std::shared_ptr<const CompiledProgram> compiled,
@@ -2422,7 +2411,7 @@ SimSession::labels()
 {
     if (!impl_->configOk)
         return kNoLabels;
-    return impl_->defaultLabels();
+    return impl_->compiled->labels();
 }
 
 int

@@ -53,14 +53,15 @@ namespace syscomm::sim {
 /**
  * The program-side compile analyses a SimSession runs over: program
  * validation, the competing-message analysis (routes), the default
- * labeling, and the route-derived registration tables (crossings per
- * link, first/last-hop endpoints, routed links, program-bearing
- * cells). None of it depends on the machine's queue resources — only
- * on the Program and the Topology — so a sweep over machine *shapes*
- * (queue count / capacity / buffering ladders, the paper's central
- * experiments) can compile once and hand the same CompiledProgram to
- * every per-shape session instead of re-running the analyses per
- * shape. ShapeSweep (sim/shape_sweep.h) is built on exactly that.
+ * labeling (computed on first use), and the route-derived
+ * registration tables (crossings per link, first/last-hop endpoints,
+ * routed links, program-bearing cells). None of it depends on the
+ * machine's queue resources — only on the Program and the Topology —
+ * so a sweep over machine *shapes* (queue count / capacity /
+ * buffering ladders, the paper's central experiments) can compile
+ * once and hand the same CompiledProgram to every per-shape session
+ * instead of re-running the analyses per shape. ShapeSweep
+ * (sim/shape_sweep.h) is built on exactly that.
  *
  * Thread-safety: a CompiledProgram is immutable after construction
  * except for the lazily computed default labeling, guarded by a
@@ -76,44 +77,35 @@ namespace syscomm::sim {
 class CompiledProgram
 {
   public:
-    /**
-     * Run the analyses. @p labels, when non-empty, becomes the
-     * default labeling verbatim; otherwise @p precompute_labels picks
-     * between computing the section 6 labeling now or on first use.
-     */
-    CompiledProgram(const Program& program, SharedTopology topo,
-                    std::vector<std::int64_t> labels = {},
-                    bool precompute_labels = true);
+    /** Validate the program, route its messages and build the tables. */
+    CompiledProgram(const Program& program, SharedTopology topo);
 
     /** Convenience: compile into a shareable handle. */
     static std::shared_ptr<const CompiledProgram>
-    compile(const Program& program, SharedTopology topo,
-            std::vector<std::int64_t> labels = {},
-            bool precompute_labels = true);
+    compile(const Program& program, SharedTopology topo);
 
     const Program& program() const { return program_; }
     const Topology& topo() const { return topo_; }
     /** The shared topology node (alias it, don't copy it). */
     const SharedTopology& sharedTopo() const { return topo_; }
 
-    /** Did program validation pass? */
-    bool valid() const { return validation_.empty(); }
-    /** First validation error ("" when valid). */
+    /**
+     * Did program validation pass, and does every message route on
+     * the topology? A session over an invalid compile answers every
+     * run with kConfigError.
+     */
+    bool valid() const { return firstError_.empty(); }
+    /** The first validation or routing error ("" when valid). */
     const std::string& error() const { return firstError_; }
-    /** All validation errors. */
-    const std::vector<std::string>& validation() const
-    {
-        return validation_;
-    }
 
     const CompetingAnalysis& competing() const { return competing_; }
 
     /**
-     * The labeling sessions run with: the explicit labels, else the
-     * normalized default labeling (core/labeling.h: section 6 with
-     * trivial fallback). The default labeling is computed at most
-     * once and is the very one analysis() checks; safe to call from
-     * concurrent sessions.
+     * The labeling sessions run with unless a RunRequest overrides
+     * it: the normalized default labeling (core/labeling.h: section 6
+     * with trivial fallback), empty for an invalid compile. It is
+     * computed on first use, at most once, and is the very one
+     * analysis() checks; safe to call from concurrent sessions.
      */
     const std::vector<std::int64_t>& labels() const;
 
@@ -202,9 +194,8 @@ class CompiledProgram
 
     mutable std::once_flag labelsOnce_;
     mutable DefaultLabeling defaultLabeling_;
-    /** labels(): the explicit labels, or defaultLabeling_ normalized. */
+    /** labels(): defaultLabeling_ normalized. */
     mutable std::vector<std::int64_t> labels_;
-    bool labelsGiven_ = false;
 
     /** Memoized static analysis; see analysis(). */
     mutable std::mutex analysisMutex_;
@@ -326,24 +317,13 @@ class RunObserver
 
 /**
  * Session-scoped configuration: everything that shapes the
- * compiled/allocated machine state shared by every run.
+ * compiled/allocated machine state shared by every run. Labels are
+ * not among it: a session runs with its compiled program's default
+ * labeling, and RunRequest::labels overrides it for one run.
  */
 struct SessionOptions
 {
     KernelKind kernel = KernelKind::kEventDriven;
-    /**
-     * Default labels per MessageId for the compatible policies (and
-     * what SimSession::labels() hands an auditing caller). Left
-     * empty, the session computes them with the section 6 scheme
-     * (trivial fallback) — once, not per run.
-     */
-    std::vector<std::int64_t> labels;
-    /**
-     * Compute the default labeling at construction. Turn off for
-     * sweeps that never need labels (pure FCFS/random baselines); a
-     * run that does need them still computes them lazily, once.
-     */
-    bool precomputeLabels = true;
     /** Memory-to-memory communication model (Fig. 1 baseline). */
     bool memoryToMemory = false;
     /** Cycles per local memory access in memory-to-memory mode. */
@@ -356,7 +336,10 @@ struct RunRequest
     PolicyKind policy = PolicyKind::kCompatible;
     std::uint64_t seed = 1;
     Cycle maxCycles = 1'000'000;
-    /** Labels override for this run; empty = the session's labels. */
+    /**
+     * The one label override: labels per MessageId for this run;
+     * empty = the session's (CompiledProgram::labels()).
+     */
     std::vector<std::int64_t> labels;
     /**
      * Optional streaming sink (a RunLog records everything); must
@@ -501,10 +484,7 @@ class SimSession
      * the shape-sweep constructor. @p compiled must be non-null and
      * its topology must structurally match @p spec.topo (same cells,
      * same links) — a mismatch makes the session invalid, it never
-     * runs on foreign routes. SessionOptions::labels still overrides
-     * the compiled default labeling for this session;
-     * SessionOptions::precomputeLabels is ignored (the shared object
-     * owns that choice).
+     * runs on foreign routes.
      */
     SimSession(std::shared_ptr<const CompiledProgram> compiled,
                const MachineSpec& spec, SessionOptions options = {});
@@ -584,8 +564,8 @@ class SimSession
     /** The compile analyses this session runs over (never null). */
     const std::shared_ptr<const CompiledProgram>& compiled() const;
     /**
-     * The session's default labels (computes them on first use if
-     * construction skipped them).
+     * The session's default labels: its compiled program's labels()
+     * (computed on first use), empty when the session is invalid.
      */
     const std::vector<std::int64_t>& labels();
     /** run() calls so far (config-error runs included). */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -253,9 +252,10 @@ configDigest(const Program& program, const Topology& topo,
     }
     h = fnv(h, session.memoryToMemory ? 1 : 0);
     h = fnv(h, static_cast<std::uint64_t>(session.memAccessCost));
-    h = fnv(h, session.labels.size());
-    for (std::int64_t label : session.labels)
-        h = fnv(h, static_cast<std::uint64_t>(label));
+    // The retired session-wide label override, hashed as the empty
+    // vector every journaled sweep had, so existing journals still
+    // resume.
+    h = fnv(h, std::uint64_t{0});
     h = fnvString(h, program_version);
     h = fnv(h, static_cast<std::uint64_t>(topo.numCells()));
     h = fnv(h, static_cast<std::uint64_t>(topo.numLinks()));
@@ -480,63 +480,45 @@ struct ShapeSweep::Journal
 };
 
 /**
- * A bounded pool of sessions over one shape. Work-stealing hands out
- * (shape × request) cells, so several workers can land on the same
- * shape at once; each checks a session out per cell (building one
- * lazily while under the bound, blocking for a peer's check-in at
- * it). SimSession::run() fully resets machine state, so *which*
- * pooled session a cell gets cannot affect its result — the
- * bit-identity suite runs the same grid at 1 and N workers and
- * compares digests. Sessions persist in `idle` across run() calls:
- * the compile-once/run-many caching the sweep always had, just N-wide.
+ * The idle sessions of one shape. Work-stealing hands out (shape ×
+ * request) cells, so several workers can land on the same shape at
+ * once; each checks a session out per cell, popping an idle one or
+ * building one. A worker holds at most one session at a time, so a
+ * shape never has more sessions than there are workers.
+ * SimSession::run() fully resets machine state, so *which* pooled
+ * session a cell gets cannot affect its result — the bit-identity
+ * suite runs the same grid at 1 and N workers and compares digests.
+ * Sessions persist in `idle` across run() calls: the
+ * compile-once/run-many caching the sweep always had, just N-wide.
  */
 struct ShapeSweep::ShapePool
 {
     std::mutex mutex;
-    std::condition_variable cv;
     std::vector<std::unique_ptr<SimSession>> idle;
-    /** Sessions ever built; construction is gated by the bound. */
-    int built = 0;
 
     template <typename Make>
     std::unique_ptr<SimSession>
-    checkout(int bound, Make&& make)
+    checkout(Make&& make)
     {
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
             if (!idle.empty()) {
                 std::unique_ptr<SimSession> s = std::move(idle.back());
                 idle.pop_back();
                 return s;
             }
-            if (built < bound) {
-                ++built;
-                lock.unlock();
-                // Construct outside the lock — building a session
-                // over a big machine allocates arenas and must not
-                // stall peers returning theirs.
-                try {
-                    return make();
-                } catch (...) {
-                    lock.lock();
-                    --built;
-                    lock.unlock();
-                    cv.notify_one();
-                    throw;
-                }
-            }
-            cv.wait(lock);
         }
+        // Construct outside the lock — building a session over a big
+        // machine allocates arenas and must not stall peers returning
+        // theirs.
+        return make();
     }
 
     void
     checkin(std::unique_ptr<SimSession> s)
     {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            idle.push_back(std::move(s));
-        }
-        cv.notify_one();
+        std::lock_guard<std::mutex> lock(mutex);
+        idle.push_back(std::move(s));
     }
 };
 
@@ -593,11 +575,8 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
     }
 
     // The whole point: one compile pass serves every shape.
-    if (!compiled_) {
-        compiled_ = CompiledProgram::compile(
-            program_, topo_, options_.session.labels,
-            options_.session.precomputeLabels);
-    }
+    if (!compiled_)
+        compiled_ = CompiledProgram::compile(program_, topo_);
 
     // Multi-process sharding: this run owns the half-open cell range
     // [shardBegin, shardEnd) of the shape-major grid; an unsharded
@@ -735,14 +714,6 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         classes.end());
 
     const int workers = clampWorkers(options_.numWorkers, classes.size());
-    // Sessions checked out per cell, at most this many live per
-    // shape. More than one per worker can never run concurrently.
-    int sessionBound = options_.maxSessionsPerShape > 0
-                           ? options_.maxSessionsPerShape
-                           : workers;
-    sessionBound = std::min(sessionBound, workers);
-    if (sessionBound < 1)
-        sessionBound = 1;
 
     std::atomic<std::size_t> restored{0};
     std::atomic<std::size_t> shared{0};
@@ -785,7 +756,7 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                     pool.checkin(std::move(session));
             }
         } lease{shapePool,
-                shapePool.checkout(sessionBound, [&] {
+                shapePool.checkout([&] {
                     return std::make_unique<SimSession>(
                         compiled_, specs_[s], options_.session);
                 })};

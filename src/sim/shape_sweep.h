@@ -14,10 +14,9 @@
  * program exactly once into a shared CompiledProgram and fans the
  * (shape × request) grid across a WorkerPool (sim/batch.h) at *cell*
  * granularity: each grid cell is one work item, and a small
- * per-shape session pool (sessions lazily cloned from the
- * shared CompiledProgram, bounded by maxSessionsPerShape, checked out
- * per cell) lets several workers chew on one giant rung while the
- * tiny rungs drain. A skewed ladder — one 64k-cycle rung plus a pile
+ * per-shape session pool (sessions lazily built over the shared
+ * CompiledProgram, at most one per worker, checked out per cell) lets
+ * several workers chew on one giant rung while the tiny rungs drain. A skewed ladder — one 64k-cycle rung plus a pile
  * of 256-cycle ones — no longer serializes on the worker that claimed
  * the giant shape. Results still land in grid order, runs are
  * bit-identical at any worker count, and the scheduler is TSan-clean
@@ -96,8 +95,9 @@ struct ShapeSweepOptions
 {
     /**
      * Session config shared by every per-shape session (kernel,
-     * label override, memory model). The program-side pieces (labels,
-     * precomputeLabels) parameterize the one shared CompiledProgram.
+     * memory model). Every session runs with the shared
+     * CompiledProgram's labels unless a request overrides them
+     * (RunRequest::labels).
      */
     SessionOptions session;
     /** Worker threads; <= 0 picks hardware_concurrency() (which is 1
@@ -106,16 +106,6 @@ struct ShapeSweepOptions
      *  one-shape sweep with many requests. numWorkers == 1 runs
      *  inline on the calling thread without spawning anything. */
     int numWorkers = 0;
-    /**
-     * Upper bound on live sessions per shape (a session is
-     * single-threaded, so one is checked out of the shape's pool per
-     * in-flight cell). <= 0 means "as many as there are workers".
-     * The bound trades memory for giant-rung parallelism: sessions
-     * are lazily built on first checkout and cached across run()
-     * calls, and a worker that finds the pool empty at the bound
-     * blocks until a peer checks one back in.
-     */
-    int maxSessionsPerShape = 0;
     /**
      * Multi-process sharding: when shardEnd > shardBegin, this run
      * only executes grid cells in [shardBegin, shardEnd) of the
@@ -384,10 +374,6 @@ class ShapeSweep
      * CompiledProgram to every submission of the same program, and
      * its sweeps must not recompile per submission. @p compiled must
      * be non-null; the Program it references must outlive the sweep.
-     * SessionOptions::precomputeLabels in @p options is ignored (the
-     * shared object owns that choice); SessionOptions::labels still
-     * overrides the compiled default labeling in every per-shape
-     * session.
      */
     ShapeSweep(std::shared_ptr<const CompiledProgram> compiled,
                std::vector<ShapeSpec> shapes,
@@ -428,8 +414,8 @@ class ShapeSweep
     std::vector<MachineSpec> specs_;
     std::shared_ptr<const CompiledProgram> compiled_;
     /** One session pool per shape: sessions are lazily built on
-     *  first checkout (bounded by maxSessionsPerShape) and cached
-     *  across run() calls. */
+     *  first checkout (at most one per worker) and cached across
+     *  run() calls. */
     std::vector<std::unique_ptr<ShapePool>> pools_;
     WorkerPool pool_;
 };

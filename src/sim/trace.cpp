@@ -151,11 +151,9 @@ idealCycles(const Program& program, const Topology& topo)
     spec.queueCapacity =
         std::max<int>(1, static_cast<int>(std::min<std::int64_t>(
                              total_words, 1 << 20)));
-    // Unobserved run: idealCycles only needs the cycle count,
-    // and the static policy never needs labels — skip the labeler.
-    SessionOptions options;
-    options.precomputeLabels = false;
-    SimSession session(program, spec, options);
+    // Unobserved run: idealCycles only needs the cycle count, and
+    // the static policy never needs labels, so none are computed.
+    SimSession session(program, spec);
     RunRequest request;
     request.policy = PolicyKind::kStatic;
     RunResult r = session.run(request);

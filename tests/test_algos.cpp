@@ -12,7 +12,6 @@
 #include "algos/matvec.h"
 #include "algos/sort.h"
 #include "algos/streams.h"
-#include "core/compile.h"
 #include "core/crossoff.h"
 #include "sim/session.h"
 #include "test_support.h"
@@ -48,11 +47,13 @@ TEST_P(ConvSweep, MatchesReference)
     EXPECT_TRUE(isDeadlockFree(p));
 
     MachineSpec machine = machineFor(algos::convTopology(spec));
-    CompilePlan plan = compileProgram(p, machine);
-    ASSERT_TRUE(plan.ok) << plan.error;
+    sim::SimSession session(p, machine);
+    const auto report = session.compiled()->analysis(machine);
+    ASSERT_EQ(report->verdict, LintVerdict::kCertified)
+        << report->render(p);
 
     sim::RunLog log(p);
-    sim::RunResult r = sim::SimSession(p, machine).run(observedBy(log));
+    sim::RunResult r = session.run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     std::vector<double> expected = algos::convReference(spec);
     for (int i = 1; i <= outputs; ++i) {

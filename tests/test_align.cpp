@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/align.h"
-#include "core/compile.h"
 #include "core/crossoff.h"
 #include "core/related.h"
 #include "sim/session.h"
@@ -82,12 +81,15 @@ TEST(Lcs, CharAndRowStreamsAreRelated)
     MachineSpec machine;
     machine.topo = algos::alignTopology(spec);
     machine.queuesPerLink = 2;
-    CompilePlan plan = compileProgram(p, machine);
-    ASSERT_TRUE(plan.ok) << plan.error;
-    EXPECT_EQ(plan.dynamicFeasibility.requiredQueuesPerLink, 2);
+    const auto compiled = sim::CompiledProgram::compile(p, machine.topo);
+    const auto report = compiled->analysis(machine);
+    ASSERT_EQ(report->verdict, LintVerdict::kCertified)
+        << report->render(p);
+    EXPECT_EQ(report->requiredQueuesPerLink, 2);
 
     machine.queuesPerLink = 1;
-    EXPECT_FALSE(compileProgram(p, machine).ok);
+    EXPECT_NE(compiled->analysis(machine)->verdict,
+              LintVerdict::kCertified);
 }
 
 TEST(Lcs, LongerSequencesStillExact)

@@ -10,11 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "algos/fir.h"
+#include "algos/paper_figures.h"
 #include "core/analyze.h"
+#include "core/competing.h"
+#include "core/labeling.h"
 #include "core/program.h"
 #include "core/topology.h"
 #include "text/parser.h"
@@ -242,6 +247,84 @@ TEST(Analyze, ComputePinIsInfoOnly)
         if (diag.rule == LintRule::kComputePin) {
             EXPECT_EQ(diag.severity, Severity::kInfo);
         }
+    }
+}
+
+/** One program at one machine shape, and what the analysis says. */
+struct ShapeCase
+{
+    const char* name;
+    Program program;
+    Topology topo;
+    int queues;
+    int capacity;
+    LintVerdict verdict;
+    /** A rule the report must carry. */
+    std::optional<LintRule> rule;
+    /** Does the trivial labeling meet condition (ii) at the shape? */
+    bool trivialFits;
+};
+
+ShapeCase
+firCase(int taps)
+{
+    const algos::FirSpec spec = algos::FirSpec::random(taps, 6, 42);
+    return {"fir", algos::makeFirProgram(spec), algos::firTopology(taps),
+            2, 1, LintVerdict::kCertified, std::nullopt, true};
+}
+
+TEST(Analyze, PaperFiguresAtTheirShapes)
+{
+    const ShapeCase cases[] = {
+        {"fig2", algos::fig2FirProgram(), algos::fig2Topology(), 2, 1,
+         LintVerdict::kCertified, std::nullopt, true},
+        // P1 needs two words of buffering per queue (section 8.1).
+        {"fig5 P1 cap 1", algos::fig5P1(), algos::fig5Topology(), 2, 1,
+         LintVerdict::kDeadlock, LintRule::kDeadlockWitness, true},
+        {"fig5 P1 cap 2", algos::fig5P1(), algos::fig5Topology(), 2, 2,
+         LintVerdict::kUnknown, LintRule::kLookaheadOnly, true},
+        // A and B are related: one label, two queues on one link.
+        {"fig8 q1", algos::fig8Program(), algos::fig8Topology(), 1, 1,
+         LintVerdict::kUnknown, LintRule::kQueueInfeasible, false},
+        // Section 6 labels fit one queue per link; all-equal labels
+        // need a queue per competing message.
+        {"fig7 q1", algos::fig7Program(), algos::fig7Topology(), 1, 1,
+         LintVerdict::kCertified, std::nullopt, false},
+        firCase(1),
+        firCase(2),
+        firCase(4),
+        firCase(8),
+    };
+    for (const ShapeCase& c : cases) {
+        const std::string ctx = std::string(c.name) + " on " +
+                                std::to_string(c.program.numCells()) +
+                                " cells";
+        ASSERT_TRUE(c.program.valid()) << ctx;
+        AnalyzeOptions shape;
+        shape.queuesPerLink = c.queues;
+        shape.queueCapacity = c.capacity;
+        const AnalysisReport report =
+            analyzeProgram(c.program, c.topo, shape);
+        EXPECT_EQ(report.verdict, c.verdict)
+            << ctx << "\n"
+            << report.render(c.program);
+        if (c.rule) {
+            EXPECT_TRUE(hasRule(report, *c.rule)) << ctx;
+        }
+        if (c.verdict == LintVerdict::kCertified) {
+            EXPECT_FALSE(report.labelingFellBack) << ctx;
+        }
+
+        MachineSpec spec;
+        spec.topo = c.topo;
+        spec.queuesPerLink = c.queues;
+        spec.queueCapacity = c.capacity;
+        EXPECT_EQ(checkDynamicFeasibility(
+                      CompetingAnalysis::analyze(c.program, c.topo),
+                      trivialLabeling(c.program).labels, spec)
+                      .feasible,
+                  c.trivialFits)
+            << ctx;
     }
 }
 

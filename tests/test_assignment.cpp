@@ -179,11 +179,11 @@ TEST(CompatiblePolicyT, LargerLabelProceedsAfterRelease)
     EXPECT_EQ(decidedMsg(link, decisions[0]), 0);
 
     // Pass message 0's single word through and release its queue.
-    link.beginCycle(3);
+    link.queue(0).settleStats(3);
     Word w;
     w.msg = 0;
     link.queue(0).push(w, 3);
-    link.beginCycle(4);
+    link.queue(0).settleStats(4);
     (void)link.queue(0).pop(4);
     link.finish(s0, 4);
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/paper_figures.h"
-#include "core/compile.h"
 #include "core/crossoff.h"
 #include "sim/session.h"
 
@@ -104,19 +103,17 @@ TEST(Buffering, PureHardwareBeatsExtensionAtEqualCapacity)
     EXPECT_LE(hw.cycles, ext.cycles);
 }
 
-TEST(Buffering, CompileLookaheadUsesTotalCapacity)
+TEST(Buffering, LookaheadAnalysisUsesTotalCapacity)
 {
     Program p = algos::fig5P1(); // needs 2 words of buffering
-    CompileOptions options;
-    options.lookahead = true;
-
     MachineSpec m1 = machine(2, 1, 0);
     m1.topo = algos::fig5Topology();
-    EXPECT_FALSE(compileProgram(p, m1, options).ok);
-
     MachineSpec m2 = machine(2, 1, 1);
-    m2.topo = algos::fig5Topology();
-    EXPECT_TRUE(compileProgram(p, m2, options).ok);
+    m2.topo = m1.topo;
+
+    const auto compiled = sim::CompiledProgram::compile(p, m1.topo);
+    EXPECT_EQ(compiled->analysis(m1)->verdict, LintVerdict::kDeadlock);
+    EXPECT_NE(compiled->analysis(m2)->verdict, LintVerdict::kDeadlock);
 }
 
 TEST(Buffering, DeeperQueuesNeverBreakCompletion)

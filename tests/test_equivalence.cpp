@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(Capacities, Equivalence,
 /**
  * Multi-hop variant: random programs over a 4-cell line with shuffled
  * per-cell interleavings; the R2 bound is hops * capacity per message
- * (routeCapacitySkipBound), queues are dedicated (static policy).
+ * (routeCapacityBound), queues are dedicated (static policy).
  */
 Program
 randomLineProgram(int cells, int num_messages, int max_words,
@@ -150,13 +150,12 @@ TEST(Equivalence, MultiHopRouteCapacityBoundMatchesRuntime)
         for (int capacity : {1, 2}) {
             Program p = randomLineProgram(4, 4, 3, seed * 13 + 1);
 
+            auto analysis = CompetingAnalysis::analyze(p, topo);
             CrossOffOptions options;
             options.lookahead = true;
-            options.skip_bound =
-                routeCapacitySkipBound(p, topo, capacity);
+            options.skip_bound = routeCapacityBound(analysis, capacity);
             bool classified_free = crossOff(p, options).deadlockFree;
 
-            auto analysis = CompetingAnalysis::analyze(p, topo);
             MachineSpec spec;
             spec.topo = topo;
             spec.queuesPerLink = std::max(1, analysis.maxOnLink());

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/fir.h"
-#include "core/compile.h"
 #include "core/crossoff.h"
 #include "sim/session.h"
 #include "test_support.h"
@@ -37,19 +36,17 @@ TEST_P(FirSweep, EndToEnd)
     MachineSpec machine;
     machine.topo = firTopology(taps);
     machine.queuesPerLink = 2;
-    CompilePlan plan = compileProgram(p, machine);
-    ASSERT_TRUE(plan.ok) << plan.error;
-    EXPECT_FALSE(plan.usedTrivialFallback);
-
     sim::SimSession session(p, machine);
+    const auto report = session.compiled()->analysis(machine);
+    ASSERT_EQ(report->verdict, LintVerdict::kCertified)
+        << report->render(p);
+    EXPECT_FALSE(report->labelingFellBack);
+
     sim::RunLog log(p);
-    sim::RunRequest request;
-    request.labels = plan.normalizedLabels;
-    request.observer = &log;
-    sim::RunResult r = session.run(request);
+    sim::RunResult r = session.run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
     EXPECT_TRUE(sim::auditAssignments(p, session.compiled()->competing(),
-                                      request.labels, log.events)
+                                      r.labelsUsed, log.events)
                     .compatible);
 
     auto y = *p.messageByName(algos::firHostOutputMessage());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "algos/paper_figures.h"
+#include "core/competing.h"
 #include "core/crossoff.h"
 
 namespace syscomm {
@@ -106,8 +107,9 @@ TEST(Lookahead, RouteCapacityBoundUsesHopCount)
     MessageId m = p.declareMessage("M", 0, 3);
     p.write(0, m);
     p.read(3, m);
-    Topology topo = Topology::linearArray(4);
-    SkipBoundFn bound = routeCapacitySkipBound(p, topo, 2);
+    const CompetingAnalysis competing =
+        CompetingAnalysis::analyze(p, Topology::linearArray(4));
+    SkipBoundFn bound = routeCapacityBound(competing, 2);
     EXPECT_EQ(bound(m), 6);
 }
 

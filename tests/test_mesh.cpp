@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/mesh_matmul.h"
-#include "core/compile.h"
 #include "core/crossoff.h"
 #include "core/label_verify.h"
 #include "core/program_gen.h"
@@ -33,13 +32,13 @@ TEST_P(MatMulSweep, MatchesReference)
     MachineSpec machine;
     machine.topo = algos::matmulTopology(spec);
     machine.queuesPerLink = 4;
-    CompilePlan plan = compileProgram(p, machine);
-    ASSERT_TRUE(plan.ok) << plan.error;
+    sim::SimSession session(p, machine);
+    const auto report = session.compiled()->analysis(machine);
+    ASSERT_EQ(report->verdict, LintVerdict::kCertified)
+        << report->render(p);
 
     sim::RunLog log(p);
-    sim::RunRequest request = observedBy(log);
-    request.labels = plan.normalizedLabels;
-    sim::RunResult r = sim::SimSession(p, machine).run(request);
+    sim::RunResult r = session.run(observedBy(log));
     ASSERT_EQ(r.status, RunStatus::kCompleted) << r.statusStr();
 
     std::vector<double> got =

@@ -56,14 +56,14 @@ TEST(HwQueue, AssignmentLifecycle)
     EXPECT_EQ(q.wordsRemaining(), 2);
     EXPECT_FALSE(q.canRelease());
 
-    q.beginCycle(1);
+    q.settleStats(1);
     q.push(word(3, 0), 1);
-    q.beginCycle(2);
+    q.settleStats(2);
     (void)q.pop(2);
     EXPECT_FALSE(q.canRelease()); // one word still to pass
-    q.beginCycle(3);
+    q.settleStats(3);
     q.push(word(3, 1), 3);
-    q.beginCycle(4);
+    q.settleStats(4);
     (void)q.pop(4);
     EXPECT_TRUE(q.canRelease());
     q.release(4);
@@ -76,10 +76,10 @@ TEST(HwQueue, WordNotVisibleSameCycle)
     TestQueue tq(2, 0, 0);
     HwQueue& q = tq.q;
     q.assign(1, LinkDir::kForward, 1, 0);
-    q.beginCycle(1);
+    q.settleStats(1);
     q.push(word(1, 0), 1);
     EXPECT_FALSE(q.canPop(1)); // pushed this cycle
-    q.beginCycle(2);
+    q.settleStats(2);
     EXPECT_TRUE(q.canPop(2));
 }
 
@@ -88,12 +88,12 @@ TEST(HwQueue, OnePushOnePopPerCycle)
     TestQueue tq(4, 0, 0);
     HwQueue& q = tq.q;
     q.assign(1, LinkDir::kForward, 4, 0);
-    q.beginCycle(1);
+    q.settleStats(1);
     q.push(word(1, 0), 1);
     EXPECT_FALSE(q.canPush()); // already pushed this cycle
-    q.beginCycle(2);
+    q.settleStats(2);
     q.push(word(1, 1), 2);
-    q.beginCycle(3);
+    q.settleStats(3);
     (void)q.pop(3);
     EXPECT_FALSE(q.canPop(3)); // already popped this cycle
 }
@@ -104,11 +104,11 @@ TEST(HwQueue, CapacityIncludesExtension)
     HwQueue& q = tq.q;
     q.assign(1, LinkDir::kForward, 3, 0);
     EXPECT_EQ(q.totalCapacity(), 3);
-    q.beginCycle(1);
+    q.settleStats(1);
     q.push(word(1, 0), 1);
-    q.beginCycle(2);
+    q.settleStats(2);
     q.push(word(1, 1), 2); // spills into extension
-    q.beginCycle(3);
+    q.settleStats(3);
     q.push(word(1, 2), 3);
     EXPECT_TRUE(q.isFull());
     EXPECT_EQ(q.extendedWords(), 2);
@@ -119,18 +119,18 @@ TEST(HwQueue, ExtensionPenaltyDelaysFront)
     TestQueue tq(1, 1, 3);
     HwQueue& q = tq.q;
     q.assign(1, LinkDir::kForward, 2, 0);
-    q.beginCycle(1);
+    q.settleStats(1);
     q.push(word(1, 0), 1); // hardware slot
-    q.beginCycle(2);
+    q.settleStats(2);
     q.push(word(1, 1), 2); // extension slot
-    q.beginCycle(3);
+    q.settleStats(3);
     (void)q.pop(3); // word 0 pops normally
     // Word 1 surfaced at cycle 3 having been extended: ready at 3 + 3.
-    q.beginCycle(4);
+    q.settleStats(4);
     EXPECT_FALSE(q.canPop(4));
-    q.beginCycle(5);
+    q.settleStats(5);
     EXPECT_FALSE(q.canPop(5));
-    q.beginCycle(6);
+    q.settleStats(6);
     EXPECT_TRUE(q.canPop(6));
     EXPECT_EQ(q.pop(6).seq, 1);
 }
@@ -139,11 +139,11 @@ TEST(HwQueue, StatsAccumulate)
 {
     TestQueue tq(2, 0, 0);
     HwQueue& q = tq.q;
-    q.beginCycle(1); // free: no busy cycle
+    q.settleStats(1); // free: no busy cycle
     q.assign(1, LinkDir::kForward, 1, 1);
-    q.beginCycle(2);
+    q.settleStats(2);
     q.push(word(1, 0), 2);
-    q.beginCycle(3);
+    q.settleStats(3);
     EXPECT_EQ(q.busyCycles(), 2);
     EXPECT_EQ(q.occupancySum(), 1); // one word during cycle 3
     EXPECT_EQ(q.wordsPushed(), 1);
@@ -171,9 +171,9 @@ TEST(LinkStateT, RequestAssignFinish)
     EXPECT_EQ(link.queue(0).assignedMsg(), 5);
     EXPECT_EQ(link.queue(0).slot(), slot); // the queue knows its crossing
 
-    link.beginCycle(5);
+    link.queue(0).settleStats(5);
     link.queue(0).push(word(5, 0), 5);
-    link.beginCycle(6);
+    link.queue(0).settleStats(6);
     (void)link.queue(0).pop(6);
     link.finish(slot, 6);
     EXPECT_EQ(c.phase, CrossingPhase::kDone);

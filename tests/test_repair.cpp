@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/paper_figures.h"
-#include "core/compile.h"
 #include "core/crossoff.h"
 #include "core/program_gen.h"
 #include "core/repair.h"
@@ -131,18 +130,17 @@ TEST(Repair, RepairedRandomProgramsCompleteOnBothKernels)
         ASSERT_TRUE(isDeadlockFree(r.program)) << "seed " << seed;
         ASSERT_TRUE(isReorderingOf(broken, r.program)) << "seed " << seed;
 
-        CompilePlan plan = compileProgram(r.program, machine);
-        ASSERT_TRUE(plan.labeling.success) << "seed " << seed;
-        if (!plan.dynamicFeasibility.feasible) {
+        sim::SessionOptions eventKernel;
+        eventKernel.kernel = sim::KernelKind::kEventDriven;
+        sim::SimSession event(r.program, machine, eventKernel);
+        const TheoremLabels labels =
+            theoremLabels(*event.compiled(), machine);
+        if (!labels.feasible) {
             ++skipped;
             continue;
         }
         sim::RunRequest request;
-        request.labels = plan.normalizedLabels;
-
-        sim::SessionOptions eventKernel;
-        eventKernel.kernel = sim::KernelKind::kEventDriven;
-        sim::SimSession event(r.program, machine, eventKernel);
+        request.labels = labels.labels;
         sim::RunResult eventRun = event.run(request);
         ASSERT_EQ(eventRun.status, sim::RunStatus::kCompleted)
             << "seed " << seed << "\n"

@@ -58,17 +58,6 @@ perturbedProgram(std::uint64_t seed)
     return perturbProgram(p, static_cast<int>(1 + seed % 4), seed);
 }
 
-/** Options for the fresh baselines: labels are computed on the first
- *  run that needs them instead of at construction. Comparing against a
- *  default (eager) session pins that precomputeLabels changes when
- *  labels are computed, never what a run returns. */
-SessionOptions
-lazyLabels(SessionOptions session = {})
-{
-    session.precomputeLabels = false;
-    return session;
-}
-
 MachineSpec
 smallSpec(int cells, int queues, int capacity)
 {
@@ -109,7 +98,7 @@ TEST(SimSession, RerunIsBitIdenticalToFreshSimulator)
             RunResult first = reused.run(observedBy(firstLog, request));
             RunResult second = reused.run(observedBy(secondLog, request));
             RunResult third = reused.run(observedBy(thirdLog, request));
-            RunResult fresh = SimSession(p, spec, lazyLabels(session))
+            RunResult fresh = SimSession(p, spec, session)
                                   .run(observedBy(freshLog, request));
 
             std::string ctx =
@@ -146,8 +135,8 @@ TEST(SimSession, InterleavedSeedsDoNotLeakState)
         request.policy = PolicyKind::kRandom;
         request.seed = seeds[i];
         request.maxCycles = 20'000;
-        fresh.push_back(SimSession(p, spec, lazyLabels())
-                            .run(observedBy(freshLogs[i], request)));
+        fresh.push_back(
+            SimSession(p, spec).run(observedBy(freshLogs[i], request)));
     }
 
     // The same seeds interleaved through one session, recorded by one
@@ -186,8 +175,8 @@ TEST(SimSession, InterleavedPoliciesDoNotLeakState)
         RunLog log(p);
         RunLog freshLog(p);
         RunResult r = session.run(observedBy(log, request));
-        RunResult fresh = SimSession(p, spec, lazyLabels())
-                              .run(observedBy(freshLog, request));
+        RunResult fresh =
+            SimSession(p, spec).run(observedBy(freshLog, request));
         const std::string ctx =
             std::string("policy=") + sim::policyKindName(policy);
         expectSameRunResult(r, fresh, ctx);
@@ -553,7 +542,7 @@ TEST(SimSession, RecoversAfterPolicyConfigError)
     RunLog freshLog(p);
     RunResult after = session.run(observedBy(afterLog, good));
     RunResult fresh =
-        SimSession(p, spec, lazyLabels()).run(observedBy(freshLog, good));
+        SimSession(p, spec).run(observedBy(freshLog, good));
     expectSameRunResult(after, fresh, "run after config error");
     expectSameLog(afterLog, freshLog, "run after config error");
 }
@@ -629,6 +618,40 @@ TEST(SimSession, InvalidProgramReportsConfigErrorEveryRun)
     }
 }
 
+TEST(SimSession, UnroutableMessageIsAConfigError)
+{
+    // A valid program on two cells with no link between them: X has
+    // no route, so no run can start, and none may crash trying.
+    Program p(2);
+    const MessageId x = p.declareMessage("X", 0, 1);
+    p.write(0, x);
+    p.read(1, x);
+    MachineSpec spec;
+    spec.topo = Topology::custom(2, {});
+
+    SimSession session(p, spec);
+    EXPECT_FALSE(session.compiled()->valid());
+    EXPECT_FALSE(session.valid());
+    EXPECT_NE(session.error().find("X has no route"), std::string::npos)
+        << session.error();
+    EXPECT_TRUE(session.labels().empty());
+    for (PolicyKind policy : {PolicyKind::kCompatible, PolicyKind::kFcfs}) {
+        RunRequest request;
+        request.policy = policy;
+        const RunResult r = session.run(request);
+        EXPECT_EQ(r.status, RunStatus::kConfigError);
+        EXPECT_EQ(r.error, session.error());
+    }
+
+    // The analysis of the same compile names the message (SL002).
+    const auto report = session.compiled()->analysis(spec);
+    EXPECT_EQ(report->verdict, LintVerdict::kInvalid);
+    ASSERT_FALSE(report->diagnostics.empty());
+    EXPECT_EQ(report->diagnostics.front().rule,
+              LintRule::kUnroutableMessage);
+    EXPECT_EQ(report->diagnostics.front().msg, x);
+}
+
 // ---------------------------------------------------------------------
 // CompiledProgram: the shared default labeling and static analysis
 // ---------------------------------------------------------------------
@@ -643,7 +666,7 @@ reportText(const AnalysisReport& report, const Program& program)
 
 TEST(CompiledProgram, ConcurrentAnalysesAndLabelsMatchSerialOnes)
 {
-    // Threads race on one fresh CompiledProgram (labels left lazy):
+    // Threads race on one fresh CompiledProgram (labels are lazy):
     // the first to arrive derives the program facts, and with them
     // the default labeling that labels() also returns, while the
     // others ask for other shapes or for the labels. Every answer
@@ -682,8 +705,7 @@ TEST(CompiledProgram, ConcurrentAnalysesAndLabelsMatchSerialOnes)
             expected.push_back(reportText(*serial->analysis(spec), *program));
         const std::vector<std::int64_t> expectedLabels = serial->labels();
 
-        const auto shared = sim::CompiledProgram::compile(
-            *program, topo, {}, /*precompute_labels=*/false);
+        const auto shared = sim::CompiledProgram::compile(*program, topo);
         std::vector<std::vector<std::string>> seen(
             kThreads, std::vector<std::string>(kShapes));
         std::vector<std::vector<std::int64_t>> labels(kThreads);
@@ -770,7 +792,7 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
 
     RunLog freshLog(p);
     RunResult fresh =
-        SimSession(p, spec, lazyLabels()).run(observedBy(freshLog, fcfs));
+        SimSession(p, spec).run(observedBy(freshLog, fcfs));
     EXPECT_TRUE(fresh.labelsUsed.empty());
     EXPECT_EQ(after.labelsUsed, fresh.labelsUsed);
     EXPECT_EQ(afterLog.events, freshLog.events);
@@ -779,7 +801,7 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
     // echoed in labelsUsed.
     RunRequest withLabels = fcfs;
     withLabels.labels.assign(p.numMessages(), 0);
-    EXPECT_EQ(SimSession(p, spec, lazyLabels()).run(withLabels).labelsUsed,
+    EXPECT_EQ(SimSession(p, spec).run(withLabels).labelsUsed,
               withLabels.labels);
 }
 

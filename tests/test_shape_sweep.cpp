@@ -674,6 +674,44 @@ TEST(ShapeSweep, ProgramVersionGatesJournalReuse)
     std::remove(journal.c_str());
 }
 
+TEST(ShapeSweep, ConfigDigestOfAFixedSweepIsPinned)
+{
+    // The config digest decides whether a journal resumes, so this
+    // fixed sweep must digest as it always has: a change to how any
+    // field is hashed, or a retired field hashed as anything but the
+    // value every journal held, would restart every existing journal.
+    Program p(3);
+    const MessageId a = p.declareMessage("A", 0, 2);
+    const MessageId b = p.declareMessage("B", 2, 0);
+    p.write(0, a);
+    p.write(0, a);
+    p.read(0, b);
+    p.read(2, a);
+    p.write(2, b);
+    p.read(2, a);
+    std::vector<ShapeSpec> shapes(2);
+    shapes[0].name = "q=1";
+    shapes[0].queuesPerLink = 1;
+    shapes[1].name = "q=2/cap=2";
+    shapes[1].queueCapacity = 2;
+    std::vector<RunRequest> requests(3);
+    requests[1].policy = PolicyKind::kFcfs;
+    requests[2].labels = {2, 1};
+
+    const std::string journal = tempPath("shape_sweep_pinned.journal");
+    std::remove(journal.c_str());
+    ShapeSweepOptions options;
+    options.numWorkers = 1;
+    options.journalPath = journal;
+    options.programVersion = "pinned";
+    ShapeSweep sweep(p, Topology::linearArray(3), shapes, options);
+    ASSERT_TRUE(sweep.run(requests).complete);
+    sim::SweepJournalInfo info;
+    ASSERT_TRUE(sim::inspectSweepJournal(journal, info));
+    EXPECT_EQ(info.configDigest, 0x3bcc8e2a7e9fd9f3ull);
+    std::remove(journal.c_str());
+}
+
 /** Two opposed lock-step streams spanning a linear array (each cell
  *  alternates write/read, so buffering needs stay bounded): killing a
  *  middle link is guaranteed to freeze both. */
@@ -889,32 +927,6 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     ASSERT_TRUE(cellResult.complete);
     EXPECT_EQ(cellResult.rowsShared, 0u);
     expectSameRows(cellResult, golden, "cell-granular");
-}
-
-TEST(ShapeSweep, BoundedSessionPoolBlocksAndStaysBitIdentical)
-{
-    // 4 workers contending for a single pooled session per shape:
-    // the checkout path must block (not clone past the bound) and
-    // results must not depend on which worker won.
-    Program p = burstPairs(2, 16);
-    Topology topo = Topology::linearArray(4);
-    std::vector<ShapeSpec> shapes = skewedLadder(16, 16, 3);
-    const std::vector<RunRequest> requests = distinctRequests(6);
-
-    ShapeSweepOptions serial;
-    serial.numWorkers = 1;
-    ShapeSweep serialSweep(p, topo, shapes, serial);
-    ShapeSweepResult golden = serialSweep.run(requests);
-    ASSERT_TRUE(golden.complete);
-
-    ShapeSweepOptions bounded;
-    bounded.numWorkers = 4;
-    bounded.maxSessionsPerShape = 1;
-    ShapeSweep boundedSweep(p, topo, shapes, bounded);
-    ShapeSweepResult result = boundedSweep.run(requests);
-    ASSERT_TRUE(result.complete);
-    EXPECT_EQ(result.rowsShared, 0u);
-    expectSameRows(result, golden, "bounded-pool");
 }
 
 TEST(ShapeSweep, CrashResumeMidStealReproducesMultiWorkerSweep)
@@ -1284,11 +1296,8 @@ TEST(ShapeSweep, SharedRowsEqualDirectRunsOfTheirOwnCells)
     // each of the 4 rungs: 35 of the 80 cells run, 45 are copies.
     const std::size_t wantShared = 80 - (9 * 3 + 2 * 4);
 
-    // The third pass builds the sweep over a CompiledProgram whose
-    // default labels are `labels` and overrides them through
-    // SessionOptions::labels: every per-shape session applies the
-    // override (only precomputeLabels is the compiled program's call).
-    const std::vector<std::int64_t> flat(p.numMessages(), 0);
+    // The third pass builds the sweep over a CompiledProgram compiled
+    // beforehand, as the daemon's cache hands one over.
     for (int pass = 0; pass < 3; ++pass) {
         const int workers = pass == 0 ? 1 : 4;
         const std::string what = std::to_string(workers) + " worker(s)" +
@@ -1297,18 +1306,13 @@ TEST(ShapeSweep, SharedRowsEqualDirectRunsOfTheirOwnCells)
             observer.assigns = 0;
         ShapeSweepOptions options;
         options.numWorkers = workers;
-        if (pass == 2)
-            options.session.labels = flat;
         std::unique_ptr<ShapeSweep> sweep =
             pass < 2 ? std::make_unique<ShapeSweep>(p, topo, shapes, options)
                      : std::make_unique<ShapeSweep>(
-                           CompiledProgram::compile(p, topo, labels), shapes,
+                           CompiledProgram::compile(p, topo), shapes,
                            options);
         ShapeSweepResult result = sweep->run(requests);
         ASSERT_TRUE(result.complete) << what;
-        if (pass == 2) { // compatible, seed 1, no per-run override
-            EXPECT_EQ(result.row(0, 0).result.labelsUsed, flat);
-        }
         EXPECT_EQ(result.rowsShared, wantShared) << what;
         EXPECT_NE(result.str(shapes).find("(shared: 45 rows)"),
                   std::string::npos)

@@ -20,6 +20,38 @@
 
 namespace syscomm {
 
+/**
+ * The labels a Theorem 1 check runs with on a machine, and whether
+ * condition (ii) holds for them there.
+ */
+struct TheoremLabels
+{
+    /** RunRequest::labels: empty = the session's own. */
+    std::vector<std::int64_t> labels;
+    bool feasible = false;
+};
+
+/**
+ * Theorem 1 needs a consistent labeling (condition i). The session's
+ * default labeling is the section 6 one, or the trivial one when the
+ * scheme fails; where the scheme instead returns an inconsistent
+ * labeling (the analysis reports SL021), the trivial labeling, which
+ * is always consistent, runs as an explicit override.
+ */
+inline TheoremLabels
+theoremLabels(const sim::CompiledProgram& compiled,
+              const MachineSpec& machine)
+{
+    const auto report = compiled.analysis(machine);
+    if (report->labelsConsistent)
+        return {{}, report->feasibleAtShape};
+    const Labeling trivial = trivialLabeling(compiled.program());
+    return {trivial.normalized(),
+            checkDynamicFeasibility(compiled.competing(), trivial.labels,
+                                    machine)
+                .feasible};
+}
+
 /** @p request with @p log attached as its observer. */
 inline sim::RunRequest
 observedBy(sim::RunLog& log, sim::RunRequest request = {})

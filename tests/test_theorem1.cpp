@@ -10,11 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/compile.h"
-#include "core/label_verify.h"
 #include "core/program_gen.h"
 #include "sim/session.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace syscomm {
 namespace {
@@ -80,21 +79,20 @@ TEST_P(Theorem1, CompatibleAlwaysCompletes)
         machine.queuesPerLink = param.queues;
         machine.queueCapacity = param.capacity;
 
-        CompilePlan plan = compileProgram(p, machine);
-        ASSERT_TRUE(plan.crossoff.deadlockFree);
-        ASSERT_TRUE(plan.labeling.success);
-        ASSERT_TRUE(isConsistentLabeling(p, plan.labeling.labels));
-        if (!plan.dynamicFeasibility.feasible) {
+        SimSession session(p, machine);
+        ASSERT_TRUE(session.compiled()->analysis(machine)->basicDeadlockFree);
+        const TheoremLabels labels =
+            theoremLabels(*session.compiled(), machine);
+        if (!labels.feasible) {
             // Assumption (ii) fails on this machine: Theorem 1 does
             // not apply. (Rare: section 6 labels are mostly distinct.)
             ++skipped;
             continue;
         }
 
-        SimSession session(p, machine);
         sim::RunLog log(p);
         RunRequest request;
-        request.labels = plan.normalizedLabels;
+        request.labels = labels.labels;
         request.observer = &log;
         RunResult r = session.run(request);
         ASSERT_EQ(r.status, RunStatus::kCompleted)
@@ -103,7 +101,7 @@ TEST_P(Theorem1, CompatibleAlwaysCompletes)
             << r.deadlock.render(p);
         const sim::AuditReport audit =
             sim::auditAssignments(p, session.compiled()->competing(),
-                                  request.labels, log.events);
+                                  r.labelsUsed, log.events);
         EXPECT_TRUE(audit.compatible) << audit.str(p);
         EXPECT_EQ(r.stats.wordsDelivered, totalWords(p));
         ++completed;
@@ -174,13 +172,15 @@ TEST(Theorem1Baselines, EagerReservationAlsoSafe)
         machine.topo = topology;
         machine.queuesPerLink = 2;
 
-        CompilePlan plan = compileProgram(p, machine);
-        if (!plan.ok)
+        SimSession session(p, machine);
+        const TheoremLabels labels =
+            theoremLabels(*session.compiled(), machine);
+        if (!labels.feasible)
             continue;
         RunRequest request;
         request.policy = PolicyKind::kCompatibleEager;
-        request.labels = plan.normalizedLabels;
-        RunResult r = SimSession(p, machine).run(request);
+        request.labels = labels.labels;
+        RunResult r = session.run(request);
         EXPECT_EQ(r.status, RunStatus::kCompleted) << "seed " << seed;
     }
 }

@@ -10,7 +10,7 @@
  * words × penalty cycles) next to a pile of *tiny* rungs (capacity
  * large enough that the burst never extends). Under whole-shape
  * dispatch the worker that claimed the giant rung serialized the
- * sweep — 4 workers measured *slower* than 1 in BENCH_session.json —
+ * sweep — 4 workers measured *slower* than 1 —
  * while cell-granular stealing with per-shape session pools lets
  * every worker chew on the giant rung's request cells.
  *

@@ -4,52 +4,17 @@
  * @file
  * Small table/formatting helpers shared by the figure-reproduction
  * benchmark binaries, plus machine-readable JSON-lines emission so
- * sweeps can be consumed by scripts (see README "Architecture &
- * performance": one object per line, written to BENCH_<name>.json).
+ * sweeps can be consumed by scripts (see README "Benchmarks": one
+ * object per line, written to BENCH_<name>.json).
  */
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/program.h"
-
 namespace syscomm::bench {
-
-/**
- * Sparse/streaming benchmark workload shared by bench_kernel_compare
- * and bench_scaling's P2 experiment: @p messages long word streams,
- * each spanning a bounded stretch of a @p cells-cell linear array,
- * placed without wraparound so senders stay distinct and, on large
- * arrays, spans are disjoint. Senders compute @p compute_gap cycles
- * per produced word (systolic cells do real work between I/O,
- * Fig. 2), so only a couple of words per stream are in flight at any
- * cycle — most links and cells stay idle for the whole run.
- */
-inline Program
-streamingProgram(int cells, int messages = 4, int words = 128,
-                 int compute_gap = 16)
-{
-    Program p(cells);
-    int span = std::max(2, std::min(16, cells / messages));
-    for (int m = 0; m < messages; ++m) {
-        CellId from = static_cast<CellId>((m * (cells - span)) / messages);
-        CellId to = static_cast<CellId>(from + span);
-        MessageId id = p.declareMessage("S" + std::to_string(m), from, to);
-        for (int w = 0; w < words; ++w) {
-            for (int g = 0; g < compute_gap; ++g)
-                p.compute(from,
-                          [](CellContext& ctx) { ctx.local(0) += 1.0; });
-            p.write(from, id);
-        }
-        for (int w = 0; w < words; ++w)
-            p.read(to, id);
-    }
-    return p;
-}
 
 /** Print a banner naming the experiment. */
 inline void
@@ -95,8 +60,8 @@ fmt(double v)
  * mirrors it to stdout). Every record carries the bench id, a metric
  * name, a numeric value, and optional extra key/value dimensions:
  *
- *   {"bench": "kernel_compare", "metric": "cycles_per_sec",
- *    "value": 1.25e+07, "kernel": "event-driven", "cells": 256}
+ *   {"bench": "fault_sweep", "metric": "injected_cycles",
+ *    "value": 73, "intensity": 1, "seed": 0, "status": "completed"}
  */
 class JsonWriter
 {

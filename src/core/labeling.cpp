@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "core/related.h"
 
@@ -49,7 +48,6 @@ struct LabelerState
     /** Label of the last message each cell accessed (crossed off). */
     std::vector<std::optional<Rational>> lastAccess;
     Rational maxLabel = Rational(0);
-    std::vector<std::string>* log = nullptr;
 
     explicit LabelerState(const Program& p)
         : program(p),
@@ -57,13 +55,6 @@ struct LabelerState
           labels(p.numMessages()),
           lastAccess(p.numCells())
     {}
-
-    void
-    note(const std::string& line)
-    {
-        if (log)
-            log->push_back(line);
-    }
 
     /**
      * Set a label on @p msg and propagate it to every unlabeled member
@@ -79,10 +70,6 @@ struct LabelerState
                 labels[m] = label;
                 if (label > maxLabel)
                     maxLabel = label;
-                if (m != msg) {
-                    note("    related message " + program.message(m).name +
-                         " inherits label " + label.str());
-                }
             }
         }
     }
@@ -102,8 +89,6 @@ labelMessages(const Program& program, const LabelingOptions& options)
     CrossOffEngine engine(program, co);
 
     LabelerState st(program);
-    if (options.record_log)
-        st.log = &result.log;
 
     while (!engine.done()) {
         std::vector<PairEvent> pairs = engine.executablePairs();
@@ -115,30 +100,11 @@ labelMessages(const Program& program, const LabelingOptions& options)
             return result;
         }
 
-        // Step 1: pick an executable pair per the configured policy.
-        // executablePairs() returns ascending message-id order.
-        const PairEvent* chosen = &pairs.front();
-        switch (options.pick) {
-          case LabelingOptions::Pick::kDeclarationOrder:
-            break;
-          case LabelingOptions::Pick::kReverseDeclaration:
-            chosen = &pairs.back();
-            break;
-          case LabelingOptions::Pick::kLabeledFirst: {
-            for (const PairEvent& p : pairs) {
-                bool p_labeled = st.labels[p.msg].has_value();
-                bool c_labeled = st.labels[chosen->msg].has_value();
-                if (p_labeled && !c_labeled) {
-                    chosen = &p;
-                } else if (p_labeled == c_labeled && p_labeled &&
-                           *st.labels[p.msg] < *st.labels[chosen->msg]) {
-                    chosen = &p;
-                }
-            }
-            break;
-          }
-        }
-        PairEvent pair = *chosen;
+        // Step 1: pick an executable pair. The paper leaves the choice
+        // open ("how to pick an optimal one ... is an issue");
+        // executablePairs() returns ascending message-id order, and
+        // declaration order reproduces the paper's Fig. 7 labels.
+        const PairEvent& pair = pairs.front();
         MessageId a = pair.msg;
         const MessageDecl& decl = program.message(a);
 
@@ -159,10 +125,8 @@ labelMessages(const Program& program, const LabelingOptions& options)
 
             if (!upper) {
                 // Rule 1a: fresh label above everything in use.
-                Rational label = Rational(st.maxLabel.nextInteger());
-                st.note("label " + decl.name + " = " + label.str() +
-                        " (rule 1a: fresh maximum)");
-                st.setLabelWithClass(a, label);
+                st.setLabelWithClass(a,
+                                     Rational(st.maxLabel.nextInteger()));
             } else {
                 // Rule 1b: strictly between the endpoints' last access
                 // and the smallest labeled future message.
@@ -182,24 +146,16 @@ labelMessages(const Program& program, const LabelingOptions& options)
                 // coincide the message shares that label (labels may
                 // be shared — consistency only needs non-decreasing
                 // sequences).
-                Rational label = lower == *upper
-                                     ? lower
-                                     : Rational::midpoint(lower, *upper);
-                st.note("label " + decl.name + " = " + label.str() +
-                        " (rule 1b: between " + lower.str() + " and " +
-                        upper->str() + ")");
-                st.setLabelWithClass(a, label);
+                st.setLabelWithClass(
+                    a, lower == *upper ? lower
+                                       : Rational::midpoint(lower, *upper));
             }
         }
 
         // Rule 1d (lookahead): skipped messages share A's label.
         for (MessageId skipped : pair.skippedMessages) {
-            if (!st.labels[skipped].has_value()) {
-                st.note("label " + program.message(skipped).name + " = " +
-                        st.labels[a]->str() + " (rule 1d: write skipped "
-                        "while locating " + decl.name + ")");
+            if (!st.labels[skipped].has_value())
                 st.setLabelWithClass(skipped, *st.labels[a]);
-            }
         }
 
         // Steps 2-3: cross the pair off and continue.

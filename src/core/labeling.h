@@ -39,20 +39,6 @@ struct LabelingOptions
     bool lookahead = false;
     /** Rule R2 bound (lookahead only). */
     SkipBoundFn skip_bound;
-    /**
-     * Which executable pair step 1 picks when several are available.
-     * The paper leaves this open ("how to pick an optimal one ... is an
-     * issue"); declaration order reproduces the paper's Fig. 7 labels.
-     */
-    enum class Pick : std::uint8_t
-    {
-        kDeclarationOrder,   ///< Lowest message id first.
-        kReverseDeclaration, ///< Highest message id first (stress order).
-        kLabeledFirst,       ///< Prefer already-labeled messages.
-    };
-    Pick pick = Pick::kDeclarationOrder;
-    /** Record a human-readable narration of each labeling step. */
-    bool record_log = false;
 };
 
 /** Result of a labeling run. */
@@ -62,8 +48,6 @@ struct Labeling
     std::string error;
     /** Label per MessageId; meaningful only when success is true. */
     std::vector<Rational> labels;
-    /** Step-by-step narration (when record_log was set). */
-    std::vector<std::string> log;
 
     /**
      * Labels renormalized to dense positive integers 1..k, preserving

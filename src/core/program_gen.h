@@ -90,10 +90,10 @@ struct LargeArrayOptions
 
 /**
  * A deadlock-free workload for a @p cells-cell linear array in the
- * given phase, deterministic in the options. Built for the 4k-100k
- * cell scaling experiments (bench_large_array) and the large-array
- * kernel-equivalence tests; cells/messages scale with the array, the
- * per-cell program stays O(wordsPerMessage).
+ * given phase, deterministic in the options. Built for perfbench's
+ * kernel-large workload and the large-array kernel-equivalence tests;
+ * cells/messages scale with the array, the per-cell program stays
+ * O(wordsPerMessage).
  */
 Program largeArrayProgram(int cells, const LargeArrayOptions& options);
 

@@ -177,9 +177,11 @@ parseTopology(const JsonValue& spec, Topology& out, std::string& error)
         return true;
     }
     if (kind == "mesh" || kind == "torus") {
+        // Each side is bounded before the product, which two hostile
+        // int64 sides could otherwise wrap into range.
         const std::int64_t minSide = kind == "torus" ? 3 : 1;
-        if (rows < minSide || cols < minSide ||
-            rows * cols > kMaxCells) {
+        if (rows < minSide || cols < minSide || rows > kMaxCells ||
+            cols > kMaxCells || rows * cols > kMaxCells) {
             error = "topology: bad 'rows'/'cols' for kind '" + kind +
                     "'";
             return false;

@@ -10,10 +10,11 @@
  * 100k-cell linear array paid ~10^6 small allocations at session
  * build and, worse, a pointer chase into a
  * cold cache line per queue touched at run time. The dense-active
- * phase of bench_large_array walks essentially all of them every
- * cycle in index order, which is exactly the access pattern a
- * contiguous layout turns into prefetchable streams: the ns/cell-cycle
- * figure drifted ~2x from 4k to 100k cells on the scattered layout.
+ * phase of largeArrayProgram (core/program_gen.h) walks essentially
+ * all of them every cycle in index order, which is exactly the access
+ * pattern a contiguous layout turns into prefetchable streams.
+ * perfbench's kernel-large workload times that phase at 4k and 64k
+ * cells (sim.run_ns_per_cell_cycle.dense-4k / .dense-64k).
  *
  * The arena replaces all of that with five pools, each one allocation,
  * indexed by the same ids the kernels already use:

@@ -351,7 +351,7 @@ TEST(KernelEquivalence, OneShapeSweepAgreesAcrossKernels)
 
 TEST(KernelEquivalence, LargeArrayPhasesAt4kCells)
 {
-    // The bench_large_array workloads at the smallest "large" size:
+    // The largeArrayProgram workloads at the smallest "large" size:
     // 4096 cells is well past anything the rest of the suite touches
     // and exercises three summary levels of the active-set bitmaps,
     // the bucketed next-cycle wakes, and the queue-event heap at
@@ -372,6 +372,12 @@ TEST(KernelEquivalence, LargeArrayPhasesAt4kCells)
             request.policy = policy;
             request.seed = 9 + static_cast<int>(phase);
             expectKernelsAgree(p, spec(topo, 2, 2), request);
+            // Every phase is deadlock-free by construction, so the
+            // kernels must agree on a completed run.
+            EXPECT_TRUE(SimSession(p, spec(topo, 2, 2)).run(request)
+                            .completed())
+                << arrayPhaseName(phase) << " "
+                << sim::policyKindName(policy);
         }
     }
 }

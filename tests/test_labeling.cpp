@@ -107,31 +107,6 @@ TEST(Labeling, LookaheadGivesSkippedMessagesSameLabel)
     EXPECT_TRUE(isConsistentLabeling(p, labeling.labels));
 }
 
-TEST(Labeling, LogNarratesRules)
-{
-    Program p = algos::fig7Program();
-    LabelingOptions options;
-    options.record_log = true;
-    Labeling labeling = labelMessages(p, options);
-    ASSERT_TRUE(labeling.success);
-    ASSERT_FALSE(labeling.log.empty());
-    EXPECT_NE(labeling.log[0].find("rule 1a"), std::string::npos);
-}
-
-TEST(Labeling, PickPoliciesStillConsistent)
-{
-    Program p = algos::fig2FirProgram();
-    for (auto pick : {LabelingOptions::Pick::kDeclarationOrder,
-                      LabelingOptions::Pick::kReverseDeclaration,
-                      LabelingOptions::Pick::kLabeledFirst}) {
-        LabelingOptions options;
-        options.pick = pick;
-        Labeling labeling = labelMessages(p, options);
-        ASSERT_TRUE(labeling.success) << labeling.error;
-        EXPECT_TRUE(isConsistentLabeling(p, labeling.labels));
-    }
-}
-
 TEST(Labeling, SequentialStreamsGetAscendingLabels)
 {
     Program p(2);

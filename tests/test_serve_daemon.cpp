@@ -425,6 +425,33 @@ TEST(ServeDaemon, CompileCacheHitIsTheSubmittedProgram)
     EXPECT_FALSE(result.getBool("cached_compile", true));
 }
 
+TEST(ServeDaemon, ProgramVersionKeysTheCompileCache)
+{
+    DaemonHandle handle;
+    handle.start(baseOptions("version"));
+    ServeClient client;
+    handle.connect(client);
+
+    // One program text under versions a, a, b: the repeat hits the
+    // cache, the new version compiles afresh.
+    const std::int64_t before = sim::CompiledProgram::buildCount();
+    std::vector<bool> cached;
+    for (const char* version : {"a", "a", "b"}) {
+        JsonValue body = runBody(ringText(4, 20), 4);
+        body.set("program_version", JsonValue::str(version));
+        JsonValue status;
+        const std::string id = submitAndWait(client, body, status);
+        ASSERT_FALSE(id.empty());
+        EXPECT_EQ(status.getString("state"), "completed");
+        const JsonValue result = fetchResult(client, id);
+        ASSERT_NE(result.find("cached_compile"), nullptr)
+            << writeJson(result);
+        cached.push_back(result.getBool("cached_compile", false));
+    }
+    EXPECT_EQ(cached, (std::vector<bool>{false, true, false}));
+    EXPECT_EQ(sim::CompiledProgram::buildCount() - before, 2);
+}
+
 // ---------------------------------------------------------------------
 // Sweeps: daemon rows == direct ShapeSweep rows
 // ---------------------------------------------------------------------

@@ -265,6 +265,40 @@ TEST(ServeProtocol, ParseSubmissionRejectsBadPayloads)
     EXPECT_FALSE(parseSubmission(sweepNoShapes, sub, error));
 }
 
+TEST(ServeProtocol, GridSidesAreBoundedBeforeTheirProduct)
+{
+    // (2^61 + 4) x 4 overflows int64, and int(2^61 + 4) is 4: with
+    // only the product bounded, both verbs took this for a 4x4 grid.
+    const std::int64_t hugeRows = (std::int64_t{1} << 61) + 4;
+    for (const std::string kind : {"mesh", "torus"}) {
+        JsonValue body = runBody();
+        body.set("program",
+                 JsonValue::str("cells 16\nmessage a 0 -> 1\n"
+                                "cell 0 { W(a) }\ncell 1 { R(a) }\n"));
+        auto grid = [&](std::int64_t rows) {
+            body.set("topology",
+                     JsonValue::object()
+                         .set("kind", JsonValue::str(kind))
+                         .set("rows", JsonValue::integer(rows))
+                         .set("cols", JsonValue::integer(4)));
+            return body;
+        };
+        const std::string badSides =
+            "topology: bad 'rows'/'cols' for kind '" + kind + "'";
+        Submission sub;
+        LintRequest lint;
+        std::string error;
+        EXPECT_FALSE(parseSubmission(grid(hugeRows), sub, error));
+        EXPECT_EQ(error, badSides);
+        error.clear();
+        EXPECT_FALSE(parseLintRequest(grid(hugeRows), lint, error));
+        EXPECT_EQ(error, badSides);
+
+        EXPECT_TRUE(parseSubmission(grid(4), sub, error)) << error;
+        EXPECT_TRUE(parseLintRequest(grid(4), lint, error)) << error;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Control word
 // ---------------------------------------------------------------------

@@ -427,8 +427,10 @@ buildOfflineTopology(const OfflineArgs& args, int cells,
         return true;
     }
     if (args.topoKind == "mesh" || args.topoKind == "torus") {
-        if (args.rows < 1 || args.cols < 1 ||
-            args.rows * args.cols != cells) {
+        // Bound each side before the product, which two huge sides
+        // could otherwise wrap onto the cell count.
+        if (args.rows < 1 || args.cols < 1 || args.rows > cells ||
+            args.cols > cells || args.rows * args.cols != cells) {
             error = "--rows x --cols must equal the program's "
                     "cell count";
             return false;

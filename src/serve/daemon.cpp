@@ -67,9 +67,9 @@ struct SyscommDaemon::Live
     /** Sweep journal path; "" = not journaled (no spool / not a sweep). */
     std::string journalPath;
     /**
-     * Admission-time lint report (--lint=warn|enforce), rendered once
-     * at admission and moved onto the terminal result by finish();
-     * null when the analyzer found nothing. Immutable until then.
+     * Admission-time lint report (--lint=warn|enforce), built once at
+     * admission and moved onto the terminal result by finish(); null
+     * when the analyzer found nothing. Immutable until then.
      */
     JsonValue lint;
     /**
@@ -103,8 +103,12 @@ struct SyscommDaemon::Sub
 {
     std::string id;
     SubmissionState state = SubmissionState::kWaiting;
-    /** Terminal result body (the result verb's "result" member). */
-    JsonValue result;
+    /**
+     * Terminal result body (the result verb's "result" member) as the
+     * JSON text it is served and spooled as, rendered once at the
+     * terminal transition; "" until then.
+     */
+    std::string result;
     /** Client-supplied dedup key; "" = none. */
     std::string idempotencyKey;
     std::unique_ptr<Live> live;
@@ -186,6 +190,18 @@ rejectResponse(const char* reason, const std::string& message)
                          SubmissionState::kRejected)));
     out.set("error", JsonValue::str(message));
     return out;
+}
+
+/**
+ * @p result as the text a finished submission keeps until restart:
+ * rendered once, without the spare capacity appending leaves.
+ */
+std::string
+keptJson(const JsonValue& result)
+{
+    std::string json = writeJson(result);
+    json.shrink_to_fit();
+    return json;
 }
 
 /** The wire form of one finished run (shared by run and sweep rows). */
@@ -479,13 +495,13 @@ SyscommDaemon::recoverSpool(std::string& error)
                 parseSubmissionState(done.getString("state"), state)) {
                 sub->state = state;
                 const JsonValue* result = done.find("result");
-                if (result != nullptr)
-                    sub->result = *result;
+                sub->result =
+                    result != nullptr ? keptJson(*result) : "null";
             } else {
                 sub->state = SubmissionState::kError;
-                sub->result = JsonValue::object().set(
+                sub->result = keptJson(JsonValue::object().set(
                     "error",
-                    JsonValue::str("unreadable done marker"));
+                    JsonValue::str("unreadable done marker")));
             }
             addLocked(std::move(sub));
             continue;
@@ -497,8 +513,8 @@ SyscommDaemon::recoverSpool(std::string& error)
         Submission payload;
         if (!lineParsed || !parseSubmission(msg, payload, err)) {
             sub->state = SubmissionState::kError;
-            sub->result = JsonValue::object().set(
-                "error", JsonValue::str("spool recovery: " + err));
+            sub->result = keptJson(JsonValue::object().set(
+                "error", JsonValue::str("spool recovery: " + err)));
             writeDoneMarker(*sub);
             addLocked(std::move(sub));
             continue;
@@ -535,7 +551,7 @@ SyscommDaemon::setStateLocked(Sub& sub, SubmissionState state)
 
 std::unique_ptr<SyscommDaemon::Live>
 SyscommDaemon::retireLocked(Sub& sub, SubmissionState state,
-                            JsonValue result)
+                            std::string result)
 {
     setStateLocked(sub, state);
     sub.result = std::move(result);
@@ -553,7 +569,7 @@ SyscommDaemon::writeDoneMarker(Sub& sub)
     done.set("id", JsonValue::str(sub.id));
     done.set("state",
              JsonValue::str(submissionStateName(sub.state)));
-    done.set("result", sub.result);
+    done.set("result", JsonValue::verbatim(sub.result));
     std::string ioErr;
     if (!writeFileAtomicIo(*io_, spoolFile(sub.id, kDoneSuffix),
                            writeJson(done), options_.fsyncPolicy,
@@ -654,13 +670,16 @@ void
 SyscommDaemon::finish(Sub* sub, SubmissionState state,
                       JsonValue result)
 {
-    std::unique_ptr<Live> released;
-    std::lock_guard<std::mutex> lock(mutex_);
     // --lint=warn rides along: the submission was served anyway, but
-    // its result carries the admission-time diagnostics.
+    // its result carries the admission-time diagnostics. Only this
+    // worker can retire the submission, so it reads the live part and
+    // renders the result before taking the lock.
     if (!sub->live->lint.isNull())
         result.set("lint", std::move(sub->live->lint));
-    released = retireLocked(*sub, state, std::move(result));
+    std::string json = keptJson(result);
+    std::unique_ptr<Live> released;
+    std::lock_guard<std::mutex> lock(mutex_);
+    released = retireLocked(*sub, state, std::move(json));
     // `lock` unlocks before `released` frees the payload.
 }
 
@@ -689,8 +708,8 @@ SyscommDaemon::execute(Sub* sub)
         std::unique_ptr<Live> released;
         std::lock_guard<std::mutex> lock(mutex_);
         if (live.cancelRequested) {
-            released = retireLocked(*sub, SubmissionState::kCancelled,
-                                    JsonValue::object());
+            released =
+                retireLocked(*sub, SubmissionState::kCancelled, "{}");
             return;
         }
         setStateLocked(*sub, SubmissionState::kRunning);
@@ -1378,7 +1397,7 @@ SyscommDaemon::handleResult(const JsonValue& msg)
     response.set("id", JsonValue::str(id));
     response.set("state",
                  JsonValue::str(submissionStateName(sub.state)));
-    response.set("result", sub.result);
+    response.set("result", JsonValue::verbatim(sub.result));
     return response;
 }
 
@@ -1403,8 +1422,7 @@ SyscommDaemon::handleCancel(const JsonValue& msg)
     if (sub.state == SubmissionState::kWaiting) {
         queue_.erase(std::remove(queue_.begin(), queue_.end(), &sub),
                      queue_.end());
-        released = retireLocked(sub, SubmissionState::kCancelled,
-                                JsonValue::object());
+        released = retireLocked(sub, SubmissionState::kCancelled, "{}");
     } else {
         // In flight: ask it to stop; the worker finishes the
         // transition at its next slice/checkpoint.

@@ -204,12 +204,13 @@ class SyscommDaemon
      *  set current. */
     void setStateLocked(Sub& sub, SubmissionState state);
     /**
-     * Terminal transition: record @p state and @p result, write the
-     * done marker, wake waitIdle, and hand back the live part. The
-     * caller destroys it after unlocking.
+     * Terminal transition: record @p state and @p result (the result
+     * body's JSON text), write the done marker, wake waitIdle, and
+     * hand back the live part. The caller destroys it after
+     * unlocking.
      */
     std::unique_ptr<Live> retireLocked(Sub& sub, SubmissionState state,
-                                       JsonValue result);
+                                       std::string result);
     /** A dedup hit's answer for @p key; null when the key is new. */
     JsonValue dedupResponseLocked(const std::string& key) const;
 
@@ -228,7 +229,8 @@ class SyscommDaemon
     void execute(Sub* sub);
     void executeRun(Sub* sub, const CachedProgram& entry);
     void executeSweep(Sub* sub, const CachedProgram& entry);
-    /** Stamp the lint report onto @p result, then retire @p sub. */
+    /** Stamp the lint report onto @p result, render it, then retire
+     *  @p sub. */
     void finish(Sub* sub, SubmissionState state, JsonValue result);
 
     // -- protocol -------------------------------------------------

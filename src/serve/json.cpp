@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace syscomm::serve {
 
@@ -59,6 +60,32 @@ JsonValue::object()
     return out;
 }
 
+JsonValue
+JsonValue::verbatim(std::string json)
+{
+    JsonValue out;
+    out.kind_ = Kind::kVerbatim;
+    out.string_ = std::move(json);
+    return out;
+}
+
+std::int64_t
+JsonValue::asInt64() const
+{
+    if (integral_)
+        return int_;
+    // Casting a double outside int64's range (or NaN) to int64 is
+    // undefined behaviour, so clamp before the cast.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (std::isnan(num_))
+        return 0;
+    if (num_ >= kTwo63)
+        return std::numeric_limits<std::int64_t>::max();
+    if (num_ < -kTwo63)
+        return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(num_);
+}
+
 JsonValue&
 JsonValue::push(JsonValue v)
 {
@@ -106,7 +133,7 @@ std::int64_t
 JsonValue::getInt(std::string_view key, std::int64_t def) const
 {
     const JsonValue* v = find(key);
-    return (v != nullptr && v->isNumber()) ? v->asInt64() : def;
+    return (v != nullptr && v->isIntegral()) ? v->asInt64() : def;
 }
 
 double
@@ -496,6 +523,9 @@ writeValue(std::string& out, const JsonValue& v)
         break;
       case JsonValue::Kind::kString:
         writeString(out, v.asString());
+        break;
+      case JsonValue::Kind::kVerbatim:
+        out += v.asString();
         break;
       case JsonValue::Kind::kArray: {
         out.push_back('[');

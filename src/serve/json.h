@@ -35,6 +35,8 @@ class JsonValue
         kString,
         kArray,
         kObject,
+        /** JSON text that writeJson copies unchanged (verbatim()). */
+        kVerbatim,
     };
 
     using Member = std::pair<std::string, JsonValue>;
@@ -47,6 +49,14 @@ class JsonValue
     static JsonValue str(std::string v);
     static JsonValue array();
     static JsonValue object();
+    /**
+     * Already-rendered JSON text that writeJson copies unchanged: how
+     * the daemon splices a finished submission's kept result into a
+     * response. The caller vouches that @p json is one well-formed
+     * JSON value; parseJson never makes this kind, and the accessors
+     * see it as an opaque leaf (asString() is the text).
+     */
+    static JsonValue verbatim(std::string json);
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::kNull; }
@@ -58,10 +68,12 @@ class JsonValue
 
     bool asBool() const { return bool_; }
     double asDouble() const { return integral_ ? double(int_) : num_; }
-    std::int64_t asInt64() const
-    {
-        return integral_ ? int_ : static_cast<std::int64_t>(num_);
-    }
+    /**
+     * Exact for an integral number. A fraction or exponent number is
+     * truncated toward zero and clamped to the int64 range (NaN is
+     * 0), so every value has one; anything else is 0.
+     */
+    std::int64_t asInt64() const;
     /** Was the number written without fraction/exponent? */
     bool isIntegral() const { return kind_ == Kind::kNumber && integral_; }
     const std::string& asString() const { return string_; }
@@ -84,11 +96,13 @@ class JsonValue
     /** Member lookup; nullptr when absent or not an object. */
     const JsonValue* find(std::string_view key) const;
 
-    // Typed member getters with defaults — the protocol reader's
-    // bread and butter. A present-but-wrong-typed member returns the
-    // default like an absent one; strict checks live in the protocol
-    // parser where the error message can say which field.
+    // Typed member getters with defaults. A present-but-wrong-typed
+    // member returns the default like an absent one; strict checks
+    // live in the protocol parser where the error message can say
+    // which field.
     bool getBool(std::string_view key, bool def) const;
+    /** An integral number's value; @p def for any other member,
+     *  fraction or exponent numbers included. */
     std::int64_t getInt(std::string_view key, std::int64_t def) const;
     double getNumber(std::string_view key, double def) const;
     std::string getString(std::string_view key,

@@ -153,6 +153,30 @@ submissionStateForRun(sim::RunStatus status)
 
 namespace {
 
+/**
+ * Integer member @p key of @p spec into @p out, which keeps its
+ * default when the member is absent. A present member must be an
+ * integral number (written without fraction or exponent, and within
+ * int64 range, or parseJson would not call it integral), else
+ * @p error names the field: a protocol integer is never truncated,
+ * wrapped or defaulted silently.
+ */
+bool
+readInt(const JsonValue& spec, const char* where, const char* key,
+        std::int64_t& out, std::string& error)
+{
+    const JsonValue* value = spec.find(key);
+    if (value == nullptr)
+        return true;
+    if (!value->isIntegral()) {
+        error = std::string(where) + ": '" + key +
+                "' must be an integer within int64 range";
+        return false;
+    }
+    out = value->asInt64();
+    return true;
+}
+
 bool
 parseTopology(const JsonValue& spec, Topology& out, std::string& error)
 {
@@ -161,9 +185,13 @@ parseTopology(const JsonValue& spec, Topology& out, std::string& error)
         return false;
     }
     const std::string kind = spec.getString("kind");
-    const auto cells = spec.getInt("cells", 0);
-    const auto rows = spec.getInt("rows", 0);
-    const auto cols = spec.getInt("cols", 0);
+    std::int64_t cells = 0;
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+    if (!readInt(spec, "topology", "cells", cells, error) ||
+        !readInt(spec, "topology", "rows", rows, error) ||
+        !readInt(spec, "topology", "cols", cols, error))
+        return false;
     // Bound construction cost before building: a million-cell mesh is
     // legitimate, a hostile 2^62 is not.
     constexpr std::int64_t kMaxCells = 4'000'000;
@@ -204,10 +232,15 @@ parseShape(const JsonValue& spec, sim::ShapeSpec& out,
         return false;
     }
     out.name = spec.getString("name");
-    const auto queues = spec.getInt("queues", 2);
-    const auto capacity = spec.getInt("capacity", 1);
-    const auto extension = spec.getInt("extension", 0);
-    const auto penalty = spec.getInt("penalty", 4);
+    std::int64_t queues = 2;
+    std::int64_t capacity = 1;
+    std::int64_t extension = 0;
+    std::int64_t penalty = 4;
+    if (!readInt(spec, "shape", "queues", queues, error) ||
+        !readInt(spec, "shape", "capacity", capacity, error) ||
+        !readInt(spec, "shape", "extension", extension, error) ||
+        !readInt(spec, "shape", "penalty", penalty, error))
+        return false;
     if (queues < 1 || queues > 1024 || capacity < 1 ||
         capacity > 1'000'000 || extension < 0 ||
         extension > 1'000'000 || penalty < 0 || penalty > 1'000'000) {
@@ -246,8 +279,12 @@ parseRequest(const JsonValue& spec, sim::RunRequest& out,
         error = "request: unknown policy '" + policy + "'";
         return false;
     }
-    out.seed = static_cast<std::uint64_t>(spec.getInt("seed", 1));
-    const auto maxCycles = spec.getInt("max_cycles", 1'000'000);
+    std::int64_t seed = 1;
+    std::int64_t maxCycles = 1'000'000;
+    if (!readInt(spec, "request", "seed", seed, error) ||
+        !readInt(spec, "request", "max_cycles", maxCycles, error))
+        return false;
+    out.seed = static_cast<std::uint64_t>(seed);
     if (maxCycles < 1) {
         error = "request: bad 'max_cycles'";
         return false;
@@ -354,8 +391,14 @@ parseSubmission(const JsonValue& msg, Submission& out,
         }
     }
 
-    const auto budget = msg.getInt("cycle_budget", 0);
-    const auto checkpointEvery = msg.getInt("checkpoint_every", 0);
+    std::int64_t budget = 0;
+    std::int64_t checkpointEvery = 0;
+    std::int64_t sweepWorkers = 0;
+    if (!readInt(msg, "submit", "cycle_budget", budget, error) ||
+        !readInt(msg, "submit", "checkpoint_every", checkpointEvery,
+                 error) ||
+        !readInt(msg, "submit", "sweep_workers", sweepWorkers, error))
+        return false;
     if (budget < 0 || checkpointEvery < 0) {
         error = "submit: negative cycle budget";
         return false;
@@ -363,7 +406,6 @@ parseSubmission(const JsonValue& msg, Submission& out,
     out.cycleBudget = budget;
     out.checkpointEvery = checkpointEvery;
 
-    const auto sweepWorkers = msg.getInt("sweep_workers", 0);
     constexpr std::int64_t kMaxSweepWorkers = 1024;
     if (sweepWorkers < 0 || sweepWorkers > kMaxSweepWorkers) {
         error = "submit: sweep_workers out of range";

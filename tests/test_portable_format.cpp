@@ -356,10 +356,12 @@ TEST(PortableFormat, PeekCheckpointInfoSurvivesTruncationAndBitFlipFuzz)
                                      (bytes.size() + 1));
         const bool parsed =
             sim::peekCheckpointInfo(bytes.data(), cut, info);
-        if (cut < kFixedHeader)
+        if (cut < kFixedHeader) {
             EXPECT_FALSE(parsed) << "cut " << cut;
-        if (parsed)
+        }
+        if (parsed) {
             EXPECT_EQ(info.writeSeq.size(), info.readSeq.size());
+        }
     }
 
     // 500 seeded bit flips (plus a truncation half the time): parse

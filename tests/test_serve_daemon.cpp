@@ -8,7 +8,8 @@
  * submissions, and a drained daemon's spool resumes on a second
  * daemon with per-row machine digests bit-identical to an
  * uninterrupted reference. A terminal submission keeps only its
- * record (bounded heap, same answers before and after a restart), and
+ * record, its result as the JSON bytes it serves (bounded heap; the
+ * same bytes on the wire, in the done marker and after a restart), and
  * stats tallies every state. The multi-client suites run under TSan
  * in CI.
  */
@@ -210,6 +211,21 @@ fetchResult(ServeClient& client, const std::string& id)
         << writeJson(response);
     const JsonValue* result = response.find("result");
     return result != nullptr ? *result : JsonValue();
+}
+
+/**
+ * The "result" member of a result response or a done marker, as
+ * bytes: both end with it, so it runs from its key to the last '}'.
+ */
+std::string
+resultMember(const std::string& line)
+{
+    const std::string key = "\"result\":";
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos || line.empty() || line.back() != '}')
+        return "";
+    const std::size_t from = at + key.size();
+    return line.substr(from, line.size() - 1 - from);
 }
 
 /** Flatten a sweep result's rows to comparable key strings. */
@@ -1145,6 +1161,84 @@ TEST(ServeDaemon, ReleasedSubmissionAnswersAsBefore)
               expectedTally({{"deadlocked", 1}}));
 }
 
+/** A result response's raw "result" member, through roundTrip. */
+std::string
+rawResult(ServeClient& client, const std::string& id)
+{
+    std::string line;
+    std::string error;
+    EXPECT_TRUE(client.roundTrip(
+        "{\"verb\":\"result\",\"id\":\"" + id + "\"}", line, error))
+        << error;
+    return resultMember(line);
+}
+
+/** The bytes of @p path. */
+std::string
+fileText(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+TEST(ServeDaemon, KeptResultBytesMatchOnTheWireOnDiskAndAfterRestart)
+{
+    // One warn-linted run and one sweep: the "result" member a client
+    // reads is the same bytes before a restart, in the done marker on
+    // disk, and from the daemon that recovered that marker.
+    const std::string spool = tempDir("serve_spool_kept");
+    DaemonOptions options = baseOptions("kept");
+    options.spoolDir = spool;
+    options.lintMode = DaemonOptions::LintMode::kWarn;
+
+    std::string runId;
+    std::string sweepId;
+    std::string runBytes;
+    std::string sweepBytes;
+    {
+        DaemonHandle handle;
+        handle.start(options);
+        ServeClient client;
+        handle.connect(client);
+        JsonValue status;
+        runId = submitAndWait(client, lintedRunBody(), status);
+        EXPECT_EQ(status.getString("state"), "deadlocked");
+        sweepId = submitAndWait(
+            client, sweepBody(ringText(4, 40), 4, 3, 2, 0), status);
+        EXPECT_EQ(status.getString("state"), "completed");
+        ASSERT_FALSE(runId.empty());
+        ASSERT_FALSE(sweepId.empty());
+        runBytes = rawResult(client, runId);
+        sweepBytes = rawResult(client, sweepId);
+
+        JsonValue result;
+        std::string error;
+        ASSERT_TRUE(parseJson(runBytes, result, error)) << runBytes;
+        EXPECT_EQ(writeJson(result), runBytes);
+        EXPECT_NE(result.find("lint"), nullptr) << runBytes;
+        ASSERT_TRUE(parseJson(sweepBytes, result, error)) << sweepBytes;
+        EXPECT_EQ(writeJson(result), sweepBytes);
+        EXPECT_EQ(rowKeys(result).size(), 6u) << sweepBytes;
+        // Asking twice serves the same bytes.
+        EXPECT_EQ(rawResult(client, runId), runBytes);
+    }
+
+    EXPECT_EQ(resultMember(fileText(spool + "/" + runId + ".done.json")),
+              runBytes);
+    EXPECT_EQ(
+        resultMember(fileText(spool + "/" + sweepId + ".done.json")),
+        sweepBytes);
+
+    DaemonHandle handle;
+    handle.start(options);
+    ServeClient client;
+    handle.connect(client);
+    EXPECT_EQ(rawResult(client, runId), runBytes);
+    EXPECT_EQ(rawResult(client, sweepId), sweepBytes);
+}
+
 TEST(ServeDaemon, TerminalSubmissionHeapIsBounded)
 {
 #if !defined(__GLIBC__) || defined(SYSCOMM_TEST_MALLOC_REPLACED)
@@ -1246,7 +1340,9 @@ TEST(ServeDaemon, TerminalSubmissionHeapIsBounded)
         kMeasured;
     RecordProperty("heap_bytes_per_terminal_submission",
                    static_cast<int>(perSubmission));
-    EXPECT_LE(perSubmission, 12.0 * 1024)
+    // A finished result is kept as the JSON text it is served as:
+    // about 1.1 KiB per submission of this mix, lint report included.
+    EXPECT_LE(perSubmission, 3.0 * 1024)
         << "heap per terminal submission: " << perSubmission << " B";
 #endif
 }

@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,6 +88,46 @@ TEST(ServeJson, NestedStructuresRoundTrip)
     EXPECT_EQ(back.find("list")->items().size(), 3u);
     EXPECT_TRUE(back.find("list")->items()[2].isNull());
     EXPECT_DOUBLE_EQ(back.find("obj")->getNumber("x", 0.0), 1.5);
+}
+
+TEST(ServeJson, NumbersWithoutAnInt64ValueAreNotIntegers)
+{
+    // 1e300 and 2^64 - 1 parse as doubles. getInt answers the default
+    // for them, as for any non-integer, and asInt64 clamps instead of
+    // making the undefined out-of-range cast.
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(parseJson("{\"big\":1e300,\"neg\":-1e300,"
+                          "\"inf\":1e400,\"wide\":18446744073709551615,"
+                          "\"half\":2.5,\"ok\":-9223372036854775808}",
+                          v, error))
+        << error;
+    for (const char* key : {"big", "neg", "inf", "wide", "half"}) {
+        EXPECT_FALSE(v.find(key)->isIntegral()) << key;
+        EXPECT_EQ(v.getInt(key, -7), -7) << key;
+    }
+    EXPECT_EQ(v.getInt("ok", 0), std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(v.find("big")->asInt64(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(v.find("neg")->asInt64(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(v.find("inf")->asInt64(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(v.find("wide")->asInt64(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(v.find("half")->asInt64(), 2);
+    EXPECT_EQ(JsonValue::number(std::nan("")).asInt64(), 0);
+}
+
+TEST(ServeJson, VerbatimTextIsWrittenUnchanged)
+{
+    JsonValue v = JsonValue::object();
+    v.set("ok", JsonValue::boolean(true));
+    v.set("result", JsonValue::verbatim("{\"rows\":[1,2],\"s\":\"a\\nb\"}"));
+    v.set("tag", JsonValue::integer(7));
+    EXPECT_EQ(writeJson(v),
+              "{\"ok\":true,\"result\":{\"rows\":[1,2],\"s\":\"a\\nb\"},"
+              "\"tag\":7}");
 }
 
 TEST(ServeJson, ParseErrorsAreCleanNotFatal)
@@ -263,6 +305,85 @@ TEST(ServeProtocol, ParseSubmissionRejectsBadPayloads)
     sweepNoShapes.set("kind", JsonValue::str("sweep"));
     sweepNoShapes.set("shapes", JsonValue::array());
     EXPECT_FALSE(parseSubmission(sweepNoShapes, sub, error));
+
+    // Each integer field, at every level of a submission, refuses a
+    // value that is not an integer within int64 range and names
+    // itself: "seed": 2^64 - 1 must not become seed 2^63, nor
+    // "queues": 2.5 become 2 queues.
+    auto number = [](const char* token) {
+        JsonValue v;
+        std::string error;
+        EXPECT_TRUE(parseJson(token, v, error)) << error;
+        return v;
+    };
+    auto expectRejected = [](const JsonValue& body,
+                             const std::string& field) {
+        Submission sub;
+        std::string error;
+        EXPECT_FALSE(parseSubmission(body, sub, error))
+            << writeJson(body);
+        EXPECT_NE(error.find("'" + field + "'"), std::string::npos)
+            << field << ": " << error;
+    };
+    for (const char* token : {"18446744073709551615", "1e300", "1e400",
+                              "-1e300", "99999999999999999999", "2.5",
+                              "3e0", "\"2\"", "null"}) {
+        SCOPED_TRACE(token);
+        for (const char* field :
+             {"cycle_budget", "checkpoint_every", "sweep_workers"}) {
+            JsonValue body = runBody();
+            body.set(field, number(token));
+            expectRejected(body, field);
+        }
+        for (const char* field : {"seed", "max_cycles"}) {
+            JsonValue body = runBody();
+            JsonValue requests = JsonValue::array();
+            requests.push(JsonValue::object().set(field, number(token)));
+            body.set("requests", std::move(requests));
+            expectRejected(body, field);
+        }
+        for (const char* field :
+             {"queues", "capacity", "extension", "penalty"}) {
+            JsonValue body = runBody();
+            body.set("shape", JsonValue::object().set(field, number(token)));
+            expectRejected(body, field);
+        }
+        JsonValue cells = runBody();
+        cells.set("topology",
+                  JsonValue::object()
+                      .set("kind", JsonValue::str("linear"))
+                      .set("cells", number(token)));
+        expectRejected(cells, "cells");
+        for (const char* field : {"rows", "cols"}) {
+            JsonValue body = runBody();
+            body.set("topology",
+                     JsonValue::object()
+                         .set("kind", JsonValue::str("mesh"))
+                         .set("rows", JsonValue::integer(1))
+                         .set("cols", JsonValue::integer(2))
+                         .set(field, number(token)));
+            expectRejected(body, field);
+        }
+
+        // The lint verb shares the topology and shape readers.
+        JsonValue lint = runBody();
+        lint.set("shape", JsonValue::object().set("queues", number(token)));
+        LintRequest request;
+        EXPECT_FALSE(parseLintRequest(lint, request, error));
+        EXPECT_NE(error.find("'queues'"), std::string::npos) << error;
+    }
+
+    // The largest seed an int64 holds is still admitted, and a
+    // negative one still wraps to the same uint64 it always did.
+    JsonValue extremeSeeds = runBody();
+    JsonValue seeds = JsonValue::array();
+    seeds.push(JsonValue::object().set(
+        "seed", number("9223372036854775807")));
+    seeds.push(JsonValue::object().set("seed", number("-1")));
+    extremeSeeds.set("requests", std::move(seeds));
+    ASSERT_TRUE(parseSubmission(extremeSeeds, sub, error)) << error;
+    EXPECT_EQ(sub.requests[0].seed, 9223372036854775807ull);
+    EXPECT_EQ(sub.requests[1].seed, ~std::uint64_t{0});
 }
 
 TEST(ServeProtocol, GridSidesAreBoundedBeforeTheirProduct)

@@ -21,10 +21,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -927,6 +930,90 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     ASSERT_TRUE(cellResult.complete);
     EXPECT_EQ(cellResult.rowsShared, 0u);
     expectSameRows(cellResult, golden, "cell-granular");
+}
+
+/**
+ * Holds each run at its first queue assignment until @p peers runs
+ * sharing the gate have reached theirs. A wait that outlasts the
+ * timeout marks the gate broken and releases every later run, so a
+ * serialized sweep fails in one timeout, not one per run.
+ */
+struct StartGate
+{
+    explicit StartGate(int peers) : peers(peers) {}
+
+    const int peers;
+    std::mutex mutex;
+    std::condition_variable cv;
+    int started = 0;
+    bool broken = false;
+    /** How many runs had started when the gate broke. */
+    int startedWhenBroken = 0;
+};
+
+class WaitForPeers : public sim::RunObserver
+{
+  public:
+    explicit WaitForPeers(StartGate& gate) : gate_(gate) {}
+
+    void onAssign(const sim::AssignmentEvent&) override
+    {
+        if (arrived_)
+            return;
+        arrived_ = true;
+        std::unique_lock<std::mutex> lock(gate_.mutex);
+        ++gate_.started;
+        gate_.cv.notify_all();
+        if (!gate_.cv.wait_for(lock, std::chrono::seconds(60), [&] {
+                return gate_.started >= gate_.peers || gate_.broken;
+            })) {
+            gate_.broken = true;
+            gate_.startedWhenBroken = gate_.started;
+            gate_.cv.notify_all();
+        }
+    }
+
+  private:
+    StartGate& gate_;
+    bool arrived_ = false;
+};
+
+TEST(ShapeSweep, FourWorkersRunFourCellsOfOneRungAtOnce)
+{
+    // Whole-shape dispatch gave a rung's cells to one worker in turn,
+    // which inverted the skewed-ladder scaling curve. Here each of a
+    // single rung's four runs waits at its first queue assignment
+    // until all four have started, so the gate holds only if four
+    // workers run cells of the one rung at the same time. Nothing is
+    // timed: the verdict does not depend on host load.
+    Program p = burstPairs(2, 8);
+    Topology topo = Topology::linearArray(4);
+    ShapeSpec rung;
+    rung.name = "one-rung";
+    rung.queueCapacity = 8;
+
+    constexpr int kCells = 4;
+    StartGate gate(kCells);
+    std::vector<std::unique_ptr<WaitForPeers>> observers;
+    std::vector<RunRequest> requests = distinctRequests(kCells);
+    for (RunRequest& request : requests) {
+        observers.push_back(std::make_unique<WaitForPeers>(gate));
+        request.observer = observers.back().get();
+    }
+
+    ShapeSweepOptions options;
+    options.numWorkers = kCells;
+    ShapeSweep sweep(p, topo, {rung}, options);
+    ShapeSweepResult result = sweep.run(requests);
+    ASSERT_TRUE(result.complete);
+    EXPECT_EQ(result.workersUsed, kCells);
+    EXPECT_EQ(result.rowsShared, 0u);
+    EXPECT_FALSE(gate.broken)
+        << "only " << gate.startedWhenBroken << " of " << kCells
+        << " cells had started when one gave up waiting";
+    EXPECT_EQ(gate.started, kCells);
+    for (const auto& row : result.rows)
+        EXPECT_EQ(row.result.status, RunStatus::kCompleted);
 }
 
 TEST(ShapeSweep, CrashResumeMidStealReproducesMultiWorkerSweep)

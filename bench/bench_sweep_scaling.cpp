@@ -11,7 +11,7 @@
  * large enough that the burst never extends). Under whole-shape
  * dispatch the worker that claimed the giant rung serialized the
  * sweep — 4 workers measured *slower* than 1 —
- * while cell-granular stealing with per-shape session pools lets
+ * while cell-granular stealing, each worker on its own session, lets
  * every worker chew on the giant rung's request cells.
  *
  * The reference kernel is used on purpose: its dense per-cycle scan

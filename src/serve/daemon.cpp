@@ -1058,11 +1058,12 @@ std::string
 SyscommDaemon::handleLine(const std::string& line)
 {
     JsonValue msg;
+    std::string_view tag;
     std::string err;
     JsonValue response;
     if (line.size() > options_.maxLineBytes) {
         response = errorResponse("request line too long");
-    } else if (!parseJson(line, msg, err)) {
+    } else if (!parseJson(line, "tag", tag, msg, err)) {
         response = errorResponse("parse: " + err);
     } else if (!msg.isObject()) {
         response = errorResponse("request must be a JSON object");
@@ -1104,9 +1105,8 @@ SyscommDaemon::handleLine(const std::string& line)
             }
         }
     }
-    const JsonValue* tag = msg.find("tag");
-    if (tag != nullptr)
-        response.set("tag", *tag);
+    if (!tag.empty())
+        response.set("tag", JsonValue::verbatim(std::string(tag)));
     return writeJson(response);
 }
 

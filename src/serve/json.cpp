@@ -156,8 +156,9 @@ namespace {
 class Parser
 {
   public:
-    Parser(std::string_view text, const JsonParseOptions& options)
-        : text_(text), options_(options)
+    Parser(std::string_view text, const JsonParseOptions& options,
+           std::string_view rawKey = {}, std::string_view* raw = nullptr)
+        : text_(text), options_(options), rawKey_(rawKey), raw_(raw)
     {
     }
 
@@ -260,9 +261,12 @@ class Parser
                 return fail("expected ':'");
             ++pos_;
             skipSpace();
+            const std::size_t valueAt = pos_;
             JsonValue value;
             if (!parseValue(value, depth + 1))
                 return false;
+            if (raw_ != nullptr && depth == 0 && key == rawKey_)
+                *raw_ = text_.substr(valueAt, pos_ - valueAt);
             // Duplicate keys: last one wins, like every other parser.
             out.set(std::move(key), std::move(value));
             skipSpace();
@@ -452,6 +456,8 @@ class Parser
 
     std::string_view text_;
     JsonParseOptions options_;
+    std::string_view rawKey_;
+    std::string_view* raw_;
     std::size_t pos_ = 0;
     std::string error_;
 };
@@ -564,6 +570,17 @@ parseJson(std::string_view text, JsonValue& out, std::string& error,
 {
     Parser parser(text, options);
     return parser.parse(out, error);
+}
+
+bool
+parseJson(std::string_view text, std::string_view key, std::string_view& raw,
+          JsonValue& out, std::string& error)
+{
+    raw = {};
+    if (Parser(text, {}, key, &raw).parse(out, error))
+        return true;
+    raw = {};
+    return false;
 }
 
 std::string

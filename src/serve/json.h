@@ -128,10 +128,15 @@ struct JsonParseOptions
 /**
  * Parse one JSON document from @p text (surrounding whitespace
  * allowed, trailing garbage is an error). On failure @p error names
- * the problem and byte offset and @p out is left null.
+ * the problem and byte offset and @p out is left null. The second
+ * form also sets @p raw to the top-level member @p key's text as sent
+ * (empty when absent or on failure): how a request's "tag" is echoed
+ * verbatim, not re-rendered from its parsed value.
  */
 bool parseJson(std::string_view text, JsonValue& out, std::string& error,
                const JsonParseOptions& options = {});
+bool parseJson(std::string_view text, std::string_view key,
+               std::string_view& raw, JsonValue& out, std::string& error);
 
 /** Render compactly on one line (the wire format; no newline added). */
 std::string writeJson(const JsonValue& value);

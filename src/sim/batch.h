@@ -26,7 +26,7 @@ namespace syscomm::sim {
 /**
  * A persistent pool of worker threads with work-stealing dispatch
  * (ShapeSweep's work items are classes of (shape × request) grid
- * cells served by per-shape session pools). Threads are spawned on
+ * cells, each run on its worker slot's session). Threads are spawned on
  * demand by the first dispatch that needs them and parked between
  * batches; the mutex hand-off orders everything the caller wrote
  * before dispatch() against the workers' reads, so callers may freely

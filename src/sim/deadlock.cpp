@@ -25,15 +25,15 @@ DeadlockReport::render(const Program& program) const
     os << (links.empty() ? "links: none\n" : "links:\n");
     for (const LinkSnapshot& l : links) {
         os << "  link " << l.link << " (" << l.a << " -- " << l.b << "):";
-        for (const QueueSnapshot& q : l.queues) {
+        for (const QueueSnapshot& q : queuesOf(l)) {
             os << " ["
                << (q.msg == kInvalidMessage ? "-"
                                             : program.message(q.msg).name)
                << " " << q.occupancy << "/" << q.capacity << "]";
         }
-        if (!l.waiting.empty()) {
+        if (l.numWaiting > 0) {
             os << "  waiting:";
-            for (MessageId w : l.waiting)
+            for (MessageId w : waitingOf(l))
                 os << " " << program.message(w).name;
         }
         os << "\n";

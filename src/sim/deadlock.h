@@ -10,12 +10,14 @@
  * the ids into text against the Program.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/program.h"
 #include "core/types.h"
 #include "sim/cell_exec.h"
+#include "sim/span.h"
 
 namespace syscomm::sim {
 
@@ -48,20 +50,24 @@ struct QueueSnapshot
     }
 };
 
-/** Frozen state of one implicated link: every one of its queues. */
+/**
+ * Frozen state of one implicated link: every one of its queues, and
+ * the messages waiting (requested but unassigned) on it, as slices of
+ * the report's flat vectors (DeadlockReport::queuesOf, waitingOf).
+ */
 struct LinkSnapshot
 {
     LinkIndex link = kInvalidLink;
     CellId a = kInvalidCell;
     CellId b = kInvalidCell;
-    std::vector<QueueSnapshot> queues;
-    /** Messages waiting (requested but unassigned) here. */
-    std::vector<MessageId> waiting;
+    std::uint32_t firstQueue = 0, numQueues = 0;
+    std::uint32_t firstWaiting = 0, numWaiting = 0;
 
     bool operator==(const LinkSnapshot& o) const
     {
         return link == o.link && a == o.a && b == o.b &&
-               queues == o.queues && waiting == o.waiting;
+               firstQueue == o.firstQueue && numQueues == o.numQueues &&
+               firstWaiting == o.firstWaiting && numWaiting == o.numWaiting;
     }
 };
 
@@ -101,8 +107,21 @@ struct DeadlockReport
      * holds no part of the deadlock and is not listed.
      */
     std::vector<LinkSnapshot> links;
+    /** The listed links' queues and waiting messages, link after
+     *  link: one allocation each, however many links are listed. */
+    std::vector<QueueSnapshot> queues;
+    std::vector<MessageId> waiting;
     /** Non-empty exactly when the run ended RunStatus::kFaulted. */
     std::vector<FaultAttribution> faults;
+
+    Span<const QueueSnapshot> queuesOf(const LinkSnapshot& l) const
+    {
+        return {queues.data() + l.firstQueue, l.numQueues};
+    }
+    Span<const MessageId> waitingOf(const LinkSnapshot& l) const
+    {
+        return {waiting.data() + l.firstWaiting, l.numWaiting};
+    }
 
     /** Multi-line rendering of the blocked machine state; the ids
      *  index @p program, which must be the program that ran. */
@@ -111,7 +130,9 @@ struct DeadlockReport
     bool operator==(const DeadlockReport& o) const
     {
         return deadlocked == o.deadlocked && atCycle == o.atCycle &&
-               cells == o.cells && links == o.links && faults == o.faults;
+               cells == o.cells && links == o.links &&
+               queues == o.queues && waiting == o.waiting &&
+               faults == o.faults;
     }
 };
 

@@ -151,14 +151,16 @@ saveRunResult(ByteWriter& w, const RunResult& result)
         w.put(l.link);
         w.put(l.a);
         w.put(l.b);
-        w.put(static_cast<std::uint64_t>(l.queues.size()));
-        for (const QueueSnapshot& q : l.queues) {
+        w.put(static_cast<std::uint64_t>(l.numQueues));
+        for (const QueueSnapshot& q : d.queuesOf(l)) {
             w.put(q.id);
             w.put(q.msg);
             w.put(q.occupancy);
             w.put(q.capacity);
         }
-        w.putVector(l.waiting);
+        w.put(static_cast<std::uint64_t>(l.numWaiting));
+        for (MessageId m : d.waitingOf(l))
+            w.put(m);
     }
     w.put(static_cast<std::uint64_t>(d.faults.size()));
     for (const FaultAttribution& f : d.faults) {
@@ -199,18 +201,27 @@ loadRunResult(ByteReader& r, RunResult& result)
         l.link = r.get<LinkIndex>();
         l.a = r.get<CellId>();
         l.b = r.get<CellId>();
+        // A queue takes 16 bytes and a waiting message 4; the flat
+        // vectors are indexed by std::uint32_t.
         const auto numQueues = r.get<std::uint64_t>();
-        if (!r.ok() || numQueues > r.remaining())
+        if (!r.ok() || numQueues > r.remaining() / 16 ||
+            d.queues.size() + numQueues > UINT32_MAX)
             return false;
-        l.queues.resize(static_cast<std::size_t>(numQueues));
-        for (QueueSnapshot& q : l.queues) {
-            q.id = r.get<int>();
-            q.msg = r.get<MessageId>();
-            q.occupancy = r.get<int>();
-            q.capacity = r.get<int>();
-        }
-        if (!r.getVector(l.waiting))
+        l.firstQueue = static_cast<std::uint32_t>(d.queues.size());
+        l.numQueues = static_cast<std::uint32_t>(numQueues);
+        // A braced list evaluates left to right: id, msg, occupancy,
+        // capacity, the order saveRunResult writes them in.
+        for (std::uint32_t i = 0; i < l.numQueues; ++i)
+            d.queues.push_back({r.get<int>(), r.get<MessageId>(),
+                                r.get<int>(), r.get<int>()});
+        const auto numWaiting = r.get<std::uint64_t>();
+        if (!r.ok() || numWaiting > r.remaining() / 4 ||
+            d.waiting.size() + numWaiting > UINT32_MAX)
             return false;
+        l.firstWaiting = static_cast<std::uint32_t>(d.waiting.size());
+        l.numWaiting = static_cast<std::uint32_t>(numWaiting);
+        for (std::uint32_t i = 0; i < l.numWaiting; ++i)
+            d.waiting.push_back(r.get<MessageId>());
     }
     const auto numFaults = r.get<std::uint64_t>();
     if (!r.ok() || numFaults > r.remaining())
@@ -391,7 +402,7 @@ struct SimSession::Impl
     //
     // The program-side analyses live in a CompiledProgram that may be
     // shared with other sessions (ShapeSweep builds one per sweep and
-    // hands it to every per-shape session); the references below are
+    // hands it to every session it builds); the references below are
     // stable aliases into it, kept so the kernels read exactly as
     // they did when Impl owned these tables directly.
     // -----------------------------------------------------------------
@@ -1473,8 +1484,8 @@ struct SimSession::Impl
      * waiting request. Only program cells and routed links can be
      * either, so only they are walked (as in resetRun()), and the
      * report names everything by id — render() makes the text. Each
-     * vector is reserved to its exact size first: sweep rows keep
-     * these reports, so growth slack would stay allocated.
+     * of its flat vectors is reserved to its exact size first: sweep
+     * rows keep these reports, so growth slack would stay allocated.
      */
     DeadlockReport
     snapshot(Cycle now) const
@@ -1505,28 +1516,35 @@ struct SimSession::Impl
             }
             return numWaiting(link) > 0;
         };
-        std::size_t numListed = 0;
-        for (LinkIndex l : routedLinksDesc)
-            numListed += listed(links[l]) ? 1 : 0;
+        std::size_t numListed = 0, numQueues = 0, numWaits = 0;
+        for (LinkIndex l : routedLinksDesc) {
+            if (!listed(links[l]))
+                continue;
+            ++numListed;
+            numQueues += links[l].queues().size();
+            numWaits += numWaiting(links[l]);
+        }
         report.links.reserve(numListed);
+        report.queues.reserve(numQueues);
+        report.waiting.reserve(numWaits);
         for (auto it = routedLinksDesc.rbegin();
              it != routedLinksDesc.rend(); ++it) {
             const LinkState& link = links[*it];
             if (!listed(link))
                 continue;
-            LinkSnapshot& snap = report.links.emplace_back();
-            snap.link = *it;
-            snap.a = spec.topo.link(*it).a;
-            snap.b = spec.topo.link(*it).b;
-            snap.queues.reserve(link.queues().size());
+            report.links.push_back(
+                {*it, spec.topo.link(*it).a, spec.topo.link(*it).b,
+                 static_cast<std::uint32_t>(report.queues.size()),
+                 static_cast<std::uint32_t>(link.queues().size()),
+                 static_cast<std::uint32_t>(report.waiting.size()),
+                 static_cast<std::uint32_t>(numWaiting(link))});
             for (const HwQueue& q : link.queues()) {
-                snap.queues.push_back({q.id(), q.assignedMsg(), q.size(),
-                                       q.totalCapacity()});
+                report.queues.push_back({q.id(), q.assignedMsg(), q.size(),
+                                         q.totalCapacity()});
             }
-            snap.waiting.reserve(numWaiting(link));
             for (const Crossing& c : link.crossings()) {
                 if (c.phase == CrossingPhase::kRequested)
-                    snap.waiting.push_back(c.msg);
+                    report.waiting.push_back(c.msg);
             }
         }
         return report;

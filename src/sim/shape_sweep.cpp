@@ -181,30 +181,34 @@ frameRecord(std::uint8_t kind, const std::vector<std::uint8_t>& payload)
     return frame;
 }
 
+/** One CRC-valid journal record. */
+struct Record
+{
+    std::uint8_t kind = 0;
+    std::uint8_t version = 0;
+    const std::uint8_t* payload = nullptr;
+    std::size_t len = 0;
+};
+
 /**
- * Validate the record at @p at. Returns false on a torn or corrupt
- * frame (scan must stop). On success sets @p kind, @p rec_version,
- * @p payload / @p len and @p next.
+ * Read the record at @p at into @p rec and move @p at past it.
+ * Returns false on a torn or corrupt frame: the scan stops there.
  */
 bool
-checkRecord(const std::vector<std::uint8_t>& bytes, std::size_t at,
-            std::uint8_t& kind, std::uint8_t& rec_version,
-            const std::uint8_t*& payload, std::size_t& len,
-            std::size_t& next)
+nextRecord(const std::vector<std::uint8_t>& bytes, std::size_t& at,
+           Record& rec)
 {
     if (bytes.size() - at < kRecordOverhead)
         return false;
-    kind = bytes[at];
-    rec_version = bytes[at + 1];
     const std::uint64_t n = readU64(bytes.data() + at + 2);
     if (n > bytes.size() - at - kRecordOverhead)
         return false; // torn tail
-    len = static_cast<std::size_t>(n);
-    payload = bytes.data() + at + 10;
-    const std::uint32_t want = readU32(payload + len);
-    if (crc32c(bytes.data() + at, 10 + len) != want)
+    const std::size_t len = static_cast<std::size_t>(n);
+    if (crc32c(bytes.data() + at, 10 + len) !=
+        readU32(bytes.data() + at + 10 + len))
         return false; // corrupt frame
-    next = at + kRecordOverhead + len;
+    rec = {bytes[at], bytes[at + 1], bytes.data() + at + 10, len};
+    at += kRecordOverhead + len;
     return true;
 }
 
@@ -416,17 +420,11 @@ struct ShapeSweep::Journal
 
         bool sawShard = false;
         std::size_t at = kJournalHeader;
-        std::uint8_t kind;
-        std::uint8_t recVersion;
-        const std::uint8_t* payload;
-        std::size_t len;
-        std::size_t next;
-        while (checkRecord(bytes, at, kind, recVersion, payload, len,
-                           next)) {
+        for (Record rec; nextRecord(bytes, at, rec); valid_prefix = at) {
             // A CRC-valid frame of an unknown record version or kind
             // skips harmlessly: forward compatibility.
-            ByteReader r(payload, len);
-            if (kind == kRecShardRange && recVersion == kRecVersion) {
+            ByteReader r(rec.payload, rec.len);
+            if (rec.kind == kRecShardRange && rec.version == kRecVersion) {
                 const auto jShapes = r.get<std::uint64_t>();
                 const auto jRequests = r.get<std::uint64_t>();
                 const auto jBegin = r.get<std::uint64_t>();
@@ -436,8 +434,6 @@ struct ShapeSweep::Journal
                     jEnd != shard_end)
                     return false;
                 sawShard = true;
-                at = next;
-                valid_prefix = at;
                 continue;
             }
             const auto shape = r.get<std::uint64_t>();
@@ -447,7 +443,7 @@ struct ShapeSweep::Journal
             const std::size_t idx =
                 static_cast<std::size_t>(shape) * num_requests +
                 static_cast<std::size_t>(request);
-            if (kind == kRecRowDone && recVersion == kRowVersion) {
+            if (rec.kind == kRecRowDone && rec.version == kRowVersion) {
                 ShapeSweepRow row;
                 row.shape = static_cast<std::size_t>(shape);
                 row.request = static_cast<std::size_t>(request);
@@ -460,8 +456,8 @@ struct ShapeSweep::Journal
                     done[idx] = std::move(row);
                     checkpoints.erase(idx);
                 }
-            } else if (kind == kRecCheckpoint &&
-                       recVersion == kRecVersion) {
+            } else if (rec.kind == kRecCheckpoint &&
+                       rec.version == kRecVersion) {
                 Checkpoint ck;
                 ck.pauseCycle = r.get<Cycle>();
                 if (!r.getVector(ck.bytes))
@@ -469,56 +465,11 @@ struct ShapeSweep::Journal
                 if (inGrid && done.find(idx) == done.end())
                     checkpoints[idx] = std::move(ck); // latest wins
             }
-            at = next;
-            valid_prefix = at;
         }
         // A sharded run must find its own shard record (an unsharded
         // journal for the same sweep is a different file's worth of
         // rows — restart rather than adopt it).
         return !sharded || sawShard;
-    }
-};
-
-/**
- * The idle sessions of one shape. Work-stealing hands out (shape ×
- * request) cells, so several workers can land on the same shape at
- * once; each checks a session out per cell, popping an idle one or
- * building one. A worker holds at most one session at a time, so a
- * shape never has more sessions than there are workers.
- * SimSession::run() fully resets machine state, so *which* pooled
- * session a cell gets cannot affect its result — the bit-identity
- * suite runs the same grid at 1 and N workers and compares digests.
- * Sessions persist in `idle` across run() calls: the
- * compile-once/run-many caching the sweep always had, just N-wide.
- */
-struct ShapeSweep::ShapePool
-{
-    std::mutex mutex;
-    std::vector<std::unique_ptr<SimSession>> idle;
-
-    template <typename Make>
-    std::unique_ptr<SimSession>
-    checkout(Make&& make)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!idle.empty()) {
-                std::unique_ptr<SimSession> s = std::move(idle.back());
-                idle.pop_back();
-                return s;
-            }
-        }
-        // Construct outside the lock — building a session over a big
-        // machine allocates arenas and must not stall peers returning
-        // theirs.
-        return make();
-    }
-
-    void
-    checkin(std::unique_ptr<SimSession> s)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        idle.push_back(std::move(s));
     }
 };
 
@@ -540,9 +491,6 @@ ShapeSweep::ShapeSweep(const Program& program, SharedTopology topo,
         spec.extensionPenalty = shape.extensionPenalty;
         specs_.push_back(std::move(spec));
     }
-    pools_.reserve(shapes_.size());
-    for (std::size_t s = 0; s < shapes_.size(); ++s)
-        pools_.push_back(std::make_unique<ShapePool>());
 }
 
 ShapeSweep::ShapeSweep(std::shared_ptr<const CompiledProgram> compiled,
@@ -733,34 +681,29 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                request.pauseAt == 0;
     };
 
-    // One grid cell, start to finish, on whatever worker stole it. A
-    // session is checked out of the shape's pool for the duration
-    // (RAII check-in, exception-safe); SimSession::run() resets all
-    // machine state, so the cell's result is independent of which
-    // pooled instance it got. Returns whether the row finished (a
-    // stop leaves it unfinished).
-    auto runCell = [&](std::size_t idx) {
+    // One grid cell, start to finish, on the session of the worker
+    // slot that stole it. The slot keeps its session while its cells
+    // stay on one rung and frees it before building the next rung's,
+    // so the sweep holds at most one session per worker.
+    // SimSession::run() resets all machine state, so the cell's
+    // result is independent of what the session ran before. Returns
+    // whether the row finished (a stop leaves it unfinished).
+    if (slots_.size() < static_cast<std::size_t>(workers))
+        slots_.resize(static_cast<std::size_t>(workers));
+    auto runCell = [&](int worker, std::size_t idx) {
         if (stopRequested())
             return false;
         const std::size_t s = idx / numRequests;
         const std::size_t r = idx % numRequests;
         ShapeSweepRow& row = out.rows[idx];
-        ShapePool& shapePool = *pools_[s];
-        struct Lease
-        {
-            ShapePool& pool;
-            std::unique_ptr<SimSession> session;
-            ~Lease()
-            {
-                if (session)
-                    pool.checkin(std::move(session));
-            }
-        } lease{shapePool,
-                shapePool.checkout([&] {
-                    return std::make_unique<SimSession>(
-                        compiled_, specs_[s], options_.session);
-                })};
-        SimSession& session = *lease.session;
+        SlotSession& slot = slots_[static_cast<std::size_t>(worker)];
+        if (slot.session == nullptr || slot.shape != s) {
+            slot.session.reset();
+            slot.session = std::make_unique<SimSession>(
+                compiled_, specs_[s], options_.session);
+            slot.shape = s;
+        }
+        SimSession& session = *slot.session;
         const RunRequest& request = requests[r];
         const bool journalRow = journaled(request);
         RunResult res;
@@ -823,7 +766,8 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
     // furthest, or the first. Every other member gets a copy and its
     // own ordinary row record, so a kill between the records resumes
     // by copying again, never by simulating.
-    auto runClass = [&](const std::vector<std::size_t>& members) {
+    auto runClass = [&](int worker,
+                        const std::vector<std::size_t>& members) {
         auto source = std::find_if(
             members.begin(), members.end(),
             [&](std::size_t idx) { return out.rows[idx].finished; });
@@ -839,7 +783,7 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                     source = it;
                 }
             }
-            if (!runCell(*source))
+            if (!runCell(worker, *source))
                 return;
         }
         const ShapeSweepRow& done = out.rows[*source];
@@ -870,7 +814,9 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
     };
 
     pool_.dispatch(workers, classes.size(),
-                   [&](int, std::size_t item) { runClass(classes[item]); });
+                   [&](int worker, std::size_t item) {
+                       runClass(worker, classes[item]);
+                   });
 
     if (journal && journal->failed) {
         out.journalError = true;
@@ -911,15 +857,9 @@ inspectSweepJournal(const std::string& path, SweepJournalInfo& out)
     // exactly what a resume would replay.
     std::map<std::pair<std::size_t, std::size_t>, CheckpointInfo> live;
     std::size_t at = kJournalHeader;
-    std::uint8_t kind;
-    std::uint8_t recVersion;
-    const std::uint8_t* payload;
-    std::size_t len;
-    std::size_t next;
-    while (checkRecord(bytes, at, kind, recVersion, payload, len,
-                       next)) {
-        ByteReader r(payload, len);
-        if (kind == kRecShardRange && recVersion == kRecVersion) {
+    for (Record rec; nextRecord(bytes, at, rec);) {
+        ByteReader r(rec.payload, rec.len);
+        if (rec.kind == kRecShardRange && rec.version == kRecVersion) {
             const auto jShapes = r.get<std::uint64_t>();
             const auto jRequests = r.get<std::uint64_t>();
             const auto jBegin = r.get<std::uint64_t>();
@@ -931,31 +871,29 @@ inspectSweepJournal(const std::string& path, SweepJournalInfo& out)
                 out.shardBegin = static_cast<std::size_t>(jBegin);
                 out.shardEnd = static_cast<std::size_t>(jEnd);
             }
-            at = next;
             continue;
         }
         const auto shape =
             static_cast<std::size_t>(r.get<std::uint64_t>());
         const auto request =
             static_cast<std::size_t>(r.get<std::uint64_t>());
-        if (kind == kRecRowDone && recVersion == kRowVersion) {
+        if (rec.kind == kRecRowDone && rec.version == kRowVersion) {
             if (r.ok()) {
                 ++out.rowsDone;
                 live.erase({shape, request});
             }
-        } else if (kind == kRecCheckpoint &&
-                   recVersion == kRecVersion) {
+        } else if (rec.kind == kRecCheckpoint &&
+                   rec.version == kRecVersion) {
             r.get<Cycle>(); // pause cycle (also in the header below)
             const auto stateLen = r.get<std::uint64_t>();
             CheckpointInfo info;
             if (r.ok() && stateLen <= r.remaining() &&
-                peekCheckpointInfo(payload + (len - r.remaining()),
+                peekCheckpointInfo(rec.payload + (rec.len - r.remaining()),
                                    static_cast<std::size_t>(stateLen),
                                    info)) {
                 live[{shape, request}] = std::move(info);
             }
         }
-        at = next;
     }
     out.inflight.reserve(live.size());
     for (auto& [key, info] : live) {
@@ -1005,15 +943,9 @@ mergeSweepJournals(const std::vector<std::string>& paths,
         // this file's scan (its missing rows simply are not merged),
         // unknown kinds skip.
         std::size_t at = kJournalHeader;
-        std::uint8_t kind;
-        std::uint8_t recVersion;
-        const std::uint8_t* payload;
-        std::size_t len;
-        std::size_t next;
-        while (checkRecord(bytes, at, kind, recVersion, payload, len,
-                           next)) {
-            ByteReader r(payload, len);
-            if (kind == kRecShardRange && recVersion == kRecVersion) {
+        for (Record rec; nextRecord(bytes, at, rec);) {
+            ByteReader r(rec.payload, rec.len);
+            if (rec.kind == kRecShardRange && rec.version == kRecVersion) {
                 const auto jShapes = r.get<std::uint64_t>();
                 const auto jRequests = r.get<std::uint64_t>();
                 r.get<std::uint64_t>(); // shardBegin (informational)
@@ -1032,9 +964,10 @@ mergeSweepJournals(const std::vector<std::string>& paths,
                     out.numRequests =
                         static_cast<std::size_t>(jRequests);
                 }
-            } else if (kind == kRecRowDone && recVersion != kRowVersion) {
+            } else if (rec.kind == kRecRowDone &&
+                       rec.version != kRowVersion) {
                 ++out.rowsOtherVersion;
-            } else if (kind == kRecRowDone) {
+            } else if (rec.kind == kRecRowDone) {
                 SweepMergeRow row;
                 row.shape =
                     static_cast<std::size_t>(r.get<std::uint64_t>());
@@ -1067,7 +1000,6 @@ mergeSweepJournals(const std::vector<std::string>& paths,
             }
             // kRecCheckpoint (in-flight state) and unknown kinds are
             // not merge material.
-            at = next;
         }
     }
 

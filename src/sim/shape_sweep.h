@@ -13,14 +13,14 @@
  * rung even though only the hardware differs. ShapeSweep compiles the
  * program exactly once into a shared CompiledProgram and fans the
  * (shape × request) grid across a WorkerPool (sim/batch.h) at *cell*
- * granularity: each grid cell is one work item, and a small
- * per-shape session pool (sessions lazily built over the shared
- * CompiledProgram, at most one per worker, checked out per cell) lets
- * several workers chew on one giant rung while the tiny rungs drain. A skewed ladder — one 64k-cycle rung plus a pile
- * of 256-cycle ones — no longer serializes on the worker that claimed
- * the giant shape. Results still land in grid order, runs are
- * bit-identical at any worker count, and the scheduler is TSan-clean
- * (tests/test_shape_sweep.cpp enforces all three).
+ * granularity: each grid cell is one work item, run on the session
+ * its worker slot owns (built over the shared CompiledProgram, and
+ * rebuilt only when the slot's next cell is on another rung). Several
+ * workers chew on one giant rung while the tiny rungs drain, and a
+ * sweep holds at most one session per worker however long its ladder.
+ * Results land in grid order, runs are bit-identical at any worker
+ * count, and the scheduler is TSan-clean (tests/test_shape_sweep.cpp
+ * enforces all three).
  *
  * Each distinct cell is simulated once. Two cells are equivalent when
  * their shapes agree in every field the machine reads (the name is a
@@ -94,8 +94,8 @@ struct ShapeSpec
 struct ShapeSweepOptions
 {
     /**
-     * Session config shared by every per-shape session (kernel,
-     * memory model). Every session runs with the shared
+     * Session config shared by every session the sweep builds
+     * (kernel, memory model). Every session runs with the shared
      * CompiledProgram's labels unless a request overrides them
      * (RunRequest::labels).
      */
@@ -354,8 +354,8 @@ bool mergeSweepJournals(const std::vector<std::string>& paths,
 /**
  * The sweep driver. Construct once per (program, topology, ladder);
  * run() any number of request batches — the shared CompiledProgram
- * and the per-shape sessions are built on first use and cached, and
- * the worker threads persist across batches. The program must
+ * is built on first use, and the worker threads and their sessions
+ * (at most one per worker) persist across batches. The program must
  * outlive the sweep; the topology is shared (every per-shape spec
  * aliases one graph). run() is not reentrant. Workers only read the
  * shared Program, so its compute callbacks must not capture shared
@@ -402,7 +402,12 @@ class ShapeSweep
 
   private:
     struct Journal;
-    struct ShapePool;
+    /** A worker slot's session and the shape it was built for. */
+    struct SlotSession
+    {
+        std::size_t shape = 0;
+        std::unique_ptr<SimSession> session;
+    };
 
     const Program& program_;
     /** One shared graph: every per-shape spec and the compiled
@@ -413,10 +418,8 @@ class ShapeSweep
     /** One MachineSpec per shape; stable addresses (built once). */
     std::vector<MachineSpec> specs_;
     std::shared_ptr<const CompiledProgram> compiled_;
-    /** One session pool per shape: sessions are lazily built on
-     *  first checkout (at most one per worker) and cached across
-     *  run() calls. */
-    std::vector<std::unique_ptr<ShapePool>> pools_;
+    /** Indexed by WorkerPool slot; kept across run() calls. */
+    std::vector<SlotSession> slots_;
     WorkerPool pool_;
 };
 

@@ -452,8 +452,8 @@ TEST(ArenaCheckpoint, RandomPolicyStateTravelsWithCheckpoint)
 TEST(ArenaCheckpoint, SweepWorkersUnaffectedByPausedRequests)
 {
     // A pauseAt request in a sweep just yields a truncated result;
-    // the pooled worker session must reset cleanly for whoever gets
-    // it next. The random policy reads its seed, so the eight
+    // the worker slot's session must reset cleanly for the cell it
+    // runs next. The random policy reads its seed, so the eight
     // requests are eight distinct cells the sweep must each simulate.
     Topology topo = Topology::linearArray(5);
     GenOptions gen;

@@ -14,7 +14,8 @@
  *    "never" into a hard guarantee) and rejects torn headers;
  *  - a deadlocked run's saveRunResult() bytes (what a journal row
  *    carries) reject every strict prefix and an out-of-range block
- *    reason, and survive seeded bit flips the same way.
+ *    reason, and survive seeded bit flips the same way; one fixed
+ *    deadlocked 8x8-mesh run's bytes are pinned by their CRC32C.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "algos/paper_figures.h"
+#include "core/program_gen.h"
 #include "serve/io.h"
 #include "sim/crc32c.h"
 #include "sim/serial.h"
@@ -444,6 +446,33 @@ TEST(PortableFormat, DeadlockedRunResultRoundTripsAndRejectsBadReasons)
         ByteReader r(mutated.data(), mutated.size());
         EXPECT_FALSE(sim::loadRunResult(r, decoded)) << "reason " << bad;
     }
+}
+
+TEST(PortableFormat, DeadlockedMeshRowBytesArePinned)
+{
+    // The row record of one deadlocked run of the benchmark's mesh
+    // family (8x8 mesh, 64 messages, 2 queues per link, fcfs): 37
+    // listed links, 13 waiting messages. How a report is held in
+    // memory may change; the journal bytes it encodes to may not.
+    const Topology mesh = Topology::mesh(8, 8);
+    GenOptions gen;
+    gen.numMessages = 64;
+    gen.interleave = 0.3;
+    gen.seed = 1;
+    MachineSpec spec;
+    spec.topo = mesh;
+    spec.queuesPerLink = 2;
+    RunRequest request;
+    request.policy = sim::PolicyKind::kFcfs;
+    request.seed = 1;
+    const RunResult result =
+        SimSession(randomDeadlockFreeProgram(mesh, gen), spec).run(request);
+    ASSERT_EQ(result.status, RunStatus::kDeadlocked);
+    EXPECT_EQ(result.deadlock.links.size(), 37u);
+    EXPECT_EQ(result.deadlock.waiting.size(), 13u);
+    const std::vector<std::uint8_t> bytes = encode(result);
+    EXPECT_EQ(bytes.size(), 3204u);
+    EXPECT_EQ(sim::crc32c(bytes.data(), bytes.size()), 0x2db5d03du);
 }
 
 TEST(PortableFormat, DeadlockedRunResultSurvivesTruncationAndBitFlipFuzz)

@@ -130,6 +130,25 @@ TEST(ServeJson, VerbatimTextIsWrittenUnchanged)
               "\"tag\":7}");
 }
 
+TEST(ServeJson, ParseKeepsOneTopLevelMembersBytes)
+{
+    JsonValue out;
+    std::string error;
+    std::string_view raw;
+    // The last duplicate wins, as in the parsed object.
+    ASSERT_TRUE(parseJson("{\"tag\": 1, \"tag\" : { \"a\": 1.50 } }", "tag",
+                          raw, out, error));
+    EXPECT_EQ(raw, "{ \"a\": 1.50 }");
+    // Only a member of the top-level object counts.
+    ASSERT_TRUE(parseJson("{\"x\":{\"tag\":1}}", "tag", raw, out, error));
+    EXPECT_TRUE(raw.empty());
+    ASSERT_TRUE(parseJson("[{\"tag\":1}]", "tag", raw, out, error));
+    EXPECT_TRUE(raw.empty());
+    // A document that does not parse keeps nothing.
+    EXPECT_FALSE(parseJson("{\"tag\":1,", "tag", raw, out, error));
+    EXPECT_TRUE(raw.empty());
+}
+
 TEST(ServeJson, ParseErrorsAreCleanNotFatal)
 {
     JsonValue out;
@@ -726,6 +745,38 @@ TEST_F(ServeRobustness, TagIsEchoedEvenOnErrors)
     ASSERT_TRUE(client.request(request, response, error)) << error;
     EXPECT_FALSE(response.getBool("ok", true));
     EXPECT_EQ(response.getInt("tag", 0), 77);
+}
+
+TEST_F(ServeRobustness, TagIsEchoedByteForByte)
+{
+    // Each of these tags changes when it is parsed and written again
+    // (an inexact double, an overflowing one, an integer past int64, a
+    // negative zero, an escape, a trailing fraction zero); the echo is
+    // the bytes that were sent, on a success and on an error response.
+    ServeClient client;
+    connect(client);
+    const std::string tags[] = {"0.1",  "1e400", "12345678901234567890",
+                                "-0",   "\"caf\\u00e9\"",
+                                "{\"a\": 1.50}"};
+    for (const std::string& tag : tags) {
+        for (const char* verb : {"ping", "status"}) {
+            const std::string line =
+                std::string("{\"verb\":\"") + verb + "\",\"tag\":" + tag + "}";
+            std::string response;
+            std::string error;
+            ASSERT_TRUE(client.roundTrip(line, response, error)) << error;
+            const std::string echo = ",\"tag\":" + tag + "}";
+            ASSERT_GE(response.size(), echo.size()) << response;
+            EXPECT_EQ(response.substr(response.size() - echo.size()), echo)
+                << line;
+            JsonValue parsed;
+            ASSERT_TRUE(parseJson(response, parsed, error)) << response;
+            // status without an id is an error; ping succeeds.
+            EXPECT_EQ(parsed.getBool("ok", false),
+                      std::string(verb) == "ping")
+                << response;
+        }
+    }
 }
 
 TEST_F(ServeRobustness, OversizedLineAnswersOnceAndCloses)

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,12 +34,25 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/program_gen.h"
 #include "sim/crc32c.h"
 #include "sim/fault.h"
 #include "sim/fnv.h"
 #include "sim/shape_sweep.h"
 #include "test_support.h"
+
+// ASan and TSan replace malloc, so mallinfo2 sees nothing of it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SYSCOMM_TEST_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SYSCOMM_TEST_MALLOC_REPLACED 1
+#endif
+#endif
 
 namespace syscomm {
 namespace {
@@ -1068,6 +1082,67 @@ TEST(ShapeSweep, SingleWorkerSweepStaysInline)
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.workersUsed, 1);
     EXPECT_EQ(sweep.pooledWorkers(), 0);
+}
+
+TEST(ShapeSweep, HeldSessionsAreBoundedByWorkers)
+{
+#if !defined(__GLIBC__) || defined(SYSCOMM_TEST_MALLOC_REPLACED)
+    GTEST_SKIP() << "needs glibc's own malloc (mallinfo2)";
+#else
+    // Bytes glibc's malloc has handed out and not had back.
+    auto heapInUse = [] {
+        const struct mallinfo2 info = mallinfo2();
+        return static_cast<long long>(info.uordblks + info.hblkhd);
+    };
+    // A 16-rung ladder over a 1,024-cell mesh, run twice by one
+    // sweep. Whatever the sweep then holds beyond the rows it
+    // returned must fit in one session per worker; a session kept per
+    // rung would be up to 16 per worker.
+    const Topology mesh = Topology::mesh(32, 32);
+    GenOptions gen;
+    gen.numMessages = 64;
+    gen.seed = 29;
+    const Program program = randomDeadlockFreeProgram(mesh, gen);
+    const auto compiled = CompiledProgram::compile(program, mesh);
+    const std::vector<ShapeSpec> shapes = ladder16();
+    const std::vector<RunRequest> requests = distinctRequests(4);
+
+    // One session's worth: the largest rung's session after a run.
+    long long sessionBytes = 0;
+    for (const ShapeSpec& shape : shapes) {
+        MachineSpec spec = specFor(mesh, shape);
+        spec.topo = compiled->sharedTopo();
+        (void)SimSession(compiled, spec).run(requests[0]); // warm-up
+        const long long before = heapInUse();
+        SimSession session(compiled, spec);
+        (void)session.run(requests[0]);
+        sessionBytes = std::max(sessionBytes, heapInUse() - before);
+    }
+    ASSERT_GT(sessionBytes, 1024 * 1024);
+
+    for (int workers : {1, 4}) {
+        ShapeSweepOptions options;
+        options.numWorkers = workers;
+        std::vector<ShapeSweepResult> results;
+        results.reserve(2);
+        const long long before = heapInUse();
+        auto sweep = std::make_unique<ShapeSweep>(compiled, shapes, options);
+        for (int pass = 0; pass < 2; ++pass) {
+            results.push_back(sweep->run(requests));
+            ASSERT_TRUE(results.back().complete);
+            EXPECT_EQ(results.back().workersUsed, workers);
+        }
+        const long long held = heapInUse() - before;
+        sweep.reset();
+        const long long rows = heapInUse() - before;
+        std::printf("%d workers: the sweep holds %lld bytes beyond %lld "
+                    "of rows; one session is %lld bytes\n",
+                    workers, held - rows, rows, sessionBytes);
+        // A quarter session of slack for allocator noise.
+        EXPECT_LE(held - rows, (workers * 4 + 1) * sessionBytes / 4)
+            << workers << " workers";
+    }
+#endif
 }
 
 TEST(WorkerSizing, ClampWorkersNeverReturnsZero)
